@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,12 +7,17 @@ from pdwave import cli
 
 
 ALL_SCENARIOS = list(cli.SCENARIOS)
+GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("scenario", ALL_SCENARIOS)
-def test_scenario_runs_clean_with_check(scenario, tmp_path):
+@pytest.mark.parametrize(
+    "scenario, fmt",
+    [(s, "csv") for s in ALL_SCENARIOS] + [("free-wave", "json"), ("ensemble", "json")],
+)
+def test_scenario_runs_clean_with_check(scenario, fmt, tmp_path):
     code = cli.main(
-        ["--scenario", scenario, "--out", str(tmp_path), "--seed", "42", "--check"]
+        ["--scenario", scenario, "--out", str(tmp_path), "--seed", "42", "--check",
+         "--format", fmt]
     )
     assert code == 0
     report = json.loads((tmp_path / "report.json").read_text())
@@ -19,6 +25,13 @@ def test_scenario_runs_clean_with_check(scenario, tmp_path):
     assert report["scenario"] == scenario
     for check in report["checks"]:
         assert set(check) >= {"name", "passed", "value"}
+
+    # Every file, report.json included, matches the committed golden output.
+    golden = GOLDEN / (scenario if fmt == "csv" else f"{scenario}-{fmt}")
+    written = sorted(f.name for f in tmp_path.iterdir())
+    assert written == sorted(f.name for f in golden.iterdir())
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
 
 
 def test_free_wave_has_unit_density_row(tmp_path):
