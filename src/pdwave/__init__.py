@@ -3,10 +3,11 @@
 A numerical library for exponential-envelope wave functions, non-Hermitian
 normal-operator algebra, non-unitary density-matrix evolution, Monte Carlo
 measurement statistics, Sturm-Liouville eigenproblems, and complex
-space-time identity checks, plus a scenario runner (``pdwave`` CLI).
+space-time identity checks.  The scenario runner behind the ``pdwave``
+command is ``pdwave.cli``; importing the package does not load it.
 """
 
-from . import analysis, cli, core, evolution, freewave, measurement, potential, spectral
+from . import analysis, core, evolution, freewave, measurement, potential, spectral
 from .core import (
     Branch,
     ConvergenceError,

@@ -8,7 +8,8 @@ Config files are flat INI text with one section per scenario and
 run writes the scenario's data files plus a ``report.json`` listing each
 invariant check with its residual and pass/fail.  Exit codes: 0 success,
 1 config parse error, 2 numerical non-convergence or I/O failure, 3 a
-check failed in ``--check`` mode.
+check failed in ``--check`` mode.  Values rejected while a scenario runs
+(an unknown preset, non-positive weights) are config errors too.
 """
 
 from __future__ import annotations
@@ -28,24 +29,32 @@ from . import analysis, evolution, freewave, measurement, potential, spectral
 from .core import (
     Branch,
     ConvergenceError,
-    PhysicalConstants,
     make_free_state,
 )
 
 __all__ = ["ScenarioConfig", "run_scenario", "emit_output", "main"]
 
-SCENARIOS = (
-    "free-wave",
-    "potential-wave",
-    "ensemble",
-    "decoherence",
-    "entropy",
-    "sturm-liouville",
-    "uncertainty",
-    "contour",
-    "composite",
-    "field",
-)
+# Every scenario's parameters and their defaults; a key's type is the type of
+# its default (tuples hold comma-separated floats).
+_DEFAULTS: dict[str, dict] = {
+    "free-wave": {"v": 1.0, "R": 1.0, "mp_x": 2.0, "times": (1.0, 2.0, 3.0),
+                  "span": 3.0, "n": 121},
+    "potential-wave": {"profile": "linear", "R": 1.0, "omega": 0.375,
+                       "x0": 0.0, "x1": 5.0, "n": 201, "t": 0.5,
+                       "x_mp": 1.0, "v_table": "", "k_table": ""},
+    "ensemble": {"weights": (0.5, 0.3, 0.2), "n_trials": 100000, "workers": 1},
+    "decoherence": {"weights": (0.5, 0.3, 0.2), "speeds": (1.0, 2.0, 3.0), "t": 1.0},
+    "entropy": {"v": 1.0, "t_max": 2.0, "n": 41, "measure_at": 2.0},
+    "sturm-liouville": {"preset": "box", "x0": 0.0, "x1": 1.0, "n_eigen": 6,
+                        "n_grid": 2001, "k0": 0.0},
+    "uncertainty": {"n_samples": 100000, "sigma_re": 2.0, "sigma_im": 1.0},
+    "contour": {"v": 1.0, "R": 1.0, "contour_csv": ""},
+    "composite": {"weights": (0.5, 0.5), "system_speeds": (1.0, 2.0),
+                  "pointer_speeds": (3.0, 4.0), "n_trials": 100000},
+    "field": {"s_max": 3.0, "n": 61, "v": 1.0},
+}
+
+SCENARIOS = tuple(_DEFAULTS)
 
 
 class ConfigError(ValueError):
@@ -175,50 +184,17 @@ class Report:
 # ---------------------------------------------------------------------------
 # Parameter parsing
 
-_DEFAULTS: dict[str, dict] = {
-    "free-wave": {"v": "1.0", "R": "1.0", "mp_x": "2.0", "times": "1.0,2.0,3.0",
-                  "span": "3.0", "n": "121"},
-    "potential-wave": {"profile": "linear", "R": "1.0", "omega": "0.375",
-                       "x0": "0.0", "x1": "5.0", "n": "201", "t": "0.5",
-                       "x_mp": "1.0", "v_table": "", "k_table": ""},
-    "ensemble": {"weights": "0.5,0.3,0.2", "n_trials": "100000", "workers": "1"},
-    "decoherence": {"weights": "0.5,0.3,0.2", "speeds": "1.0,2.0,3.0", "t": "1.0"},
-    "entropy": {"v": "1.0", "t_max": "2.0", "n": "41", "measure_at": "2.0"},
-    "sturm-liouville": {"preset": "box", "x0": "0.0", "x1": "1.0", "n_eigen": "6",
-                        "n_grid": "2001", "k0": "0.0"},
-    "uncertainty": {"n_samples": "100000", "sigma_re": "2.0", "sigma_im": "1.0"},
-    "contour": {"v": "1.0", "R": "1.0", "contour_csv": ""},
-    "composite": {"weights": "0.5,0.5", "system_speeds": "1.0,2.0",
-                  "pointer_speeds": "3.0,4.0", "n_trials": "100000"},
-    "field": {"s_max": "3.0", "n": "61", "v": "1.0"},
-}
 
-
-def _parse_value(scenario: str, key: str, raw: str, kind: str):
+def _parse_value(scenario: str, key: str, raw: str, default):
+    """Parse a config string as the type of the key's default."""
     try:
-        if kind == "float":
-            return float(raw)
-        if kind == "int":
-            return int(raw)
-        if kind == "floats":
-            return [float(tok) for tok in raw.split(",") if tok.strip()]
-        return raw.strip()
+        if isinstance(default, tuple):
+            return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+        if isinstance(default, str):
+            return raw.strip()
+        return type(default)(raw)
     except ValueError as exc:
         raise ConfigError(f"[{scenario}] {key} = {raw!r}: {exc}") from exc
-
-
-_PARAM_KINDS = {
-    "v": "float", "R": "float", "mp_x": "float", "span": "float", "t": "float",
-    "t_max": "float", "measure_at": "float", "x0": "float", "x1": "float",
-    "x_mp": "float", "omega": "float", "k0": "float", "sigma_re": "float",
-    "sigma_im": "float", "s_max": "float",
-    "n": "int", "n_trials": "int", "workers": "int", "n_eigen": "int",
-    "n_grid": "int", "n_samples": "int",
-    "times": "floats", "weights": "floats", "speeds": "floats",
-    "system_speeds": "floats", "pointer_speeds": "floats",
-    "profile": "str", "preset": "str", "v_table": "str", "k_table": "str",
-    "contour_csv": "str",
-}
 
 
 def _resolve_parameters(scenario: str, overrides: dict) -> dict:
@@ -226,11 +202,11 @@ def _resolve_parameters(scenario: str, overrides: dict) -> dict:
     unknown = set(overrides) - set(defaults)
     if unknown:
         raise ConfigError(f"[{scenario}] unknown keys: {sorted(unknown)}")
-    merged = {**defaults, **overrides}
-    return {
-        key: _parse_value(scenario, key, raw, _PARAM_KINDS[key])
-        for key, raw in merged.items()
+    parsed = {
+        key: _parse_value(scenario, key, raw, defaults[key])
+        for key, raw in overrides.items()
     }
+    return {**defaults, **parsed}
 
 
 def load_config(path, scenario: str) -> dict:
@@ -359,11 +335,22 @@ def _run_potential_wave(cfg: ScenarioConfig, out: Path, report: Report) -> None:
         )
 
 
-def _ensemble_state(weights) -> evolution.SuperposedState:
+def _normalized_weights(weights) -> np.ndarray:
+    """Config weights scaled to sum to one; each must be finite and positive."""
     weights = np.asarray(weights, dtype=float)
-    if np.any(weights <= 0):
-        raise ConfigError("ensemble weights must be positive")
-    weights = weights / weights.sum()
+    if weights.size == 0 or not np.all(np.isfinite(weights) & (weights > 0)):
+        raise ConfigError("weights must be finite and positive")
+    return weights / weights.sum()
+
+
+def _add_three_sigma_checks(report: Report, rep: measurement.EnsembleReport) -> None:
+    """One check per outcome: its frequency lies within 3 sigma of |a_i|^2."""
+    for i, z in enumerate(rep.z_scores()):
+        report.add(f"outcome_{i}_within_3_sigma", bool(abs(z) < 3.0), float(z), 3.0)
+
+
+def _ensemble_state(weights) -> evolution.SuperposedState:
+    weights = _normalized_weights(weights)
     waves = tuple(make_free_state(float(i + 1), float(i + 1)) for i in range(weights.size))
     return evolution.SuperposedState(amplitudes=np.sqrt(weights).astype(complex), waves=waves)
 
@@ -373,23 +360,11 @@ def _run_ensemble(cfg: ScenarioConfig, out: Path, report: Report) -> None:
     state = _ensemble_state(p["weights"])
     rep = measurement.run_ensemble(state, p["n_trials"], seed=cfg.seed,
                                    workers=p["workers"])
-    z = rep.z_scores()
-    records = [
-        {
-            "outcome": i,
-            "count": int(rep.counts[i]),
-            "frequency": float(rep.frequencies[i]),
-            "expected": float(rep.expected[i]),
-            "z_score": float(z[i]),
-        }
-        for i in range(rep.counts.size)
-    ]
-    emit_output(records, cfg.format, out / f"ensemble.{cfg.format}")
+    emit_output(rep.records(), cfg.format, out / f"ensemble.{cfg.format}")
     p_value = float(stats.chi2.sf(rep.chi_square, df=rep.counts.size - 1))
     report.add("counts_sum_to_trials", int(rep.counts.sum()) == rep.n_trials,
                float(rep.counts.sum()))
-    for i in range(rep.counts.size):
-        report.add(f"outcome_{i}_within_3_sigma", bool(abs(z[i]) < 3.0), float(z[i]), 3.0)
+    _add_three_sigma_checks(report, rep)
     report.add("chi_square_p_above_0.001", p_value > 0.001, p_value, 0.001)
 
     # Arrival order is reported, not used for probabilities.
@@ -402,8 +377,7 @@ def _run_ensemble(cfg: ScenarioConfig, out: Path, report: Report) -> None:
 
 def _run_decoherence(cfg: ScenarioConfig, out: Path, report: Report) -> None:
     p = cfg.parameters
-    weights = np.asarray(p["weights"], dtype=float)
-    weights = weights / weights.sum()
+    weights = _normalized_weights(p["weights"])
     if len(p["speeds"]) != weights.size:
         raise ConfigError("speeds and weights must pair up")
     waves = tuple(make_free_state(v, v) for v in p["speeds"])
@@ -577,8 +551,7 @@ def _run_contour(cfg: ScenarioConfig, out: Path, report: Report) -> None:
 
 def _run_composite(cfg: ScenarioConfig, out: Path, report: Report) -> None:
     p = cfg.parameters
-    weights = np.asarray(p["weights"], dtype=float)
-    weights = weights / weights.sum()
+    weights = _normalized_weights(p["weights"])
     if not (len(p["system_speeds"]) == len(p["pointer_speeds"]) == weights.size):
         raise ConfigError("weights, system_speeds, pointer_speeds must pair up")
     systems = tuple(make_free_state(v, v) for v in p["system_speeds"])
@@ -606,9 +579,7 @@ def _run_composite(cfg: ScenarioConfig, out: Path, report: Report) -> None:
     # Outcome statistics over the pointer basis.
     flat = evolution.SuperposedState(np.sqrt(weights).astype(complex), systems)
     rep = measurement.run_ensemble(flat, p["n_trials"], seed=cfg.seed)
-    z = rep.z_scores()
-    for i in range(weights.size):
-        report.add(f"outcome_{i}_within_3_sigma", bool(abs(z[i]) < 3.0), float(z[i]), 3.0)
+    _add_three_sigma_checks(report, rep)
 
     event = measurement.detect_mp(systems[0], systems[0].v * 1.0, 1.0)
     projected = measurement.von_neumann_project(composite, 0, event)
@@ -639,15 +610,11 @@ def _run_composite(cfg: ScenarioConfig, out: Path, report: Report) -> None:
     report.add_residual("entangled_imag_part",
                         avgs.entangled_avg.imag - expected_imag, 1e-12)
 
-    records = [{
-        "outcome": i,
-        "count": int(rep.counts[i]),
-        "frequency": float(rep.frequencies[i]),
-        "expected": float(rep.expected[i]),
-        "z_score": float(z[i]),
-        "entangled_avg": complex(avgs.entangled_avg),
-        "reduced_avg": float(avgs.reduced_avg),
-    } for i in range(weights.size)]
+    records = [
+        {**r, "entangled_avg": complex(avgs.entangled_avg),
+         "reduced_avg": float(avgs.reduced_avg)}
+        for r in rep.records()
+    ]
     emit_output(records, cfg.format, out / f"composite.{cfg.format}")
 
 
@@ -685,8 +652,9 @@ _RUNNERS = {
 def run_scenario(config: ScenarioConfig) -> int:
     """Execute a scenario, write its data files and report.json.
 
-    Returns the process exit code (0 success; 2 numerical/I-O failure;
-    3 when ``check`` is set and some invariant check failed).
+    Returns the process exit code (0 success; 1 a value the scenario
+    rejects; 2 numerical/I-O failure; 3 when ``check`` is set and some
+    invariant check failed).
     """
     out = Path(config.output)
     try:
@@ -694,6 +662,9 @@ def run_scenario(config: ScenarioConfig) -> int:
         report = Report(scenario=config.scenario, seed=config.seed)
         _RUNNERS[config.scenario](config, out, report)
         report.write(out)
+    except ConfigError as exc:
+        print(f"pdwave: config error: {exc}", file=sys.stderr)
+        return 1
     except (ConvergenceError, OSError, FloatingPointError) as exc:
         print(f"pdwave: {exc}", file=sys.stderr)
         return 2

@@ -138,6 +138,11 @@ class EigenRecord:
             raise ValueError("a measurement-point record must carry a real value")
 
 
+def at_arrival(x: float, t: float, v: float, tol: float) -> bool:
+    """Arrival condition of a wave peak: |x - v*t| <= tol * max(1, |x|)."""
+    return abs(x - v * t) <= tol * max(1.0, abs(x))
+
+
 def make_free_state(
     v: float,
     R: float,

@@ -8,7 +8,6 @@ measurement-point line x = v*t.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -84,6 +83,18 @@ def _check_region(params: FreeWaveParams, x, t: float) -> None:
             )
 
 
+def _envelope_lag(params: FreeWaveParams, x, t: float):
+    """Signed lag behind the peak: t - x/v incoming, x/v - t outgoing.
+
+    Probes on the wrong side of the measurement point are rejected first.
+    """
+    _check_region(params, x, t)
+    xs = np.asarray(x, dtype=float)
+    if params.branch is Branch.INCOMING:
+        return t - xs / params.v
+    return xs / params.v - t
+
+
 def psi_free(params: FreeWaveParams, x, t: float):
     """Wave function of the free state at (x, t); x may be an array.
 
@@ -91,12 +102,8 @@ def psi_free(params: FreeWaveParams, x, t: float):
     outgoing: exp[(R/2)(x/v - t)] * exp[i(kx - omega*t)].
     On x = v*t both agree with the plane wave exp[i(kx - omega*t)].
     """
-    _check_region(params, x, t)
+    envelope = np.exp(0.5 * params.R * _envelope_lag(params, x, t))
     xs = np.asarray(x, dtype=float)
-    if params.branch is Branch.INCOMING:
-        envelope = np.exp(0.5 * params.R * (t - xs / params.v))
-    else:
-        envelope = np.exp(0.5 * params.R * (xs / params.v - t))
     phase = np.exp(1j * (params.k * xs - params.omega * t))
     out = envelope * phase
     return complex(out) if np.isscalar(x) else out
@@ -104,12 +111,7 @@ def psi_free(params: FreeWaveParams, x, t: float):
 
 def prob_density_free(params: FreeWaveParams, x, t: float):
     """Probability density |psi|^2, evaluated from the envelope directly."""
-    _check_region(params, x, t)
-    xs = np.asarray(x, dtype=float)
-    if params.branch is Branch.INCOMING:
-        out = np.exp(params.R * (t - xs / params.v))
-    else:
-        out = np.exp(params.R * (xs / params.v - t))
+    out = np.exp(params.R * _envelope_lag(params, x, t))
     return float(out) if np.isscalar(x) else out
 
 

@@ -13,12 +13,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Branch, FreeWaveParams
+from .core import Branch, FreeWaveParams, at_arrival
 from .evolution import DensityMatrix, SuperposedState
 from .freewave import Grid1D, psi_free
 from .potential import PotentialSpec, arrival_time
@@ -63,31 +62,29 @@ class MeasurementEvent:
     def __post_init__(self) -> None:
         if self.kind == "free" and not self.is_at_mp():
             raise ValueError("event does not satisfy the arrival condition x = v*t")
-        if self.post_state is not None:
-            amps = np.abs(self.post_state.amplitudes)
-            if not (np.isclose(amps.max(), 1.0) and np.sum(amps > 1e-12) == 1):
-                raise ValueError("post-measurement state must have one unit amplitude")
+        if self.post_state is not None and _unit_outcome(self.post_state.amplitudes) is None:
+            raise ValueError("post-measurement state must have one unit amplitude")
 
     def is_at_mp(self) -> bool:
         """Arrival condition: x = v*t for free waves (checked at detection
         against the amplitude's arrival integral for potential waves)."""
         if self.kind != "free":
             return True
-        return abs(self.x - self.speed * self.t) <= self.tol * max(1.0, abs(self.x))
+        return at_arrival(self.x, self.t, self.speed, self.tol)
 
 
 def detect_mp(target, x: float, t: float, tol: float = 1e-9) -> MeasurementEvent | None:
     """Return a measurement event iff the wave peak is at (x, t).
 
-    ``target`` may be a FreeWaveParams (condition |x - v*t| <= tol), a
-    PotentialSpec (condition |t - arrival_time(x)| <= tol), or a
-    SuperposedState (any component's peak arriving).  Absence of an event
-    is a value, not an error.
+    ``target`` may be a FreeWaveParams (the event's own arrival condition
+    |x - v*t| <= tol * max(1, |x|)), a PotentialSpec (condition
+    |t - arrival_time(x)| <= tol), or a SuperposedState (any component's
+    peak arriving).  Absence of an event is a value, not an error.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if isinstance(target, FreeWaveParams):
-        if abs(x - target.v * t) <= tol:
+        if at_arrival(x, t, target.v, tol):
             return MeasurementEvent(x=x, t=t, speed=target.v, tol=max(tol, 1e-9))
         return None
     if isinstance(target, PotentialSpec):
@@ -98,7 +95,7 @@ def detect_mp(target, x: float, t: float, tol: float = 1e-9) -> MeasurementEvent
         return None
     if isinstance(target, SuperposedState):
         for i, wave in enumerate(target.waves):
-            if abs(x - wave.v * t) <= tol:
+            if at_arrival(x, t, wave.v, tol):
                 return MeasurementEvent(
                     x=x, t=t, speed=wave.v, pre_state=target, tol=max(tol, 1e-9)
                 )
@@ -130,42 +127,37 @@ class EnsembleReport:
         sigma = np.sqrt(self.expected * (1.0 - self.expected) / self.n_trials)
         return (self.frequencies - self.expected) / sigma
 
-    def to_json(self) -> str:
+    def records(self) -> list[dict]:
+        """One record per outcome: outcome, count, frequency, expected, z_score."""
         z = self.z_scores()
+        return [
+            {
+                "outcome": i,
+                "count": int(self.counts[i]),
+                "frequency": float(self.frequencies[i]),
+                "expected": float(self.expected[i]),
+                "z_score": float(z[i]),
+            }
+            for i in range(self.counts.size)
+        ]
+
+    def to_json(self) -> str:
         return json.dumps(
             {
                 "n_trials": self.n_trials,
                 "seed": self.seed,
                 "chi_square": self.chi_square,
-                "outcomes": [
-                    {
-                        "outcome": i,
-                        "count": int(self.counts[i]),
-                        "frequency": self.frequencies[i],
-                        "expected": self.expected[i],
-                        "z_score": z[i],
-                    }
-                    for i in range(self.counts.size)
-                ],
+                "outcomes": self.records(),
             },
             sort_keys=True,
         )
 
     def to_csv(self) -> str:
-        z = self.z_scores()
+        records = self.records()
         out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["outcome", "count", "frequency", "expected", "z_score"])
-        for i in range(self.counts.size):
-            writer.writerow(
-                [
-                    i,
-                    int(self.counts[i]),
-                    repr(float(self.frequencies[i])),
-                    repr(float(self.expected[i])),
-                    repr(float(z[i])),
-                ]
-            )
+        writer = csv.DictWriter(out, fieldnames=list(records[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(records)
         return out.getvalue()
 
 
@@ -203,16 +195,28 @@ def run_ensemble(
     )
 
 
-def _stopped_wave(template: FreeWaveParams) -> FreeWaveParams:
-    """Absorbed post-measurement state: R = v = 0 stops the particle."""
-    return FreeWaveParams(
-        k=0.0, omega=0.0, R=0.0, v=0.0, branch=template.branch, constants=template.constants
-    )
+def _post_measurement_waves(waves: tuple, outcome: int, record: bool) -> tuple:
+    """Replace the measured component by the plane wave left at the event.
+
+    A recorded outcome absorbs the particle (R = v = 0 stops it); otherwise
+    it is re-emitted on the outgoing branch.
+    """
+    wave = waves[outcome]
+    if record:
+        post = FreeWaveParams(
+            k=0.0, omega=0.0, R=0.0, v=0.0, branch=wave.branch, constants=wave.constants
+        )
+    else:
+        post = replace(wave, branch=Branch.OUTGOING)
+    return tuple(post if i == outcome else w for i, w in enumerate(waves))
 
 
-def _already_projected(state: SuperposedState, outcome: int) -> bool:
-    amps = np.abs(state.amplitudes)
-    return bool(np.isclose(amps[outcome], 1.0) and np.sum(amps > 1e-12) == 1)
+def _unit_outcome(amplitudes) -> int | None:
+    """Index of the single unit amplitude of a projected state, else None."""
+    amps = np.abs(amplitudes)
+    if np.sum(amps > 1e-12) == 1 and np.isclose(amps.max(), 1.0):
+        return int(np.argmax(amps))
+    return None
 
 
 def dirac_project(
@@ -230,15 +234,13 @@ def dirac_project(
     """
     if not 0 <= outcome < state.n:
         raise ValueError("outcome index out of range")
-    if _already_projected(state, outcome):
+    if _unit_outcome(state.amplitudes) == outcome:
         return state
-    wave = state.waves[outcome]
-    if abs(event.x - wave.v * event.t) > event.tol * max(1.0, abs(event.x)):
+    if not at_arrival(event.x, event.t, state.waves[outcome].v, event.tol):
         raise ValueError("event does not match the outcome component's arrival")
     amps = np.zeros(state.n, dtype=complex)
     amps[outcome] = 1.0
-    post = _stopped_wave(wave) if record else replace(wave, branch=Branch.OUTGOING)
-    waves = tuple(post if i == outcome else w for i, w in enumerate(state.waves))
+    waves = _post_measurement_waves(state.waves, outcome, record)
     return SuperposedState(amplitudes=amps, waves=waves)
 
 
@@ -357,21 +359,16 @@ def von_neumann_project(
     if composite.collapsed and np.isclose(amps[outcome], 1.0):
         return composite
     sys_wave = composite.system_components[outcome]
-    if abs(event.x - sys_wave.v * event.t) > event.tol * max(1.0, abs(event.x)):
+    if not at_arrival(event.x, event.t, sys_wave.v, event.tol):
         raise ValueError("event does not match the outcome component's arrival")
-
-    def _post(w: FreeWaveParams) -> FreeWaveParams:
-        return _stopped_wave(w) if record else replace(w, branch=Branch.OUTGOING)
-
     new_amps = np.zeros(composite.n, dtype=complex)
     new_amps[outcome] = 1.0
     return CompositeState(
-        system_components=tuple(
-            _post(w) if i == outcome else w for i, w in enumerate(composite.system_components)
+        system_components=_post_measurement_waves(
+            composite.system_components, outcome, record
         ),
-        pointer_components=tuple(
-            _post(w) if i == outcome else w
-            for i, w in enumerate(composite.pointer_components)
+        pointer_components=_post_measurement_waves(
+            composite.pointer_components, outcome, record
         ),
         amplitudes=new_amps,
         collapsed=True,

@@ -10,7 +10,7 @@ equation solved here by Numerov shooting with a dense-matrix cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -126,15 +126,20 @@ def _phase(spec: PotentialSpec, x):
     return spec._phase_spline(x) - spec._phase_spline(spec.x_start)
 
 
-def _check_region_potential(spec: PotentialSpec, branch: Branch, x, t: float) -> None:
-    tau = np.atleast_1d(arrival_time(spec, x))
+def _envelope_lag(spec: PotentialSpec, branch: Branch, x, t: float):
+    """Signed lag behind the peak: t - tau(x) incoming, tau(x) - t outgoing.
+
+    Probes on the wrong side of the arrival time are rejected first.
+    """
+    tau = np.asarray(arrival_time(spec, x))
     slack = 1e-9 * max(1.0, float(np.max(np.abs(tau))), abs(t))
     if branch is Branch.INCOMING:
         if np.any(t > tau + slack):
             raise RegionError("incoming wave requires t <= arrival time at x")
-    else:
-        if np.any(t < tau - slack):
-            raise RegionError("outgoing wave requires t >= arrival time at x")
+        return t - tau
+    if np.any(t < tau - slack):
+        raise RegionError("outgoing wave requires t >= arrival time at x")
+    return tau - t
 
 
 def psi_potential(spec: PotentialSpec, branch: Branch, x, t: float, x_mp=None):
@@ -145,14 +150,12 @@ def psi_potential(spec: PotentialSpec, branch: Branch, x, t: float, x_mp=None):
     point ``x_mp`` (defaults to the probe x, which pins |psi| = 1 on
     arrival there).
     """
-    _check_region_potential(spec, branch, x, t)
+    lag = _envelope_lag(spec, branch, x, t)
     xs = np.asarray(x, dtype=float)
     k_here = spec.k_at(xs)
     k_mp = spec.k_at(x_mp) if x_mp is not None else k_here
     prefactor = np.sqrt(np.abs(k_mp / k_here))
-    tau = spec._tau_spline(xs) - spec._tau_spline(spec.x_start)
-    sign = 1.0 if branch is Branch.INCOMING else -1.0
-    envelope = np.exp(sign * 0.5 * spec.R * (t - tau))
+    envelope = np.exp(0.5 * spec.R * lag)
     phase = np.exp(1j * (_phase(spec, xs) - spec.omega * t))
     out = prefactor * envelope * phase
     return complex(out) if np.isscalar(x) else out
@@ -160,13 +163,11 @@ def psi_potential(spec: PotentialSpec, branch: Branch, x, t: float, x_mp=None):
 
 def prob_density_potential(spec: PotentialSpec, branch: Branch, x, t: float, x_mp=None):
     """Probability density (k_mp/|k(x)|) * exp[+-R(t - tau(x))]."""
-    _check_region_potential(spec, branch, x, t)
+    lag = _envelope_lag(spec, branch, x, t)
     xs = np.asarray(x, dtype=float)
     k_here = spec.k_at(xs)
     k_mp = spec.k_at(x_mp) if x_mp is not None else k_here
-    tau = spec._tau_spline(xs) - spec._tau_spline(spec.x_start)
-    sign = 1.0 if branch is Branch.INCOMING else -1.0
-    out = np.abs(k_mp / k_here) * np.exp(sign * spec.R * (t - tau))
+    out = np.abs(k_mp / k_here) * np.exp(spec.R * lag)
     return float(out) if np.isscalar(x) else out
 
 
@@ -366,14 +367,12 @@ def _numerov_sweep(E: float, x: np.ndarray, W: np.ndarray, constants: PhysicalCo
 
     w = 1.0 - h**2 * f / 12.0
     nodes = 0
-    scale = 1.0
     for i in range(1, x.size - 1):
         y[i + 1] = ((12.0 - 10.0 * w[i]) * y[i] - w[i - 1] * y[i - 1]) / w[i + 1]
         if y[i + 1] * y[i] < 0.0:
             nodes += 1
         if abs(y[i + 1]) > 1e250:
             y[: i + 2] *= 1e-200
-            scale *= 1e-200
     peak = np.max(np.abs(y))
     return float(y[-1] / peak), nodes
 

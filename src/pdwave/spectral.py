@@ -20,6 +20,7 @@ from .core import (
     EigenRecord,
     FreeWaveParams,
     PhysicalConstants,
+    at_arrival,
 )
 
 __all__ = [
@@ -62,10 +63,6 @@ class ComplexCoordinate:
         return cls(x_c=x * (1.0 + 1.0j), t_c=t * (1.0 + 1.0j))
 
 
-def _is_at_mp(x: float, t: float, v: float, tol: float = MP_TOL) -> bool:
-    return abs(x - v * t) <= tol * max(1.0, abs(x))
-
-
 def apply_observable(
     obs: str,
     state: FreeWaveParams,
@@ -97,7 +94,7 @@ def apply_observable(
     else:
         raise ValueError(f"unknown observable {obs!r}")
 
-    if at is not None and _is_at_mp(at[0], at[1], state.v, mp_tol):
+    if at is not None and at_arrival(at[0], at[1], state.v, mp_tol):
         return EigenRecord(observable=obs, value=complex(value.real, 0.0), at_mp=True)
     return EigenRecord(observable=obs, value=value, at_mp=False)
 
@@ -114,7 +111,7 @@ def hermitize_at_mp(record: EigenRecord, event, tol: float = MP_TOL) -> EigenRec
     if hasattr(event, "is_at_mp"):
         at_mp = event.is_at_mp()
     else:
-        at_mp = _is_at_mp(event.x, event.t, event.speed, tol)
+        at_mp = at_arrival(event.x, event.t, event.speed, tol)
     if not at_mp:
         raise ValueError("event does not satisfy the arrival condition x = v*t")
     return replace(record, value=complex(record.value.real, 0.0), at_mp=True)

@@ -1,20 +1,26 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import pdwave
 from pdwave import cli
 
 
 ALL_SCENARIOS = list(cli.SCENARIOS)
 GOLDEN = Path(__file__).parent / "golden"
+# Golden directory name -> (scenario, format) of the run it holds.
+GOLDEN_RUNS = {s: (s, "csv") for s in ALL_SCENARIOS} | {
+    f"{s}-json": (s, "json") for s in ("free-wave", "ensemble")
+}
 
 
-@pytest.mark.parametrize(
-    "scenario, fmt",
-    [(s, "csv") for s in ALL_SCENARIOS] + [("free-wave", "json"), ("ensemble", "json")],
-)
-def test_scenario_runs_clean_with_check(scenario, fmt, tmp_path):
+@pytest.mark.parametrize("golden_name", list(GOLDEN_RUNS))
+def test_scenario_runs_clean_with_check(golden_name, tmp_path):
+    scenario, fmt = GOLDEN_RUNS[golden_name]
     code = cli.main(
         ["--scenario", scenario, "--out", str(tmp_path), "--seed", "42", "--check",
          "--format", fmt]
@@ -27,7 +33,7 @@ def test_scenario_runs_clean_with_check(scenario, fmt, tmp_path):
         assert set(check) >= {"name", "passed", "value"}
 
     # Every file, report.json included, matches the committed golden output.
-    golden = GOLDEN / (scenario if fmt == "csv" else f"{scenario}-{fmt}")
+    golden = GOLDEN / golden_name
     written = sorted(f.name for f in tmp_path.iterdir())
     assert written == sorted(f.name for f in golden.iterdir())
     for name in written:
@@ -157,6 +163,53 @@ class TestExitCodes:
             ["--scenario", "field", "--out", str(tmp_path), "--check"]
         ) == 3
         assert cli.main(["--scenario", "field", "--out", str(tmp_path)]) == 0
+
+
+    @pytest.mark.parametrize(
+        "scenario, entries",
+        [
+            ("sturm-liouville", "preset = square"),
+            ("potential-wave", "profile = cubic"),
+            ("ensemble", "weights = 0.5,-0.2"),
+            ("decoherence", "weights = 0.5,0.3,-0.2"),
+            ("composite", "weights = 0.5,-0.2"),
+            ("ensemble", "weights = 0.5,nan"),
+            ("ensemble", "weights ="),
+        ],
+    )
+    def test_value_rejected_while_running_is_config_error(
+        self, scenario, entries, tmp_path, capsys
+    ):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[{scenario}]\n{entries}\n")
+        assert cli.main(
+            ["--scenario", scenario, "--config", str(cfg), "--out", str(tmp_path)]
+        ) == 1
+        assert capsys.readouterr().err.startswith("pdwave: config error: ")
+
+
+def _python(args, cwd):
+    src = str(Path(pdwave.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+
+
+def test_module_entry_point_runs_without_warnings(tmp_path):
+    proc = _python(["-W", "error", "-m", "pdwave.cli", "--scenario", "contour",
+                    "--out", str(tmp_path / "out")], tmp_path)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert (tmp_path / "out" / "report.json").is_file()
+
+
+def test_package_import_does_not_load_the_runner(tmp_path):
+    proc = _python(["-c", "import sys, pdwave; "
+                    "print('pdwave.cli' in sys.modules, 'scipy.stats' in sys.modules)"],
+                   tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
 
 
 class TestEmitOutput:

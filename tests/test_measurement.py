@@ -51,6 +51,14 @@ class TestDetect:
         with pytest.raises(ValueError):
             ms.MeasurementEvent(x=2.0, t=1.0, speed=1.0)
 
+    def test_detection_matches_event_condition_far_out(self):
+        # The event accepts |x - v*t| <= tol * max(1, |x|); detection agrees.
+        x, t = 1e6, 1e6 + 5e-4
+        ms.MeasurementEvent(x=x, t=t, speed=1.0)
+        assert ms.detect_mp(make_free_state(1.0, 1.0), x, t) is not None
+        assert ms.detect_mp(born_state(), x, t) is not None
+        assert ms.detect_mp(make_free_state(1.0, 1.0), x, x + 5e-3) is None
+
 
 class TestSampling:
     def test_certain_outcome(self):
