@@ -188,7 +188,7 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("pdwave: config error: ")
 
 
-def _python(args, cwd):
+def _run_python(args, cwd):
     src = str(Path(pdwave.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -197,7 +197,7 @@ def _python(args, cwd):
 
 
 def test_module_entry_point_runs_without_warnings(tmp_path):
-    proc = _python(["-W", "error", "-m", "pdwave.cli", "--scenario", "contour",
+    proc = _run_python(["-W", "error", "-m", "pdwave.cli", "--scenario", "contour",
                     "--out", str(tmp_path / "out")], tmp_path)
     assert proc.returncode == 0
     assert proc.stderr == ""
@@ -205,7 +205,7 @@ def test_module_entry_point_runs_without_warnings(tmp_path):
 
 
 def test_package_import_does_not_load_the_runner(tmp_path):
-    proc = _python(["-c", "import sys, pdwave; "
+    proc = _run_python(["-c", "import sys, pdwave; "
                     "print('pdwave.cli' in sys.modules, 'scipy.stats' in sys.modules)"],
                    tmp_path)
     assert proc.returncode == 0, proc.stderr
