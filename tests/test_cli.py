@@ -12,18 +12,27 @@ from pdwave import cli
 
 ALL_SCENARIOS = list(cli.SCENARIOS)
 GOLDEN = Path(__file__).parent / "golden"
-# Golden directory name -> (scenario, format) of the run it holds.
+# Golden directory name -> (scenario, format[, config entries]) of the run it holds.
 GOLDEN_RUNS = {s: (s, "csv") for s in ALL_SCENARIOS} | {
     f"{s}-json": (s, "json") for s in ("free-wave", "ensemble")
+} | {
+    "sturm-liouville-harmonic": (
+        "sturm-liouville", "csv", "preset = harmonic\nn_eigen = 10\nn_grid = 1001"
+    ),
 }
 
 
 @pytest.mark.parametrize("golden_name", list(GOLDEN_RUNS))
-def test_scenario_runs_clean_with_check(golden_name, tmp_path):
-    scenario, fmt = GOLDEN_RUNS[golden_name]
+def test_scenario_runs_clean_with_check(golden_name, tmp_path, tmp_path_factory):
+    scenario, fmt, *entries = GOLDEN_RUNS[golden_name]
+    config = []
+    if entries:
+        ini = tmp_path_factory.mktemp("config") / "golden.ini"
+        ini.write_text(f"[{scenario}]\n{entries[0]}\n")
+        config = ["--config", str(ini)]
     code = cli.main(
         ["--scenario", scenario, "--out", str(tmp_path), "--seed", "42", "--check",
-         "--format", fmt]
+         "--format", fmt, *config]
     )
     assert code == 0
     report = json.loads((tmp_path / "report.json").read_text())
