@@ -440,6 +440,14 @@ def _run_entropy(cfg: ScenarioConfig, out: Path, report: Report) -> None:
 
 def _run_sturm_liouville(cfg: ScenarioConfig, out: Path, report: Report) -> None:
     p = cfg.parameters
+    if p["n_eigen"] < 1:
+        raise ConfigError(f"n_eigen must be >= 1, got {p['n_eigen']}")
+    if p["n_grid"] < 4:
+        raise ConfigError(f"n_grid must be >= 4, got {p['n_grid']}")
+    if not (np.isfinite(p["x0"]) and np.isfinite(p["x1"]) and p["x0"] < p["x1"]):
+        raise ConfigError(f"x0 and x1 must be finite with x0 < x1, got {p['x0']}, {p['x1']}")
+    if not np.isfinite(p["k0"]):
+        raise ConfigError(f"k0 must be finite, got {p['k0']}")
     n_samples = 201
     xs = np.linspace(p["x0"], p["x1"], n_samples)
     if p["preset"] == "box":
@@ -472,8 +480,9 @@ def _run_sturm_liouville(cfg: ScenarioConfig, out: Path, report: Report) -> None
     report.add_residual("backends_agree", float(rel_gap), 1e-6)
     gram_err = float(np.max(np.abs(shoot.gram_matrix() - np.eye(p["n_eigen"]))))
     report.add_residual("eigenfunction_orthonormality", gram_err, 1e-8)
-    report.add("eigenvalues_increasing", bool(np.all(np.diff(shoot.eigenvalues) > 0)),
-               float(np.min(np.diff(shoot.eigenvalues))))
+    if p["n_eigen"] >= 2:
+        gaps = np.diff(shoot.eigenvalues)
+        report.add("eigenvalues_increasing", bool(np.all(gaps > 0)), float(np.min(gaps)))
     if p["preset"] == "box":
         L = p["x1"] - p["x0"]
         exact = ((np.arange(p["n_eigen"]) + 0.5) * np.pi / L) ** 2 / 2.0 + p["k0"] ** 2 / 2.0

@@ -349,10 +349,12 @@ def _matrix_eigen(
     return vals, funcs, x
 
 
-def _numerov_sweep(E: float, x: np.ndarray, W: np.ndarray, constants: PhysicalConstants):
+def _numerov_sweep(E: float, x: np.ndarray, W: np.ndarray, constants: PhysicalConstants) -> int:
     """Numerov integration of R'' = f(x) R from a Neumann start.
 
-    Returns (terminal value scaled by the max amplitude, interior node count).
+    Returns the interior node count, which by Sturm oscillation is the
+    number of eigenvalues below E.  Only the last two values of R are
+    carried, rescaled together once they grow past 1e250.
     """
     h = x[1] - x[0]
     two_m = 2.0 * constants.mass / constants.hbar**2
@@ -361,20 +363,18 @@ def _numerov_sweep(E: float, x: np.ndarray, W: np.ndarray, constants: PhysicalCo
     f0 = f[0]
     fp0 = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
     fpp0 = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / h**2
-    y = np.empty_like(x)
-    y[0] = 1.0
-    y[1] = 1.0 + 0.5 * h**2 * f0 + h**3 * fp0 / 6.0 + h**4 * (fpp0 + f0 * f0) / 24.0
+    y_prev = 1.0
+    y = float(1.0 + 0.5 * h**2 * f0 + h**3 * fp0 / 6.0 + h**4 * (fpp0 + f0 * f0) / 24.0)
 
-    w = 1.0 - h**2 * f / 12.0
+    w = (1.0 - h**2 * f / 12.0).tolist()
     nodes = 0
     for i in range(1, x.size - 1):
-        y[i + 1] = ((12.0 - 10.0 * w[i]) * y[i] - w[i - 1] * y[i - 1]) / w[i + 1]
-        if y[i + 1] * y[i] < 0.0:
+        y_prev, y = y, ((12.0 - 10.0 * w[i]) * y - w[i - 1] * y_prev) / w[i + 1]
+        if y * y_prev < 0.0:
             nodes += 1
-        if abs(y[i + 1]) > 1e250:
-            y[: i + 2] *= 1e-200
-    peak = np.max(np.abs(y))
-    return float(y[-1] / peak), nodes
+        if abs(y) > 1e250:
+            y_prev, y = y_prev * 1e-200, y * 1e-200
+    return nodes
 
 
 def _shooting_eigenvalues(
@@ -384,7 +384,6 @@ def _shooting_eigenvalues(
     n_grid: int,
     n_eigen: int,
     constants: PhysicalConstants,
-    max_iter: int = 200,
 ) -> np.ndarray:
     """Numerov-shooting eigenvalues located by node-count bisection."""
     x = np.linspace(x0, x_end, n_grid)
@@ -392,13 +391,10 @@ def _shooting_eigenvalues(
     L = x_end - x0
     c = constants.hbar**2 / (2.0 * constants.mass)
 
-    def boundary(E):
-        return _numerov_sweep(E, x, W, constants)
-
     e_lo = float(np.min(W)) - 1.0
     e_hi = float(np.min(W)) + c * ((n_eigen + 2) * math.pi / L) ** 2
     for _ in range(80):
-        if boundary(e_hi)[1] > n_eigen:
+        if _numerov_sweep(e_hi, x, W, constants) > n_eigen:
             break
         e_hi = e_lo + 2.0 * (e_hi - e_lo)
     else:
@@ -409,37 +405,18 @@ def _shooting_eigenvalues(
     eigenvalues = []
     for j in range(n_eigen):
         lo, hi = e_lo, e_hi
-        # Bisect on the node count: eigenvalue j sits where the count
-        # passes from <= j to > j.
-        for it in range(max_iter):
+        # Eigenvalue j sits where the node count passes from <= j to > j.
+        for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if boundary(mid)[1] <= j:
+            if hi - lo <= 1e-14 * max(1.0, abs(mid)):
+                break
+            if _numerov_sweep(mid, x, W, constants) <= j:
                 lo = mid
             else:
                 hi = mid
-            if hi - lo <= 1e-9 * max(1.0, abs(lo)):
-                break
         else:
-            raise ConvergenceError("node-count bisection stalled", iterations=max_iter)
-        f_lo, f_hi = boundary(lo)[0], boundary(hi)[0]
-        if f_lo == 0.0:
-            eigenvalues.append(lo)
-            continue
-        if f_lo * f_hi > 0.0:
-            # The bracket collapsed onto the root; accept the midpoint.
-            eigenvalues.append(0.5 * (lo + hi))
-            continue
-        a, b, fa = lo, hi, f_lo
-        for it in range(max_iter):
-            m = 0.5 * (a + b)
-            fm = boundary(m)[0]
-            if fm == 0.0 or (b - a) <= 1e-14 * max(1.0, abs(m)):
-                break
-            if fa * fm < 0.0:
-                b = m
-            else:
-                a, fa = m, fm
-        eigenvalues.append(0.5 * (a + b))
+            raise ConvergenceError("node-count bisection stalled", iterations=200)
+        eigenvalues.append(mid)
     return np.asarray(eigenvalues)
 
 
@@ -448,9 +425,10 @@ def solve_sturm_liouville(
 ) -> SLSolution:
     """Solve the radial eigenproblem for the lowest ``n_eigen`` pairs.
 
-    ``backend="shooting"`` locates eigenvalues with fourth-order Numerov
-    shooting; ``backend="matrix"`` uses a dense second-order tridiagonal
-    discretization with Richardson extrapolation over grids h and h/2.
+    ``backend="shooting"`` locates eigenvalues by node-count bisection over
+    fourth-order Numerov sweeps; ``backend="matrix"`` uses a dense
+    second-order tridiagonal discretization with Richardson extrapolation
+    over grids h and h/2.
     Eigenfunctions always come from the matrix discretization on the fine
     grid (trapezoid-orthonormal by construction).
     """

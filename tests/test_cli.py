@@ -49,6 +49,23 @@ def test_scenario_runs_clean_with_check(golden_name, tmp_path, tmp_path_factory)
         assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [
+        "n_eigen = 1",
+        # Deep forbidden region: the Numerov recurrence grows by ~1e250.
+        "preset = harmonic\nx1 = 40\nn_eigen = 3",
+    ],
+)
+def test_sturm_liouville_edge_config_passes_check(entries, tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[sturm-liouville]\n{entries}\n")
+    assert cli.main(
+        ["--scenario", "sturm-liouville", "--config", str(cfg),
+         "--out", str(tmp_path / "out"), "--check"]
+    ) == 0
+
+
 def test_free_wave_has_unit_density_row(tmp_path):
     cli.main(["--scenario", "free-wave", "--out", str(tmp_path)])
     body = (tmp_path / "free_wave_t1.csv").read_text().splitlines()
@@ -163,6 +180,14 @@ class TestExitCodes:
              "--out", str(tmp_path)]
         ) == 2
 
+    def test_unbracketable_grid_is_runtime_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[sturm-liouville]\nn_grid = 4\n")
+        assert cli.main(
+            ["--scenario", "sturm-liouville", "--config", str(cfg), "--out", str(tmp_path)]
+        ) == 2
+        assert "could not bracket" in capsys.readouterr().err
+
     def test_failed_check_exits_three(self, tmp_path, monkeypatch):
         def broken(cfg, out, report):
             report.add("always_fails", False, 1.0)
@@ -184,6 +209,11 @@ class TestExitCodes:
             ("composite", "weights = 0.5,-0.2"),
             ("ensemble", "weights = 0.5,nan"),
             ("ensemble", "weights ="),
+            ("sturm-liouville", "n_eigen = 0"),
+            ("sturm-liouville", "x1 = 0"),
+            ("sturm-liouville", "x1 = nan"),
+            ("sturm-liouville", "k0 = nan"),
+            ("sturm-liouville", "n_grid = 3"),
         ],
     )
     def test_value_rejected_while_running_is_config_error(

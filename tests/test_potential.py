@@ -163,6 +163,20 @@ class TestSturmLiouville:
             x0=0.0, x_end=x1, kx=np.full(n, k0), V=np.zeros(n), n_eigen=n_eigen
         )
 
+    def test_sweep_counts_eigenvalues_below_energy(self):
+        problem = self.box()
+        x = np.linspace(problem.x0, problem.x_end, 2001)
+        W = problem.effective_potential(x)
+        exact = ((np.arange(6) + 0.5) * np.pi) ** 2 / 2.0
+
+        def nodes(E):
+            return pot._numerov_sweep(E, x, W, problem.constants)
+
+        assert nodes(0.5 * exact[0]) == 0
+        for j in range(1, 6):
+            count = nodes(0.5 * (exact[j - 1] + exact[j]))
+            assert type(count) is int and count == j
+
     def test_box_closed_form(self):
         sol = pot.solve_sturm_liouville(self.box(), backend="shooting")
         exact = ((np.arange(6) + 0.5) * np.pi) ** 2 / 2.0
