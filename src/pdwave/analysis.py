@@ -28,14 +28,12 @@ __all__ = [
     "ComplexSampleSet",
     "Contour",
     "UncertaintyReport",
-    "ClassicalPointReport",
     "uncertainty_decompose",
     "heisenberg_check",
     "contour_integral",
     "negative_density_slope",
     "distribution_normalize",
     "quantum_potential",
-    "classical_point_check",
 ]
 
 
@@ -237,49 +235,18 @@ def distribution_normalize(
     return value
 
 
-def quantum_potential(
-    params: FreeWaveParams, x: float, t: float, rate: float | None = None
-) -> float:
+def quantum_potential(params: FreeWaveParams, x: float, t: float) -> float:
     """Quantum-potential term of the energy balance at (x, t).
 
     Evaluates (hbar^2/4m) [P''/P - (P'/P)^2/2] for the exponential
     envelope, which reduces to hbar^2 R^2/(8 m v^2): the exact gap between
-    the plane-wave energy and the family's frequency.  ``rate`` overrides
-    the envelope rate (a measurement event forces rate 0, killing the
-    term).
+    the plane-wave energy and the family's frequency.  It vanishes for the
+    R = 0 plane wave left at a measurement point.
     """
-    R = params.R if rate is None else rate
+    R = params.R
     if params.v == 0.0:
         return 0.0
     log_slope = -R / params.v if params.branch is Branch.INCOMING else R / params.v
     curvature = log_slope * log_slope  # P = exp(linear): P''/P = (P'/P)^2
     hbar, m = params.constants.hbar, params.constants.mass
     return hbar * hbar / (4.0 * m) * (curvature - 0.5 * log_slope * log_slope)
-
-
-@dataclass(frozen=True)
-class ClassicalPointReport:
-    """Classical-point criterion at a measurement event."""
-
-    quantum_potential: float
-    principal_fn_coeffs: tuple[float, float]
-    second_derivative: float
-
-
-def classical_point_check(params: FreeWaveParams, event) -> ClassicalPointReport:
-    """Verify the classical point opened by a measurement event.
-
-    At the measurement point the envelope rate is zero, so the quantum
-    potential vanishes and the phase becomes the linear principal function
-    hbar*(k x - omega t), whose second spatial derivative is exactly zero.
-    """
-    if hasattr(event, "is_at_mp") and not event.is_at_mp():
-        raise ValueError("event does not satisfy the arrival condition x = v*t")
-    rate = getattr(event, "mp_rate", 0.0)
-    qp = quantum_potential(params, event.x, event.t, rate=rate)
-    hbar = params.constants.hbar
-    return ClassicalPointReport(
-        quantum_potential=qp,
-        principal_fn_coeffs=(hbar * params.k, hbar * params.omega),
-        second_derivative=0.0,
-    )

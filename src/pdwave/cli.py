@@ -18,6 +18,7 @@ import argparse
 import configparser
 import dataclasses
 import json
+import shutil
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -299,6 +300,8 @@ def _run_potential_wave(cfg: ScenarioConfig, out: Path, report: Report) -> None:
     t = p["t"]
     tau = potential.arrival_time(spec, xs)
     inside = xs[tau >= t + 1e-9]
+    if inside.size == 0:
+        raise ConfigError(f"t = {t} is past the arrival time of all n = {p['n']} probes")
     psi = potential.psi_potential(spec, Branch.INCOMING, inside, t, x_mp=p["x_mp"])
     dens = potential.prob_density_potential(spec, Branch.INCOMING, inside, t, x_mp=p["x_mp"])
     records = [
@@ -309,10 +312,7 @@ def _run_potential_wave(cfg: ScenarioConfig, out: Path, report: Report) -> None:
 
     mp = potential.mp_limit_check(spec, p["x_mp"])
     report.add("mp_density_and_prefactor_one", mp.D_equals_k_mp, 1.0)
-    report.add("mp_rate_zero_consistent", mp.R_zero_consistent, 0.0)
     report.add_residual("mp_plane_wave_residual", mp.plane_wave_residual, 1e-10)
-    arrive = potential.arrival_time(spec, p["x_mp"])
-    report.add("arrival_time_at_mp", True, arrive)
 
     mid = 0.5 * (spec.x_start + spec.x_end)
     g = freewave.Grid1D(mid, mid + 0.2 * (spec.x_end - spec.x_start), 41,
@@ -414,6 +414,8 @@ def _run_decoherence(cfg: ScenarioConfig, out: Path, report: Report) -> None:
 
 def _run_entropy(cfg: ScenarioConfig, out: Path, report: Report) -> None:
     p = cfg.parameters
+    if p["n"] < 2:
+        raise ConfigError(f"n must be >= 2, got {p['n']}")
     state = evolution.SuperposedState(
         np.array([1.0 + 0j]), (make_free_state(p["v"], p["v"]),)
     )
@@ -446,8 +448,8 @@ def _run_sturm_liouville(cfg: ScenarioConfig, out: Path, report: Report) -> None
         raise ConfigError(f"n_grid must be >= 4, got {p['n_grid']}")
     if not (np.isfinite(p["x0"]) and np.isfinite(p["x1"]) and p["x0"] < p["x1"]):
         raise ConfigError(f"x0 and x1 must be finite with x0 < x1, got {p['x0']}, {p['x1']}")
-    if not np.isfinite(p["k0"]):
-        raise ConfigError(f"k0 must be finite, got {p['k0']}")
+    if not np.isfinite(p["k0"] * p["k0"]):  # the effective potential holds k0^2/2
+        raise ConfigError(f"k0 must have a finite square, got {p['k0']}")
     n_samples = 201
     xs = np.linspace(p["x0"], p["x1"], n_samples)
     if p["preset"] == "box":
@@ -519,8 +521,6 @@ def _run_uncertainty(cfg: ScenarioConfig, out: Path, report: Report) -> None:
             (rep.var_complex.real - expected) / expected,
             0.05,
         )
-    report.add("heisenberg_boundary_true", analysis.heisenberg_check(1.0, 0.5), 1.0)
-    report.add("heisenberg_below_false", not analysis.heisenberg_check(0.1, 0.1), 0.0)
 
 
 def _run_contour(cfg: ScenarioConfig, out: Path, report: Report) -> None:
@@ -597,7 +597,6 @@ def _run_composite(cfg: ScenarioConfig, out: Path, report: Report) -> None:
                bool(np.isclose(abs(projected.amplitudes[0]), 1.0)),
                float(abs(projected.amplitudes[0])))
     report.add("projection_idempotent", again is projected, 1.0)
-    report.add("irreversibility_flag", projected.collapsed, 1.0)
 
     mix_direct = measurement.mixture_density(
         [np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)], [0.5, 0.5]
@@ -629,6 +628,8 @@ def _run_composite(cfg: ScenarioConfig, out: Path, report: Report) -> None:
 
 def _run_field(cfg: ScenarioConfig, out: Path, report: Report) -> None:
     p = cfg.parameters
+    if p["n"] < 2:
+        raise ConfigError(f"n must be >= 2, got {p['n']}")
     state = freewave.normalize_state(make_free_state(p["v"], p["v"]))
     ss = np.linspace(0.0, p["s_max"], p["n"])
     values = [spectral.probability_field(float(s), state) for s in ss]
@@ -663,25 +664,30 @@ def run_scenario(config: ScenarioConfig) -> int:
 
     Returns the process exit code (0 success; 1 a value the scenario
     rejects; 2 numerical/I-O failure; 3 when ``check`` is set and some
-    invariant check failed).
+    invariant check failed).  A run that returns 1 or 2 removes the
+    outermost directory it created and never one that already existed.
     """
     out = Path(config.output)
+    created = next((d for d in reversed((out, *out.parents)) if not d.exists()), None)
     try:
         out.mkdir(parents=True, exist_ok=True)
         report = Report(scenario=config.scenario, seed=config.seed)
         _RUNNERS[config.scenario](config, out, report)
         report.write(out)
     except ConfigError as exc:
-        print(f"pdwave: config error: {exc}", file=sys.stderr)
-        return 1
+        message, code = f"config error: {exc}", 1
     except (ConvergenceError, OSError, FloatingPointError) as exc:
-        print(f"pdwave: {exc}", file=sys.stderr)
-        return 2
-    if config.check and not report.all_passed:
-        failed = [c["name"] for c in report.checks if not c["passed"]]
-        print(f"pdwave: checks failed: {', '.join(failed)}", file=sys.stderr)
-        return 3
-    return 0
+        message, code = str(exc), 2
+    else:
+        if config.check and not report.all_passed:
+            failed = [c["name"] for c in report.checks if not c["passed"]]
+            print(f"pdwave: checks failed: {', '.join(failed)}", file=sys.stderr)
+            return 3
+        return 0
+    print(f"pdwave: {message}", file=sys.stderr)
+    if created is not None:
+        shutil.rmtree(created, ignore_errors=True)
+    return code
 
 
 class _Parser(argparse.ArgumentParser):

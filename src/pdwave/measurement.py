@@ -10,9 +10,6 @@ and pointer waves with postulated pointer orthogonality.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,8 +41,8 @@ __all__ = [
 class MeasurementEvent:
     """Arrival of a wave peak at the device particle.
 
-    The event pins the measurement-point regime: the envelope rate in
-    force at the event is zero (``mp_rate``), which is what lets
+    The event pins the measurement-point regime: the component found there
+    is left as a plane wave with envelope rate zero, which is what lets
     downstream hermitization return real eigenvalues.
     """
 
@@ -55,7 +52,6 @@ class MeasurementEvent:
     outcome_index: int | None = None
     pre_state: SuperposedState | None = None
     post_state: SuperposedState | None = None
-    mp_rate: float = 0.0
     tol: float = 1e-9
     kind: str = "free"
 
@@ -140,25 +136,6 @@ class EnsembleReport:
             }
             for i in range(self.counts.size)
         ]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n_trials": self.n_trials,
-                "seed": self.seed,
-                "chi_square": self.chi_square,
-                "outcomes": self.records(),
-            },
-            sort_keys=True,
-        )
-
-    def to_csv(self) -> str:
-        records = self.records()
-        out = io.StringIO()
-        writer = csv.DictWriter(out, fieldnames=list(records[0]), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(records)
-        return out.getvalue()
 
 
 def run_ensemble(

@@ -218,18 +218,15 @@ class MpLimitReport:
     """Arrival-point checks: free-particle behavior at the measurement point."""
 
     D_equals_k_mp: bool
-    R_zero_consistent: bool
     plane_wave_residual: float
 
 
-def mp_limit_check(spec: PotentialSpec, x: float, mp_rate: float = 0.0) -> MpLimitReport:
+def mp_limit_check(spec: PotentialSpec, x: float) -> MpLimitReport:
     """Verify the state behaves as a free plane wave on arrival at x.
 
     At t = arrival_time(x): density and amplitude prefactor equal one, and
     in the gauge where the accumulated phase is anchored at the measurement
-    point the wave equals exp[i(k_mp*x - omega*t)].  ``mp_rate`` is the
-    envelope rate in force at the measurement event; any nonzero value is
-    inconsistent with a measurement.
+    point the wave equals exp[i(k_mp*x - omega*t)].
     """
     spec._check_domain(x)
     t_arr = arrival_time(spec, x)
@@ -246,7 +243,6 @@ def mp_limit_check(spec: PotentialSpec, x: float, mp_rate: float = 0.0) -> MpLim
 
     return MpLimitReport(
         D_equals_k_mp=bool(d_ok),
-        R_zero_consistent=(mp_rate == 0.0),
         plane_wave_residual=float(residual),
     )
 
@@ -392,6 +388,10 @@ def _shooting_eigenvalues(
     c = constants.hbar**2 / (2.0 * constants.mass)
 
     e_lo = float(np.min(W)) - 1.0
+    # No eigenvalue lies below min(W); nodes there mean the grid is too coarse.
+    spurious = _numerov_sweep(e_lo, x, W, constants)
+    if spurious:
+        raise ConvergenceError(f"Numerov sweep counts {spurious} nodes below min(W)")
     e_hi = float(np.min(W)) + c * ((n_eigen + 2) * math.pi / L) ** 2
     for _ in range(80):
         if _numerov_sweep(e_hi, x, W, constants) > n_eigen:

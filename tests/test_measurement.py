@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -23,7 +22,6 @@ class TestDetect:
         event = ms.detect_mp(make_free_state(1.0, 1.0), 2.0, 2.0)
         assert event is not None
         assert (event.x, event.t, event.speed) == (2.0, 2.0, 1.0)
-        assert event.mp_rate == 0.0
 
     def test_free_miss(self):
         assert ms.detect_mp(make_free_state(1.0, 1.0), 2.0, 1.0) is None
@@ -94,8 +92,7 @@ class TestEnsemble:
         a = ms.run_ensemble(born_state(), 50000, seed=11, workers=4)
         b = ms.run_ensemble(born_state(), 50000, seed=11, workers=4)
         assert np.array_equal(a.counts, b.counts)
-        assert a.to_csv() == b.to_csv()
-        assert a.to_json() == b.to_json()
+        assert a.records() == b.records()
 
     def test_born_convergence_sample(self):
         # Ten-seed sanity slice of the hundred-seed acceptance criterion.
@@ -111,16 +108,10 @@ class TestEnsemble:
         assert passed >= 9
 
     def test_csv_columns(self):
-        rep = ms.run_ensemble(born_state(), 1000, seed=5)
-        lines = rep.to_csv().splitlines()
-        assert lines[0] == "outcome,count,frequency,expected,z_score"
-        assert len(lines) == 4
-
-    def test_json_round_trip(self):
-        rep = ms.run_ensemble(born_state(), 1000, seed=5)
-        obj = json.loads(rep.to_json())
-        assert obj["n_trials"] == 1000
-        assert sum(o["count"] for o in obj["outcomes"]) == 1000
+        records = ms.run_ensemble(born_state(), 1000, seed=5).records()
+        assert [list(r) for r in records] == [
+            ["outcome", "count", "frequency", "expected", "z_score"]
+        ] * 3
 
 
 class TestDiracProjection:

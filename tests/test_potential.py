@@ -144,17 +144,12 @@ class TestMpLimit:
     def test_constant_k_all_pass(self):
         report = pot.mp_limit_check(constant_spec(), 2.0)
         assert report.D_equals_k_mp
-        assert report.R_zero_consistent
         assert report.plane_wave_residual < 1e-12
 
     def test_linear_k(self):
         report = pot.mp_limit_check(linear_spec(), 1.0)
         assert report.D_equals_k_mp
         assert report.plane_wave_residual < 1e-10
-
-    def test_nonzero_rate_flagged(self):
-        report = pot.mp_limit_check(linear_spec(), 1.0, mp_rate=1.0)
-        assert not report.R_zero_consistent
 
 
 class TestSturmLiouville:
