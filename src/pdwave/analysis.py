@@ -22,6 +22,8 @@ from .core import (
     FreeWaveParams,
     PhysicalConstants,
     RegionError,
+    _gauss_segment,
+    _panel_quadrature,
 )
 
 __all__ = [
@@ -132,21 +134,12 @@ class Contour:
         return cls(vertices=v, t_c=t_c, closed=closed)
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
 def _density_function(density: str, params: FreeWaveParams, t_c: complex):
     if density == "IncomingP1":
         return lambda z: np.exp(params.R * (t_c - z / params.v))
     if density == "OutgoingP1":
         return lambda z: np.exp(params.R * (z / params.v - t_c))
     raise ValueError(f"unknown density {density!r}")
-
-
-def _gauss_segment(f, a: complex, b: complex) -> complex:
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * np.sum(_GL_WEIGHTS * f(mid + half * _GL_NODES))
 
 
 def _adaptive_segment(f, a: complex, b: complex, tol: float, depth: int = 0) -> complex:
@@ -198,7 +191,6 @@ def distribution_normalize(
     params: FreeWaveParams,
     t: float = 0.0,
     x_max: float | None = None,
-    check: bool = True,
 ) -> float:
     """Total probability via the change of variables d(pi): always one.
 
@@ -220,18 +212,12 @@ def distribution_normalize(
 
     value = float(pi_of(start) - 0.0)
 
-    if check:
-        def slope(x):
-            return -(params.R / params.v) * pi_of(x)
+    def slope(x):
+        return -(params.R / params.v) * pi_of(x)
 
-        edges = np.linspace(start, x_max, 201)
-        quad = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            quad += -_gauss_segment(slope, a, b).real
-        if abs(quad - value) > 1e-8:
-            raise ConvergenceError(
-                f"quadrature cross-check deviates: {quad} vs {value}"
-            )
+    quad = -_panel_quadrature(slope, start, x_max)
+    if abs(quad - value) > 1e-8:
+        raise ConvergenceError(f"quadrature cross-check deviates: {quad} vs {value}")
     return value
 
 

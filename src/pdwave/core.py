@@ -10,6 +10,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class RegionError(ValueError):
     """A space-time probe lies outside the branch region of a wave.
@@ -118,7 +120,7 @@ class FreeWaveParams:
 
 
 ObservableTag = str
-OBSERVABLE_TAGS = ("H", "Hdagger", "P", "S", "X_c", "T_c")
+OBSERVABLE_TAGS = ("H", "Hdagger", "P", "S")
 
 
 @dataclass(frozen=True)
@@ -136,6 +138,28 @@ class EigenRecord:
             raise ValueError("eigenvalue components must be finite")
         if self.at_mp and self.value.imag != 0.0:
             raise ValueError("a measurement-point record must carry a real value")
+
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+def _gauss_segment(f, a, b):
+    """Order-16 Gauss-Legendre integral of f along the straight segment a -> b."""
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    return half * np.sum(_GL_WEIGHTS * f(mid + half * _GL_NODES))
+
+
+def _panel_quadrature(f, a: float, b: float) -> float:
+    """Real part of the integral of f over [a, b] on 200 Gauss-Legendre panels.
+
+    Panels are summed in order, so the result is reproducible to the bit.
+    """
+    edges = np.linspace(a, b, 201)
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        total += _gauss_segment(f, lo, hi).real
+    return float(total)
 
 
 def at_arrival(x: float, t: float, v: float, tol: float) -> bool:

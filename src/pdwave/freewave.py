@@ -18,6 +18,7 @@ from .core import (
     FreeWaveParams,
     PhysicalConstants,
     RegionError,
+    _panel_quadrature,
     dispersion_omega,
 )
 
@@ -126,24 +127,16 @@ def total_probability(params: FreeWaveParams) -> float:
     return params.v / params.R
 
 
-def total_probability_quadrature(
-    params: FreeWaveParams, t: float = 0.0, efolds: float = 40.0, panels: int = 200
-) -> float:
+def total_probability_quadrature(params: FreeWaveParams) -> float:
     """Quadrature cross-check of the branch integral on a truncated domain.
 
-    Integrates the density from the measurement point out to
-    ``efolds * v/R`` (tail mass exp(-efolds)) with composite Gauss-Legendre.
+    Integrates the density from the measurement point out to 40 v/R (tail
+    mass exp(-40)) with composite Gauss-Legendre.
     """
     if params.R == 0.0:
         raise ValueError("total probability diverges for R = 0 (plane-wave regime)")
-    width = efolds * params.v / params.R
-    nodes, weights = np.polynomial.legendre.leggauss(10)
-    edges = np.linspace(0.0, width, panels + 1)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        u = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-        total += 0.5 * (b - a) * np.sum(weights * np.exp(-params.R * u / params.v))
-    return float(total)
+    return _panel_quadrature(lambda u: np.exp(-params.R * u / params.v),
+                             0.0, 40.0 * params.v / params.R)
 
 
 def normalize_state(params: FreeWaveParams) -> FreeWaveParams:

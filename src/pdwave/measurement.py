@@ -49,17 +49,12 @@ class MeasurementEvent:
     x: float
     t: float
     speed: float
-    outcome_index: int | None = None
-    pre_state: SuperposedState | None = None
-    post_state: SuperposedState | None = None
     tol: float = 1e-9
     kind: str = "free"
 
     def __post_init__(self) -> None:
         if self.kind == "free" and not self.is_at_mp():
             raise ValueError("event does not satisfy the arrival condition x = v*t")
-        if self.post_state is not None and _unit_outcome(self.post_state.amplitudes) is None:
-            raise ValueError("post-measurement state must have one unit amplitude")
 
     def is_at_mp(self) -> bool:
         """Arrival condition: x = v*t for free waves (checked at detection
@@ -90,11 +85,9 @@ def detect_mp(target, x: float, t: float, tol: float = 1e-9) -> MeasurementEvent
             )
         return None
     if isinstance(target, SuperposedState):
-        for i, wave in enumerate(target.waves):
+        for wave in target.waves:
             if at_arrival(x, t, wave.v, tol):
-                return MeasurementEvent(
-                    x=x, t=t, speed=wave.v, pre_state=target, tol=max(tol, 1e-9)
-                )
+                return MeasurementEvent(x=x, t=t, speed=wave.v, tol=max(tol, 1e-9))
         return None
     raise TypeError(f"cannot detect a measurement point on {type(target).__name__}")
 
@@ -113,7 +106,6 @@ class EnsembleReport:
     frequencies: np.ndarray
     expected: np.ndarray
     chi_square: float
-    seed: int
 
     def __post_init__(self) -> None:
         if int(np.sum(self.counts)) != self.n_trials:
@@ -168,7 +160,6 @@ def run_ensemble(
         frequencies=freq,
         expected=probs,
         chi_square=chi_square,
-        seed=seed,
     )
 
 

@@ -29,7 +29,6 @@ __all__ = [
     "PotentialSpec",
     "SLProblem",
     "SLSolution",
-    "MpLimitReport",
     "arrival_time",
     "psi_potential",
     "prob_density_potential",
@@ -213,38 +212,20 @@ def continuity_residual(
     return float(np.max(np.abs(dP_dt + d_flux)))
 
 
-@dataclass(frozen=True)
-class MpLimitReport:
-    """Arrival-point checks: free-particle behavior at the measurement point."""
+def mp_limit_check(spec: PotentialSpec, x: float) -> float:
+    """Plane-wave residual of the state on arrival at x.
 
-    D_equals_k_mp: bool
-    plane_wave_residual: float
-
-
-def mp_limit_check(spec: PotentialSpec, x: float) -> MpLimitReport:
-    """Verify the state behaves as a free plane wave on arrival at x.
-
-    At t = arrival_time(x): density and amplitude prefactor equal one, and
-    in the gauge where the accumulated phase is anchored at the measurement
-    point the wave equals exp[i(k_mp*x - omega*t)].
+    At t = arrival_time(x), in the gauge where the accumulated phase is
+    anchored at the measurement point, the wave equals
+    exp[i(k_mp*x - omega*t)]; returns the modulus of the difference.
     """
     spec._check_domain(x)
     t_arr = arrival_time(spec, x)
     k_mp = float(spec.k_at(x))
-
-    density = prob_density_potential(spec, Branch.INCOMING, x, t_arr, x_mp=x)
-    prefactor = math.sqrt(abs(k_mp / float(spec.k_at(x))))
-    d_ok = abs(density - 1.0) < 1e-10 and abs(prefactor - 1.0) < 1e-10
-
     psi = psi_potential(spec, Branch.INCOMING, x, t_arr, x_mp=x)
     gauge = np.exp(1j * (k_mp * x - _phase(spec, x)))
     plane = np.exp(1j * (k_mp * x - spec.omega * t_arr))
-    residual = abs(psi * gauge - plane)
-
-    return MpLimitReport(
-        D_equals_k_mp=bool(d_ok),
-        plane_wave_residual=float(residual),
-    )
+    return float(abs(psi * gauge - plane))
 
 
 @dataclass(frozen=True, eq=False)
@@ -417,6 +398,13 @@ def _shooting_eigenvalues(
         else:
             raise ConvergenceError("node-count bisection stalled", iterations=200)
         eigenvalues.append(mid)
+    gaps = np.diff(eigenvalues)
+    if np.any(gaps <= 0.0):
+        j = int(np.argmax(gaps <= 0.0))
+        raise ConvergenceError(
+            f"shooting eigenvalues {j} and {j + 1} coincide at {eigenvalues[j]:.6g}: "
+            "node-count bisection cannot resolve their spacing"
+        )
     return np.asarray(eigenvalues)
 
 

@@ -150,6 +150,16 @@ def test_config_keys_are_case_sensitive(tmp_path):
     assert rows[1].startswith("2.000000000000,")  # peak at v*t = 2
 
 
+def _failed_run_code(scenario, entries, tmp_path):
+    """Exit code of a run of INI ``entries`` into a new ``--out``, which it must remove."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[{scenario}]\n{entries}\n")
+    code = cli.main(["--scenario", scenario, "--config", str(cfg),
+                     "--out", str(tmp_path / "new" / "dir")])
+    assert not (tmp_path / "new").exists()
+    return code
+
+
 class TestExitCodes:
     def test_unknown_scenario_is_config_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
@@ -187,17 +197,26 @@ class TestExitCodes:
             ("n_grid = 4", "could not bracket"),
             # Grid step 500: the Numerov weight turns negative below min(W).
             ("x1 = 1e6", "counts 1999 nodes below min(W)"),
+            # W ~ 5e15: bisection resolves ~50, about the level spacing.
+            ("k0 = 1e8", "eigenvalues 0 and 1 coincide"),
         ],
     )
     def test_unbracketable_grid_is_runtime_error(self, entries, message, tmp_path, capsys):
-        cfg = tmp_path / "run.ini"
-        cfg.write_text(f"[sturm-liouville]\n{entries}\n")
-        assert cli.main(
-            ["--scenario", "sturm-liouville", "--config", str(cfg),
-             "--out", str(tmp_path / "new" / "dir")]
-        ) == 2
+        assert _failed_run_code("sturm-liouville", entries, tmp_path) == 2
         assert message in capsys.readouterr().err
-        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize(
+        "scenario, entries, message",
+        [
+            ("decoherence", "t = 2000", "overflow encountered in exp"),
+            ("ensemble", "weights = 1", "invalid value"),  # z-score 0/0
+        ],
+    )
+    def test_overflow_or_nan_is_runtime_error(
+        self, scenario, entries, message, tmp_path, capsys
+    ):
+        assert _failed_run_code(scenario, entries, tmp_path) == 2
+        assert message in capsys.readouterr().err
 
     def test_failed_check_exits_three(self, tmp_path, monkeypatch):
         def broken(cfg, out, report):
@@ -235,16 +254,43 @@ class TestExitCodes:
     def test_value_rejected_while_running_is_config_error(
         self, scenario, entries, tmp_path, capsys
     ):
-        cfg = tmp_path / "bad.ini"
-        cfg.write_text(f"[{scenario}]\n{entries}\n")
-        assert cli.main(
-            ["--scenario", scenario, "--config", str(cfg),
-             "--out", str(tmp_path / "new" / "dir")]
-        ) == 1
+        assert _failed_run_code(scenario, entries, tmp_path) == 1
         err = capsys.readouterr().err
         assert err.startswith("pdwave: config error: ")
         assert entries.split()[0] in err
-        assert not (tmp_path / "new").exists()
+
+    # The library's own ValueError messages need not name the config key.
+    @pytest.mark.parametrize(
+        "scenario, entries",
+        [
+            ("free-wave", "v = 0"),
+            ("free-wave", "R = -1"),
+            ("free-wave", "n = 1"),
+            ("free-wave", "span = 0"),
+            ("potential-wave", "n = 1"),
+            ("potential-wave", "R = -1"),
+            ("potential-wave", "x1 = -1"),
+            ("potential-wave", "x_mp = 100"),
+            ("ensemble", "n_trials = 0"),
+            ("ensemble", "workers = 0"),
+            ("decoherence", "speeds = -1,2,3"),
+            ("entropy", "v = 0"),
+            ("uncertainty", "n_samples = 1"),
+            ("uncertainty", "sigma_re = -1"),
+            ("contour", "v = 0"),
+            ("contour", "R = -1"),
+            ("composite", "n_trials = 0"),
+            ("composite", "pointer_speeds = 3,3"),
+            ("composite", "system_speeds = -1,2"),
+            ("field", "v = 0"),
+            ("field", "s_max = -1"),
+        ],
+    )
+    def test_value_rejected_by_the_library_is_config_error(
+        self, scenario, entries, tmp_path, capsys
+    ):
+        assert _failed_run_code(scenario, entries, tmp_path) == 1
+        assert capsys.readouterr().err.startswith("pdwave: config error: ")
 
 
 def _run_python(args, cwd):
