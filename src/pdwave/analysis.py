@@ -148,7 +148,7 @@ def _adaptive_segment(f, a: complex, b: complex, tol: float, depth: int = 0) -> 
     split = _gauss_segment(f, a, mid) + _gauss_segment(f, mid, b)
     if abs(whole - split) < tol:
         return split
-    if depth >= 40:
+    if depth >= 12:
         raise ConvergenceError("contour quadrature did not converge", iterations=depth)
     return _adaptive_segment(f, a, mid, 0.5 * tol, depth + 1) + _adaptive_segment(
         f, mid, b, 0.5 * tol, depth + 1
@@ -162,8 +162,8 @@ def contour_integral(
 
     Both densities are entire in the complex position, so a closed
     contour integrates to zero (Cauchy) and open paths with the same
-    endpoints agree.  Each segment uses order-16 Gauss-Legendre with
-    adaptive bisection until the split disagreement drops below ``tol``.
+    endpoints agree.  Each segment uses order-16 Gauss-Legendre with adaptive
+    bisection, at most 12 halvings deep, until the split disagreement is below ``tol``.
     """
     v = contour.vertices
     if np.any(v[1:] == v[:-1]):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from pdwave.core import PhysicalConstants, RegionError, make_free_state
+from pdwave.core import ConvergenceError, PhysicalConstants, RegionError, make_free_state
 from pdwave import analysis as an
 
 
@@ -100,6 +100,14 @@ class TestContour:
         coarse_val = an.contour_integral("IncomingP1", CANON, seg)
         fine_val = an.contour_integral("IncomingP1", CANON, fine)
         assert abs(coarse_val - fine_val) < 1e-10
+
+    def test_unresolvable_oscillation_stops_at_twelve_halvings(self):
+        # R/v = 1e7: along the imaginary axis the density turns ~1.6e6 times.
+        steep = make_free_state(1e-7, 1.0)
+        seg = an.Contour(vertices=np.array([0, 1j], dtype=complex))
+        with pytest.raises(ConvergenceError) as err:
+            an.contour_integral("IncomingP1", steep, seg)
+        assert err.value.iterations == 12
 
     def test_zero_length_segment_rejected(self):
         c = an.Contour(vertices=np.array([0, 0, 1], dtype=complex))

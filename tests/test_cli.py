@@ -1,10 +1,14 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import pdwave
 from pdwave import cli
@@ -114,11 +118,13 @@ def test_seed_changes_ensemble_output(tmp_path):
 
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "run.ini"
-    cfg.write_text("[ensemble]\nweights = 0.6,0.4\nn_trials = 2000\nseed = 5\n")
+    cfg.write_text("[ensemble]\nweights = 0.6,0.4\nn_trials = 2000\nseed = 5\n"
+                   f"output = {tmp_path / 'unused'}\n")
     out = tmp_path / "out"
     assert cli.main(
         ["--scenario", "ensemble", "--config", str(cfg), "--out", str(out)]
     ) == 0
+    assert not (tmp_path / "unused").exists()  # --out overrides the output entry
     rows = (out / "ensemble.csv").read_text().splitlines()
     assert len(rows) == 3  # two outcomes
     report = json.loads((out / "report.json").read_text())
@@ -151,13 +157,55 @@ def test_config_keys_are_case_sensitive(tmp_path):
 
 
 def _failed_run_code(scenario, entries, tmp_path):
-    """Exit code of a run of INI ``entries`` into a new ``--out``, which it must remove."""
+    """Exit code of a run of INI ``entries``, which must leave ``--out`` as it found it.
+
+    The run goes once into a new ``--out`` and once into an existing one that
+    holds a sentinel file; both runs must end with the same code.
+    """
     cfg = tmp_path / "run.ini"
     cfg.write_text(f"[{scenario}]\n{entries}\n")
-    code = cli.main(["--scenario", scenario, "--config", str(cfg),
-                     "--out", str(tmp_path / "new" / "dir")])
+    args = ["--scenario", scenario, "--config", str(cfg), "--out"]
+    code = cli.main([*args, str(tmp_path / "new" / "dir")])
     assert not (tmp_path / "new").exists()
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    (existing / "sentinel.txt").write_text("kept\n")
+    assert cli.main([*args, str(existing)]) == code
+    assert [p.name for p in existing.iterdir()] == ["sentinel.txt"]
     return code
+
+
+# Values outside their key's domain: rejected before the runner starts.
+_OUTSIDE_DOMAIN = [
+    ("free-wave", "v = 0"),
+    ("free-wave", "R = -1"),
+    ("free-wave", "n = 1"),
+    ("free-wave", "span = 0"),
+    ("free-wave", "mp_x = nan"),
+    ("free-wave", "times ="),
+    ("free-wave", "times = 1,-1"),
+    ("potential-wave", "n = 1"),
+    ("potential-wave", "R = -1"),
+    ("potential-wave", "t = -1"),
+    ("ensemble", "n_trials = 0"),
+    ("ensemble", "workers = 0"),
+    ("ensemble", "workers = 100000000"),
+    ("decoherence", "speeds = -1,2,3"),
+    ("decoherence", "t = nan"),
+    ("entropy", "v = 0"),
+    ("entropy", "measure_at = -1"),
+    ("sturm-liouville", "n_grid = 100000000"),
+    ("uncertainty", "n_samples = 1"),
+    ("uncertainty", "n_samples = 100000000000"),
+    ("uncertainty", "sigma_re = -1"),
+    ("contour", "v = 0"),
+    ("contour", "R = -1"),
+    ("composite", "n_trials = 0"),
+    ("composite", "system_speeds = -1,2"),
+    ("field", "v = 0"),
+    ("field", "s_max = -1"),
+    ("field", "n = 100000000000"),
+]
 
 
 class TestExitCodes:
@@ -210,6 +258,11 @@ class TestExitCodes:
         [
             ("decoherence", "t = 2000", "overflow encountered in exp"),
             ("ensemble", "weights = 1", "invalid value"),  # z-score 0/0
+            # 8*m*v*v underflows to 0.0 in core.dispersion_omega.
+            ("contour", "v = 1e-300", "float division by zero"),
+            ("field", "v = 1e-300", "float division by zero"),
+            ("free-wave", "v = 1e-300", "float division by zero"),
+            ("entropy", "v = 1e-300", "float division by zero"),
         ],
     )
     def test_overflow_or_nan_is_runtime_error(
@@ -218,11 +271,41 @@ class TestExitCodes:
         assert _failed_run_code(scenario, entries, tmp_path) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "scenario, entries, check",
+        [
+            # exp(-s) underflows to 0.0 past s ~ 745, so the field stops decreasing.
+            ("field", "s_max = 1e308", "field_monotone_decreasing"),
+            # The check's closed form (1 - exp(-R/v))*v/R cancels to 0 at R/v = 1e-300;
+            # -expm1(-R/v)*v/R would pass, and this case would then exit 0.
+            ("contour", "R = 1e-300", "segment_closed_form"),
+        ],
+    )
+    def test_extreme_in_domain_value_fails_a_named_check(
+        self, scenario, entries, check, tmp_path, capsys
+    ):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[{scenario}]\n{entries}\n")
+        assert cli.main(["--scenario", scenario, "--config", str(cfg),
+                         "--out", str(tmp_path / "out"), "--check"]) == 3
+        assert check in capsys.readouterr().err
+        assert (tmp_path / "out" / "report.json").is_file()
+
+    def test_failed_run_leaves_existing_out_unchanged(self, tmp_path, monkeypatch):
+        def fails_after_writing(cfg, out, report):
+            cli.emit_output([{"s": 0.0}], cfg.format, out / "field.csv")
+            raise cli.ConvergenceError("solver gave up")
+
+        monkeypatch.setitem(cli._TABLE, "field", (fails_after_writing, cli._TABLE["field"][1]))
+        (tmp_path / "sentinel.txt").write_text("kept\n")
+        assert cli.main(["--scenario", "field", "--out", str(tmp_path)]) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["sentinel.txt"]
+
     def test_failed_check_exits_three(self, tmp_path, monkeypatch):
         def broken(cfg, out, report):
             report.add("always_fails", False, 1.0)
 
-        monkeypatch.setitem(cli._RUNNERS, "field", broken)
+        monkeypatch.setitem(cli._TABLE, "field", (broken, cli._TABLE["field"][1]))
         assert cli.main(
             ["--scenario", "field", "--out", str(tmp_path), "--check"]
         ) == 3
@@ -249,6 +332,8 @@ class TestExitCodes:
             ("entropy", "n = 1"),
             ("field", "n = 1"),
             ("potential-wave", "t = 100"),
+            ("potential-wave", "v_table = v.txt"),  # without its k_table
+            *_OUTSIDE_DOMAIN,
         ],
     )
     def test_value_rejected_while_running_is_config_error(
@@ -259,7 +344,9 @@ class TestExitCodes:
         assert err.startswith("pdwave: config error: ")
         assert entries.split()[0] in err
 
-    # The library's own ValueError messages need not name the config key.
+    # The library's own ValueError messages need not name the config key.  All
+    # but x1, x_mp and pointer_speeds now fail their key's domain first, and
+    # _OUTSIDE_DOMAIN checks that their messages name the key.
     @pytest.mark.parametrize(
         "scenario, entries",
         [
@@ -291,6 +378,97 @@ class TestExitCodes:
     ):
         assert _failed_run_code(scenario, entries, tmp_path) == 1
         assert capsys.readouterr().err.startswith("pdwave: config error: ")
+
+
+def _raw(value) -> str:
+    """A parameter value as a config file spells it."""
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def test_every_default_lies_in_its_domain():
+    for scenario, (_, keys) in cli._TABLE.items():
+        defaults = {key: default for key, (default, _) in keys.items()}
+        raw = {key: _raw(default) for key, default in defaults.items()}
+        assert cli._resolve_parameters(scenario, raw) == defaults
+
+
+# Values every key is also drawn from, whatever its domain: its edges and beyond.
+EDGES = ["nan", "inf", "-inf", "1e-300", "-1e-300", "1e308", "-1e308", "0", "-1", ""]
+
+
+def _small_in_domain(default, domain):
+    """Config strings inside one key's domain, with sizes kept small."""
+    text, test = domain
+    if isinstance(default, str):
+        if text.startswith("one of "):
+            return st.sampled_from(text.removeprefix("one of ").split(", "))
+        return st.sampled_from(["", "/nonexistent/table.txt"])
+    if isinstance(default, int):
+        lo, cap = map(int, re.fullmatch(r"an integer from (\d+) to (\d+)", text).groups())
+        return st.integers(lo, min(cap, lo + 40)).map(str)
+    floats = st.floats(-4.0, 4.0).filter(test).map(repr)
+    if isinstance(default, tuple):
+        return st.lists(floats, min_size=1, max_size=4).map(",".join)
+    return floats
+
+
+def _edges(domain):
+    cap = re.fullmatch(r"an integer from \d+ to (\d+)", domain[0])
+    return EDGES + [str(int(cap.group(1)) + 1)] if cap else EDGES
+
+
+@st.composite
+def _configs(draw):
+    """A scenario and a value for each of its keys; zero to two keys get an edge value."""
+    scenario = draw(st.sampled_from(cli.SCENARIOS))
+    keys = cli._TABLE[scenario][1]
+    entries = {key: draw(_small_in_domain(default, domain))
+               for key, (default, domain) in keys.items()}
+    for key in draw(st.lists(st.sampled_from(sorted(keys)), max_size=2, unique=True)):
+        entries[key] = draw(st.sampled_from(_edges(keys[key][1])))
+    return scenario, entries
+
+
+def _data_files(scenario, entries, fmt):
+    """The data files a successful run writes."""
+    if scenario == "free-wave":
+        stems = [f"free_wave_t{i}" for i in range(len(entries["times"].split(",")))]
+    elif scenario == "ensemble":
+        stems = ["ensemble", "ensemble_arrivals"]
+    else:
+        stems = [scenario.replace("-", "_")]
+    names = [f"{stem}.{fmt}" for stem in stems]
+    return names + ["density_matrix.json"] if scenario == "decoherence" else names
+
+
+@settings(max_examples=800)
+@given(config=_configs(), fmt=st.sampled_from(["csv", "json"]), existing=st.booleans())
+def test_every_config_ends_in_a_documented_exit(config, fmt, existing):
+    # The property: exit 0-3 with nothing raised, and --out either holds the
+    # full file set with report.json or is as the run found it.
+    scenario, entries = config
+    with tempfile.TemporaryDirectory() as tmp:
+        ini = Path(tmp) / "run.ini"
+        ini.write_text(f"[{scenario}]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items()))
+        out = Path(tmp) / "out"
+        before = []
+        if existing:
+            out.mkdir()
+            (out / "sentinel.txt").write_text("kept\n")
+            before = ["sentinel.txt"]
+        code = cli.main(["--scenario", scenario, "--config", str(ini), "--out", str(out),
+                         "--format", fmt, "--check"])
+        assert code in (0, 1, 2, 3)
+        event(f"exit {code}")
+        written = sorted(p.name for p in out.iterdir()) if out.exists() else None
+        if code in (1, 2):
+            assert written == (before or None)
+        else:
+            expected = before + ["report.json"] + _data_files(scenario, entries, fmt)
+            assert written == sorted(expected)
+            for name in expected:  # no NaN or infinity reaches a file
+                text = (out / name).read_text()
+                assert not re.search(r"\b(?:nan|inf|NaN|Infinity)\b", text), name
 
 
 def _run_python(args, cwd):
@@ -337,6 +515,21 @@ class TestEmitOutput:
         path = tmp_path / "empty.csv"
         cli.emit_output([], "csv", path, columns=["a", "b"])
         assert path.read_text() == "a,b\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_value_raises_and_writes_nothing(self, fmt, bad, tmp_path):
+        path = tmp_path / f"x.{fmt}"
+        with pytest.raises(FloatingPointError, match=f"x.{fmt}: b_im = "):
+            cli.emit_output([{"a": 1.0, "b": complex(0.0, bad)}], fmt, path)
+        assert not path.exists()
+
+    def test_report_with_non_finite_value_raises(self, tmp_path):
+        report = cli.Report(scenario="field", seed=0)
+        report.add_residual("residual", float("nan"), 1e-12)
+        with pytest.raises(FloatingPointError, match="report.json: value = nan"):
+            report.write(tmp_path)
+        assert not (tmp_path / "report.json").exists()
 
     def test_json_round_trip_bit_exact(self, tmp_path):
         import math
