@@ -66,13 +66,18 @@ def dispersion_omega(
 
     hbar*omega = hbar^2 k^2 / (2 m) - hbar^2 R^2 / (8 m v^2); the second
     term is the quantum-potential correction, which vanishes when R = 0.
+    Raises OverflowError, naming R and v, when omega leaves float range.
     """
     if not all(math.isfinite(q) for q in (k, R, v)):
         raise ValueError("k, R, v must be finite")
     if v <= 0.0:
         raise ValueError(f"v must be positive, got {v!r}")
     hbar, m = constants.hbar, constants.mass
-    return hbar * k * k / (2.0 * m) - hbar * R * R / (8.0 * m * v * v)
+    denominator = 8.0 * m * v * v
+    omega = hbar * k * k / (2.0 * m) - hbar * R * R / denominator if denominator else math.inf
+    if not math.isfinite(omega):
+        raise OverflowError(f"dispersion omega leaves float range at R = {R!r}, v = {v!r}")
+    return omega
 
 
 @dataclass(frozen=True)

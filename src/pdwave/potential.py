@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.linalg import eigh_tridiagonal
 
 from .core import (
     DEFAULT_CONSTANTS,
@@ -38,6 +36,22 @@ __all__ = [
     "mode_arrival_times",
     "load_potential_tables",
 ]
+
+
+# scipy is imported at the first call: most scenarios never build a spline or
+# solve the matrix eigenproblem, and its import costs more than their run.
+def _spline(x, y):
+    """Not-a-knot cubic spline through (x, y), as ``scipy.interpolate.CubicSpline``."""
+    from scipy.interpolate import CubicSpline
+
+    return CubicSpline(x, y)
+
+
+def eigh_tridiagonal(d, e, **kwargs):
+    """``scipy.linalg.eigh_tridiagonal``, forwarded under this module's name."""
+    from scipy import linalg
+
+    return linalg.eigh_tridiagonal(d, e, **kwargs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,15 +92,15 @@ class PotentialSpec:
         object.__setattr__(self, "V", V)
         object.__setattr__(self, "kx", kx)
 
-        k_spline = CubicSpline(xs, kx)
+        k_spline = _spline(xs, kx)
         v = self.constants.hbar * kx / self.constants.mass
         # Positivity can fail between nodes even when samples are positive.
         probe = np.linspace(xs[0], xs[-1], 8 * xs.size)
         if np.any(k_spline(probe) <= 0.0):
             raise ValueError("interpolated k(x) dips to zero between samples")
-        inv_v_spline = CubicSpline(xs, 1.0 / v)
+        inv_v_spline = _spline(xs, 1.0 / v)
         object.__setattr__(self, "_k_spline", k_spline)
-        object.__setattr__(self, "_v_spline", CubicSpline(xs, v))
+        object.__setattr__(self, "_v_spline", _spline(xs, v))
         object.__setattr__(self, "_tau_spline", inv_v_spline.antiderivative())
         object.__setattr__(self, "_phase_spline", k_spline.antiderivative())
 
@@ -266,7 +280,7 @@ class SLProblem:
         grid = self.sample_grid()
         hbar, m = self.constants.hbar, self.constants.mass
         w = hbar * hbar * self.kx**2 / (2.0 * m) + self.V
-        return CubicSpline(grid, w)(x)
+        return _spline(grid, w)(x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -477,5 +491,5 @@ def load_potential_tables(
     if xk.shape[0] == x.shape[0] and np.allclose(xk[:, 0], x):
         kx = xk[:, 1]
     else:
-        kx = CubicSpline(xk[:, 0], xk[:, 1])(x)
+        kx = _spline(xk[:, 0], xk[:, 1])(x)
     return PotentialSpec(x_samples=x, V=V, kx=kx, R=R, omega=omega, constants=constants)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import re
@@ -6,6 +7,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -258,11 +260,14 @@ class TestExitCodes:
         [
             ("decoherence", "t = 2000", "overflow encountered in exp"),
             ("ensemble", "weights = 1", "invalid value"),  # z-score 0/0
-            # 8*m*v*v underflows to 0.0 in core.dispersion_omega.
-            ("contour", "v = 1e-300", "float division by zero"),
-            ("field", "v = 1e-300", "float division by zero"),
-            ("free-wave", "v = 1e-300", "float division by zero"),
-            ("entropy", "v = 1e-300", "float division by zero"),
+            # core.dispersion_omega names the keys: 8*m*v*v underflows to 0.0,
+            # or R^2 (and k^2, with k = m*v/hbar) overflows.
+            ("contour", "v = 1e-300", "v = 1e-300"),
+            ("field", "v = 1e-300", "v = 1e-300"),
+            ("free-wave", "v = 1e-300", "v = 1e-300"),
+            ("entropy", "v = 1e-300", "v = 1e-300"),
+            ("free-wave", "R = 1e308", "R = 1e+308"),
+            ("field", "v = 1e308", "v = 1e+308"),
         ],
     )
     def test_overflow_or_nan_is_runtime_error(
@@ -276,9 +281,6 @@ class TestExitCodes:
         [
             # exp(-s) underflows to 0.0 past s ~ 745, so the field stops decreasing.
             ("field", "s_max = 1e308", "field_monotone_decreasing"),
-            # The check's closed form (1 - exp(-R/v))*v/R cancels to 0 at R/v = 1e-300;
-            # -expm1(-R/v)*v/R would pass, and this case would then exit 0.
-            ("contour", "R = 1e-300", "segment_closed_form"),
         ],
     )
     def test_extreme_in_domain_value_fails_a_named_check(
@@ -290,6 +292,16 @@ class TestExitCodes:
                          "--out", str(tmp_path / "out"), "--check"]) == 3
         assert check in capsys.readouterr().err
         assert (tmp_path / "out" / "report.json").is_file()
+
+    def test_tiny_contour_rate_passes_the_closed_form(self, tmp_path):
+        # The expected segment integral -expm1(-R/v)*v/R stays 1 as R/v -> 0,
+        # where (1 - exp(-R/v))*v/R would cancel to 0.
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[contour]\nR = 1e-300\n")
+        assert cli.main(["--scenario", "contour", "--config", str(cfg),
+                         "--out", str(tmp_path / "out"), "--check"]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["all_passed"]
 
     def test_failed_run_leaves_existing_out_unchanged(self, tmp_path, monkeypatch):
         def fails_after_writing(cfg, out, report):
@@ -493,6 +505,50 @@ def test_package_import_does_not_load_the_runner(tmp_path):
                    tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "False"]
+
+
+_SCIPY_AFTER_RUNS = """
+import json, sys
+def scipy():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+from pdwave import cli
+loaded = {"import": scipy()}
+for scenario in ("free-wave", "ensemble"):
+    assert cli.main(["--scenario", scenario, "--out", scenario]) == 0
+    loaded[scenario] = scipy()
+print(json.dumps(loaded))
+"""
+
+
+def test_scenarios_import_only_the_scipy_they_call(tmp_path):
+    proc = _run_python(["-c", _SCIPY_AFTER_RUNS], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert loaded["import"] == []
+
+    def under(names, package):
+        return [m for m in names if m == package or m.startswith(package + ".")]
+
+    for package in ("scipy.stats", "scipy.interpolate", "scipy.linalg", "scipy.special"):
+        assert under(loaded["free-wave"], package) == [], package
+    assert under(loaded["ensemble"], "scipy.stats") == []
+
+
+def test_eigh_tridiagonal_is_a_module_function_for_the_tracer():
+    # perfbench/tracer.py wraps it as a module global; a local import would bypass the span.
+    fn = pdwave.potential.eigh_tridiagonal
+    assert inspect.isfunction(fn) and fn.__module__ == "pdwave.potential"
+
+
+def test_chdtrc_p_value_matches_chi2_sf_bit_for_bit():
+    from scipy import stats
+    from scipy.special import chdtrc
+
+    x = np.concatenate([np.linspace(0.0, 60.0, 601),
+                        np.random.default_rng(7).uniform(0.0, 60.0, 2000)])
+    for df in range(1, 8):  # ensembles of 2 to 8 outcomes
+        ours, reference = chdtrc(df, x), stats.chi2.sf(x, df)
+        assert np.array_equal(ours.view(np.int64), reference.view(np.int64)), df
 
 
 @pytest.mark.parametrize(
