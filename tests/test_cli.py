@@ -20,7 +20,8 @@ ALL_SCENARIOS = list(cli.SCENARIOS)
 GOLDEN = Path(__file__).parent / "golden"
 # Golden directory name -> (scenario, format[, config entries]) of the run it holds.
 GOLDEN_RUNS = {s: (s, "csv") for s in ALL_SCENARIOS} | {
-    f"{s}-json": (s, "json") for s in ("free-wave", "ensemble")
+    f"{s}-json": (s, "json")
+    for s in ("free-wave", "ensemble", "contour", "composite", "entropy", "uncertainty")
 } | {
     "sturm-liouville-harmonic": (
         "sturm-liouville", "csv", "preset = harmonic\nn_eigen = 10\nn_grid = 1001"
