@@ -21,7 +21,7 @@ import math
 import shutil
 import sys
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -84,21 +84,6 @@ def _format_float(x: float) -> str:
     return f"{x:.12f}"
 
 
-def _flatten_record(record: dict) -> dict:
-    flat = {}
-    for key, value in record.items():
-        if isinstance(value, complex):
-            flat[f"{key}_re"] = float(value.real)
-            flat[f"{key}_im"] = float(value.imag)
-        elif isinstance(value, (np.floating,)):
-            flat[key] = float(value)
-        elif isinstance(value, (np.integer,)):
-            flat[key] = int(value)
-        else:
-            flat[key] = value
-    return flat
-
-
 def _require_finite(path: Path, rows) -> None:
     """Raise FloatingPointError naming ``path`` if a float in ``rows`` is NaN or inf."""
     for row in rows:
@@ -107,40 +92,40 @@ def _require_finite(path: Path, rows) -> None:
                 raise FloatingPointError(f"{path.name}: {key} = {value} is not finite")
 
 
-def emit_output(records, fmt: str, path, columns: list[str] | None = None) -> Path:
-    """Write records (list of dicts) as CSV or JSON.
+def emit_output(table: dict, fmt: str, path) -> Path:
+    """Write a table of named columns as CSV or JSON.
 
+    A column is an array or a list; a scalar is repeated down its column.
     CSV: UTF-8, comma separated, one header row, floats at 12 digits after
-    the point, complex values split into ``_re``/``_im`` column pairs.
-    JSON: a single object with full-precision floats (round-trips
-    bit-exactly) and deterministic key order.  ``columns`` pins the header
-    for an empty record set.  NaN or inf raises FloatingPointError.
+    the point, complex columns split into ``_re``/``_im`` column pairs.
+    JSON: ``{"records": [...]}``, one object per row, with full-precision
+    floats (round-trips bit-exactly) and sorted keys.  NaN or inf raises
+    FloatingPointError.
     """
     path = Path(path)
-    flat = [_flatten_record(r) for r in records]
-    _require_finite(path, flat)
-    columns = list(columns) if columns is not None else []
-    for r in flat:
-        for key in r:
-            if key not in columns:
-                columns.append(key)
+    lengths = {np.size(c) for c in table.values() if np.ndim(c)}
+    if len(lengths) > 1:
+        raise ValueError(f"{path.name}: columns differ in length {sorted(lengths)}")
+    n = lengths.pop() if lengths else 1
+    columns = {}
+    for key, column in table.items():
+        a = np.broadcast_to(column, (n,))
+        parts = {f"{key}_re": a.real, f"{key}_im": a.imag} if a.dtype.kind == "c" else {key: a}
+        for name, part in parts.items():
+            if part.dtype.kind == "f" and not np.all(np.isfinite(part)):
+                bad = part[~np.isfinite(part)][0]
+                raise FloatingPointError(f"{path.name}: {name} = {bad} is not finite")
+            columns[name] = part
     if fmt == "csv":
-        lines = [",".join(columns)]
-        for r in flat:
-            cells = []
-            for key in columns:
-                value = r.get(key, "")
-                if isinstance(value, float):  # most cells; a bool is never a float
-                    cells.append(_format_float(value))
-                elif isinstance(value, bool):
-                    cells.append(str(int(value)))
-                else:
-                    cells.append(str(value))
-            lines.append(",".join(cells))
+        cells = [map(_format_float if a.dtype.kind == "f" else str, a.tolist())
+                 for a in columns.values()]
+        lines = [",".join(columns), *map(",".join, zip(*cells))]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     elif fmt == "json":
+        rows = zip(*(a.tolist() for a in columns.values()))
+        records = [dict(zip(columns, row)) for row in rows]
         path.write_text(
-            json.dumps({"records": flat}, sort_keys=True, indent=1) + "\n",
+            json.dumps({"records": records}, sort_keys=True, indent=1) + "\n",
             encoding="utf-8",
         )
     else:
@@ -248,11 +233,8 @@ def _run_free_wave(cfg: ScenarioConfig, out: Path, report: Report) -> None:
             xs = np.unique(np.concatenate([xs, [p["mp_x"]]]))
         psi = freewave.psi_free(branch_state, xs, t)
         dens = freewave.prob_density_free(branch_state, xs, t)
-        records = [
-            {"x": float(x), "t": t, "P": float(d), "psi": complex(c)}
-            for x, d, c in zip(xs, dens, psi)
-        ]
-        emit_output(records, cfg.format, out / f"free_wave_t{idx}.{cfg.format}")
+        emit_output({"x": xs, "t": t, "P": dens, "psi": psi}, cfg.format,
+                    out / f"free_wave_t{idx}.{cfg.format}")
         report.add_residual(f"peak_density_one_t{idx}", float(np.max(dens)) - 1.0, 1e-12)
         monotone = np.all(np.diff(dens) < 0) if branch_state.branch is Branch.INCOMING \
             else np.all(np.diff(dens) > 0)
@@ -305,11 +287,8 @@ def _run_potential_wave(cfg: ScenarioConfig, out: Path, report: Report) -> None:
         raise ConfigError(f"t = {t} is past the arrival time of all n = {p['n']} probes")
     psi = potential.psi_potential(spec, Branch.INCOMING, inside, t, x_mp=p["x_mp"])
     dens = potential.prob_density_potential(spec, Branch.INCOMING, inside, t, x_mp=p["x_mp"])
-    records = [
-        {"x": float(x), "t": t, "P": float(d), "psi": complex(c)}
-        for x, d, c in zip(inside, dens, psi)
-    ]
-    emit_output(records, cfg.format, out / f"potential_wave.{cfg.format}")
+    emit_output({"x": inside, "t": t, "P": dens, "psi": psi}, cfg.format,
+                out / f"potential_wave.{cfg.format}")
 
     report.add_residual("mp_plane_wave_residual",
                         potential.mp_limit_check(spec, p["x_mp"]), 1e-10)
@@ -340,6 +319,14 @@ def _normalized_weights(weights) -> np.ndarray:
     return np.asarray(weights) / np.sum(weights)
 
 
+def _sampled_state(weights, waves) -> evolution.SuperposedState:
+    """sum_i sqrt(w_i)|wave_i> over normalized weights, each Born probability inside (0, 1)."""
+    state = evolution.SuperposedState(np.sqrt(_normalized_weights(weights)).astype(complex), waves)
+    if np.any(np.isin(state.probabilities(), (0.0, 1.0))):  # its z-score would be 0/0
+        raise ConfigError("weights give an outcome a Born probability of 0 or 1")
+    return state
+
+
 def _add_three_sigma_checks(report: Report, rep: measurement.EnsembleReport) -> None:
     """One check per outcome: its frequency lies within 3 sigma of |a_i|^2."""
     for i, z in enumerate(rep.z_scores()):
@@ -350,21 +337,16 @@ def _run_ensemble(cfg: ScenarioConfig, out: Path, report: Report) -> None:
     from scipy.special import chdtrc  # chi2.sf to the bit, without importing scipy.stats
 
     p = cfg.parameters
-    weights = _normalized_weights(p["weights"])
-    waves = tuple(make_free_state(float(i + 1), float(i + 1)) for i in range(weights.size))
-    state = evolution.SuperposedState(amplitudes=np.sqrt(weights).astype(complex), waves=waves)
-    rep = measurement.run_ensemble(state, p["n_trials"], seed=cfg.seed,
-                                   workers=p["workers"])
-    emit_output(rep.records(), cfg.format, out / f"ensemble.{cfg.format}")
+    waves = tuple(make_free_state(float(i + 1), float(i + 1)) for i in range(len(p["weights"])))
+    state = _sampled_state(p["weights"], waves)
+    rep = measurement.run_ensemble(state, p["n_trials"], seed=cfg.seed, workers=p["workers"])
+    emit_output(rep.table(), cfg.format, out / f"ensemble.{cfg.format}")
     p_value = float(chdtrc(rep.counts.size - 1, rep.chi_square))
     _add_three_sigma_checks(report, rep)
     report.add("chi_square_p_above_0.001", p_value > 0.001, p_value, 0.001)
 
     # Arrival order is reported, not used for probabilities.
-    arrivals = [
-        {"outcome": i, "arrival_time": 1.0 / w.v}
-        for i, w in enumerate(state.waves)
-    ]
+    arrivals = {"outcome": np.arange(state.n), "arrival_time": [1.0 / w.v for w in state.waves]}
     emit_output(arrivals, cfg.format, out / f"ensemble_arrivals.{cfg.format}")
 
 
@@ -395,8 +377,8 @@ def _run_decoherence(cfg: ScenarioConfig, out: Path, report: Report) -> None:
         1e-10,
     )
     (out / f"density_matrix.json").write_text(mixed.to_json() + "\n", "utf-8")
-    records = [{"t": p["t"], "norm_sq": evolved.norm_sq, "purity": mix_purity}]
-    emit_output(records, cfg.format, out / f"decoherence.{cfg.format}")
+    emit_output({"t": p["t"], "norm_sq": evolved.norm_sq, "purity": mix_purity}, cfg.format,
+                out / f"decoherence.{cfg.format}")
 
 
 def _run_entropy(cfg: ScenarioConfig, out: Path, report: Report) -> None:
@@ -406,13 +388,10 @@ def _run_entropy(cfg: ScenarioConfig, out: Path, report: Report) -> None:
     )
     times = np.linspace(0.0, p["t_max"], p["n"])
     traj = evolution.entropy_trajectory(state, times, measurement_times=[p["measure_at"]])
-    records = [
-        {"t": float(t), "S": float(s), "is_post_measurement": 0}
-        for t, s in zip(traj.times, traj.S)
-    ]
-    for t, s in zip(traj.measurement_times, traj.post_measurement_S):
-        records.append({"t": float(t), "S": float(s), "is_post_measurement": 1})
-    emit_output(records, cfg.format, out / f"entropy.{cfg.format}")
+    table = {"t": np.concatenate([traj.times, traj.measurement_times]),
+             "S": np.concatenate([traj.S, traj.post_measurement_S]),
+             "is_post_measurement": np.repeat([0, 1], [traj.S.size, traj.post_measurement_S.size])}
+    emit_output(table, cfg.format, out / f"entropy.{cfg.format}")
 
     report.add_residual("entropy_zero_at_start", float(traj.S[0]), 0.0)
     slopes = np.diff(traj.S) / np.diff(traj.times)
@@ -440,15 +419,10 @@ def _run_sturm_liouville(cfg: ScenarioConfig, out: Path, report: Report) -> None
                                             n_grid=p["n_grid"])
     dense = potential.solve_sturm_liouville(problem, backend="matrix",
                                             n_grid=p["n_grid"])
-    records = []
-    for j in range(p["n_eigen"]):
-        records.append({
-            "n": j,
-            "energy_shooting": float(shoot.eigenvalues[j]),
-            "energy_matrix": float(dense.eigenvalues[j]),
-            "backend_gap": float(shoot.eigenvalues[j] - dense.eigenvalues[j]),
-        })
-    emit_output(records, cfg.format, out / f"sturm_liouville.{cfg.format}")
+    table = {"n": np.arange(p["n_eigen"]), "energy_shooting": shoot.eigenvalues,
+             "energy_matrix": dense.eigenvalues,
+             "backend_gap": shoot.eigenvalues - dense.eigenvalues}
+    emit_output(table, cfg.format, out / f"sturm_liouville.{cfg.format}")
 
     rel_gap = np.max(
         np.abs(shoot.eigenvalues - dense.eigenvalues) / np.abs(dense.eigenvalues)
@@ -468,13 +442,7 @@ def _run_uncertainty(cfg: ScenarioConfig, out: Path, report: Report) -> None:
         0.0, p["sigma_im"], p["n_samples"]
     )
     rep = analysis.uncertainty_decompose(analysis.ComplexSampleSet(values=z))
-    records = [{
-        "var_real": rep.var_real,
-        "var_imag": rep.var_imag,
-        "var_complex": rep.var_complex,
-        "covariance": rep.covariance,
-    }]
-    emit_output(records, cfg.format, out / f"uncertainty.{cfg.format}")
+    emit_output(asdict(rep), cfg.format, out / f"uncertainty.{cfg.format}")
 
     report.add_residual(
         "variance_identity_exact",
@@ -507,19 +475,13 @@ def _run_contour(cfg: ScenarioConfig, out: Path, report: Report) -> None:
     val_b = analysis.contour_integral("IncomingP1", state, path_b)
     seg_val = analysis.contour_integral("IncomingP1", state, segment)
 
-    records = [
-        {"name": "closed_square", "value": closed_val},
-        {"name": "path_a", "value": val_a},
-        {"name": "path_b", "value": val_b},
-        {"name": "segment_0_to_1", "value": seg_val},
-    ]
+    values = {"closed_square": closed_val, "path_a": val_a, "path_b": val_b,
+              "segment_0_to_1": seg_val}
     if p["contour_csv"]:
         user = analysis.Contour.from_csv(p["contour_csv"])
-        records.append(
-            {"name": "user_contour",
-             "value": analysis.contour_integral("IncomingP1", state, user)}
-        )
-    emit_output(records, cfg.format, out / f"contour.{cfg.format}")
+        values["user_contour"] = analysis.contour_integral("IncomingP1", state, user)
+    emit_output({"name": list(values), "value": list(values.values())}, cfg.format,
+                out / f"contour.{cfg.format}")
 
     report.add_residual("closed_contour_zero", abs(closed_val), 1e-9)
     report.add_residual("path_independence", abs(val_a - val_b), 1e-9)
@@ -534,8 +496,8 @@ def _run_composite(cfg: ScenarioConfig, out: Path, report: Report) -> None:
         raise ConfigError("weights, system_speeds, pointer_speeds must pair up")
     systems = tuple(make_free_state(v, v) for v in p["system_speeds"])
     pointers = tuple(make_free_state(v, v) for v in p["pointer_speeds"])
-    composite = measurement.tensor_compose(systems, pointers,
-                                           np.sqrt(weights).astype(complex))
+    flat = _sampled_state(p["weights"], systems)
+    composite = measurement.tensor_compose(systems, pointers, flat.amplitudes)
 
     grid = freewave.Grid1D(2.0, 2.5, 9, 0.5)
     report.add_residual(
@@ -547,7 +509,6 @@ def _run_composite(cfg: ScenarioConfig, out: Path, report: Report) -> None:
     )
 
     # Outcome statistics over the pointer basis.
-    flat = evolution.SuperposedState(np.sqrt(weights).astype(complex), systems)
     rep = measurement.run_ensemble(flat, p["n_trials"], seed=cfg.seed)
     _add_three_sigma_checks(report, rep)
 
@@ -562,12 +523,7 @@ def _run_composite(cfg: ScenarioConfig, out: Path, report: Report) -> None:
     report.add_residual("entangled_imag_part",
                         avgs.entangled_avg.imag - expected_imag, 1e-12)
 
-    records = [
-        {**r, "entangled_avg": complex(avgs.entangled_avg),
-         "reduced_avg": float(avgs.reduced_avg)}
-        for r in rep.records()
-    ]
-    emit_output(records, cfg.format, out / f"composite.{cfg.format}")
+    emit_output({**rep.table(), **asdict(avgs)}, cfg.format, out / f"composite.{cfg.format}")
 
 
 def _run_field(cfg: ScenarioConfig, out: Path, report: Report) -> None:
@@ -575,8 +531,7 @@ def _run_field(cfg: ScenarioConfig, out: Path, report: Report) -> None:
     state = freewave.normalize_state(make_free_state(p["v"], p["v"]))
     ss = np.linspace(0.0, p["s_max"], p["n"])
     values = [spectral.probability_field(float(s), state) for s in ss]
-    records = [{"s": float(s), "field": float(f)} for s, f in zip(ss, values)]
-    emit_output(records, cfg.format, out / f"field.{cfg.format}")
+    emit_output({"s": ss, "field": values}, cfg.format, out / f"field.{cfg.format}")
     report.add_residual("field_at_zero_is_one", values[0] - 1.0, 0.0)
     report.add_residual(
         "field_at_ln2_is_half",

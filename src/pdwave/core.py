@@ -73,8 +73,8 @@ def dispersion_omega(
     if v <= 0.0:
         raise ValueError(f"v must be positive, got {v!r}")
     hbar, m = constants.hbar, constants.mass
-    denominator = 8.0 * m * v * v
-    omega = hbar * k * k / (2.0 * m) - hbar * R * R / denominator if denominator else math.inf
+    # (R/v)*(R/v), not (R/v)**2, which raises an unnamed OverflowError on Python floats.
+    omega = hbar * k * k / (2.0 * m) - hbar * (R / v) * (R / v) / (8.0 * m)
     if not math.isfinite(omega):
         raise OverflowError(f"dispersion omega leaves float range at R = {R!r}, v = {v!r}")
     return omega

@@ -115,19 +115,11 @@ class EnsembleReport:
         sigma = np.sqrt(self.expected * (1.0 - self.expected) / self.n_trials)
         return (self.frequencies - self.expected) / sigma
 
-    def records(self) -> list[dict]:
-        """One record per outcome: outcome, count, frequency, expected, z_score."""
-        z = self.z_scores()
-        return [
-            {
-                "outcome": i,
-                "count": int(self.counts[i]),
-                "frequency": float(self.frequencies[i]),
-                "expected": float(self.expected[i]),
-                "z_score": float(z[i]),
-            }
-            for i in range(self.counts.size)
-        ]
+    def table(self) -> dict:
+        """Columns outcome, count, frequency, expected and z_score, one row per outcome."""
+        return {"outcome": np.arange(self.counts.size), "count": self.counts,
+                "frequency": self.frequencies, "expected": self.expected,
+                "z_score": self.z_scores()}
 
 
 def run_ensemble(

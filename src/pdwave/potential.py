@@ -100,7 +100,6 @@ class PotentialSpec:
             raise ValueError("interpolated k(x) dips to zero between samples")
         inv_v_spline = _spline(xs, 1.0 / v)
         object.__setattr__(self, "_k_spline", k_spline)
-        object.__setattr__(self, "_v_spline", _spline(xs, v))
         object.__setattr__(self, "_tau_spline", inv_v_spline.antiderivative())
         object.__setattr__(self, "_phase_spline", k_spline.antiderivative())
 
@@ -116,7 +115,7 @@ class PotentialSpec:
         return self._k_spline(x)
 
     def v_at(self, x):
-        return self._v_spline(x)
+        return self.constants.hbar * self._k_spline(x) / self.constants.mass
 
     def _check_domain(self, x) -> None:
         xs = np.asarray(x, dtype=float)

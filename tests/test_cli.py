@@ -260,13 +260,10 @@ class TestExitCodes:
         "scenario, entries, message",
         [
             ("decoherence", "t = 2000", "overflow encountered in exp"),
-            ("ensemble", "weights = 1", "invalid value"),  # z-score 0/0
-            # core.dispersion_omega names the keys: 8*m*v*v underflows to 0.0,
+            # core.dispersion_omega names the keys: (R/v)^2 with R = 1 overflows,
             # or R^2 (and k^2, with k = m*v/hbar) overflows.
             ("contour", "v = 1e-300", "v = 1e-300"),
-            ("field", "v = 1e-300", "v = 1e-300"),
             ("free-wave", "v = 1e-300", "v = 1e-300"),
-            ("entropy", "v = 1e-300", "v = 1e-300"),
             ("free-wave", "R = 1e308", "R = 1e+308"),
             ("field", "v = 1e308", "v = 1e+308"),
         ],
@@ -294,6 +291,22 @@ class TestExitCodes:
         assert check in capsys.readouterr().err
         assert (tmp_path / "out" / "report.json").is_file()
 
+    @pytest.mark.parametrize(
+        "scenario, entries",
+        [
+            # R = v, so the quantum-potential term hbar*(R/v)^2/(8m) is hbar/8m.
+            ("field", "v = 1e-300"),
+            ("entropy", "v = 1e-300"),
+            ("composite", "system_speeds = 1e-300,1"),
+            ("decoherence", "speeds = 1e-300,1,2"),
+        ],
+    )
+    def test_tiny_speed_with_equal_rate_passes_check(self, scenario, entries, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[{scenario}]\n{entries}\n")
+        assert cli.main(["--scenario", scenario, "--config", str(cfg),
+                         "--out", str(tmp_path / "out"), "--check"]) == 0
+
     def test_tiny_contour_rate_passes_the_closed_form(self, tmp_path):
         # The expected segment integral -expm1(-R/v)*v/R stays 1 as R/v -> 0,
         # where (1 - exp(-R/v))*v/R would cancel to 0.
@@ -306,7 +319,7 @@ class TestExitCodes:
 
     def test_failed_run_leaves_existing_out_unchanged(self, tmp_path, monkeypatch):
         def fails_after_writing(cfg, out, report):
-            cli.emit_output([{"s": 0.0}], cfg.format, out / "field.csv")
+            cli.emit_output({"s": [0.0]}, cfg.format, out / "field.csv")
             raise cli.ConvergenceError("solver gave up")
 
         monkeypatch.setitem(cli._TABLE, "field", (fails_after_writing, cli._TABLE["field"][1]))
@@ -335,6 +348,10 @@ class TestExitCodes:
             ("composite", "weights = 0.5,-0.2"),
             ("ensemble", "weights = 0.5,nan"),
             ("ensemble", "weights ="),
+            # A Born probability of 0 or 1 makes that outcome's z-score 0/0.
+            ("ensemble", "weights = 1"),
+            ("ensemble", "weights = 1e-300,1"),
+            ("composite", "weights = 1e-300,1"),
             ("sturm-liouville", "n_eigen = 0"),
             ("sturm-liouville", "x1 = 0"),
             ("sturm-liouville", "x1 = nan"),
@@ -367,6 +384,9 @@ class TestExitCodes:
             ("free-wave", "R = -1"),
             ("free-wave", "n = 1"),
             ("free-wave", "span = 0"),
+            # R = 0 keeps omega finite at v = 1e-300, and the residual grid 2v..4v
+            # then lies within the finite-difference stencil's reach of the seam.
+            ("free-wave", "R = 0\nv = 1e-300"),
             ("potential-wave", "n = 1"),
             ("potential-wave", "R = -1"),
             ("potential-wave", "x1 = -1"),
@@ -563,22 +583,33 @@ def test_demo_runs_without_warnings(demo, tmp_path):
 class TestEmitOutput:
     def test_complex_column_pair(self, tmp_path):
         path = tmp_path / "x.csv"
-        cli.emit_output([{"val": 1.0 + 0.5j}], "csv", path)
+        cli.emit_output({"val": [1.0 + 0.5j]}, "csv", path)
         rows = path.read_text().splitlines()
         assert rows[0] == "val_re,val_im"
         assert rows[1] == "1.000000000000,0.500000000000"
 
     def test_empty_records_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        cli.emit_output([], "csv", path, columns=["a", "b"])
+        cli.emit_output({"a": [], "b": []}, "csv", path)
         assert path.read_text() == "a,b\n"
+
+    def test_scalar_repeats_down_its_column(self, tmp_path):
+        path = tmp_path / "x.csv"
+        cli.emit_output({"x": [1.0, 2.0], "t": 0.5}, "csv", path)
+        assert path.read_text().splitlines() == [
+            "x,t", "1.000000000000,0.500000000000", "2.000000000000,0.500000000000"
+        ]
+
+    def test_columns_of_unequal_length_raise(self, tmp_path):
+        with pytest.raises(ValueError, match="columns differ in length"):
+            cli.emit_output({"x": [1.0, 2.0], "y": [1.0]}, "csv", tmp_path / "x.csv")
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_value_raises_and_writes_nothing(self, fmt, bad, tmp_path):
         path = tmp_path / f"x.{fmt}"
         with pytest.raises(FloatingPointError, match=f"x.{fmt}: b_im = "):
-            cli.emit_output([{"a": 1.0, "b": complex(0.0, bad)}], fmt, path)
+            cli.emit_output({"a": [1.0], "b": [complex(0.0, bad)]}, fmt, path)
         assert not path.exists()
 
     def test_report_with_non_finite_value_raises(self, tmp_path):
@@ -593,7 +624,7 @@ class TestEmitOutput:
 
         path = tmp_path / "x.json"
         values = {"a": math.pi, "b": 1.0 / 3.0, "c": 2.0 ** -52, "z": 0.1 + 0.2j}
-        cli.emit_output([values], "json", path)
+        cli.emit_output(values, "json", path)  # scalars: a one-row table
         loaded = json.loads(path.read_text())["records"][0]
         assert loaded["a"] == math.pi
         assert loaded["b"] == 1.0 / 3.0

@@ -92,7 +92,9 @@ class TestEnsemble:
         a = ms.run_ensemble(born_state(), 50000, seed=11, workers=4)
         b = ms.run_ensemble(born_state(), 50000, seed=11, workers=4)
         assert np.array_equal(a.counts, b.counts)
-        assert a.records() == b.records()
+        ta, tb = a.table(), b.table()
+        assert list(ta) == list(tb)
+        assert all(np.array_equal(ta[key], tb[key]) for key in ta)
 
     def test_born_convergence_sample(self):
         # Ten-seed sanity slice of the hundred-seed acceptance criterion.
@@ -108,10 +110,9 @@ class TestEnsemble:
         assert passed >= 9
 
     def test_csv_columns(self):
-        records = ms.run_ensemble(born_state(), 1000, seed=5).records()
-        assert [list(r) for r in records] == [
-            ["outcome", "count", "frequency", "expected", "z_score"]
-        ] * 3
+        table = ms.run_ensemble(born_state(), 1000, seed=5).table()
+        assert list(table) == ["outcome", "count", "frequency", "expected", "z_score"]
+        assert [len(column) for column in table.values()] == [3] * 5
 
 
 class TestDiracProjection:
