@@ -319,11 +319,17 @@ def _normalized_weights(weights) -> np.ndarray:
     return np.asarray(weights) / np.sum(weights)
 
 
-def _sampled_state(weights, waves) -> evolution.SuperposedState:
-    """sum_i sqrt(w_i)|wave_i> over normalized weights, each Born probability inside (0, 1)."""
+def _sampled_state(weights, waves, n_trials: int) -> evolution.SuperposedState:
+    """sum_i sqrt(w_i)|wave_i> over normalized weights, sampled ``n_trials`` times.
+
+    Each outcome's z-score divides by sqrt(p(1-p)/n_trials)
+    (``EnsembleReport.z_scores``), which must not be 0.
+    """
     state = evolution.SuperposedState(np.sqrt(_normalized_weights(weights)).astype(complex), waves)
-    if np.any(np.isin(state.probabilities(), (0.0, 1.0))):  # its z-score would be 0/0
-        raise ConfigError("weights give an outcome a Born probability of 0 or 1")
+    p = state.probabilities()
+    if not np.all(np.sqrt(p * (1.0 - p) / n_trials) > 0.0):
+        raise ConfigError("weights give an outcome a Born probability too close to 0 or 1 "
+                          f"for a z-score over {n_trials} trials")
     return state
 
 
@@ -338,7 +344,7 @@ def _run_ensemble(cfg: ScenarioConfig, out: Path, report: Report) -> None:
 
     p = cfg.parameters
     waves = tuple(make_free_state(float(i + 1), float(i + 1)) for i in range(len(p["weights"])))
-    state = _sampled_state(p["weights"], waves)
+    state = _sampled_state(p["weights"], waves, p["n_trials"])
     rep = measurement.run_ensemble(state, p["n_trials"], seed=cfg.seed, workers=p["workers"])
     emit_output(rep.table(), cfg.format, out / f"ensemble.{cfg.format}")
     p_value = float(chdtrc(rep.counts.size - 1, rep.chi_square))
@@ -496,7 +502,7 @@ def _run_composite(cfg: ScenarioConfig, out: Path, report: Report) -> None:
         raise ConfigError("weights, system_speeds, pointer_speeds must pair up")
     systems = tuple(make_free_state(v, v) for v in p["system_speeds"])
     pointers = tuple(make_free_state(v, v) for v in p["pointer_speeds"])
-    flat = _sampled_state(p["weights"], systems)
+    flat = _sampled_state(p["weights"], systems, p["n_trials"])
     composite = measurement.tensor_compose(systems, pointers, flat.amplitudes)
 
     grid = freewave.Grid1D(2.0, 2.5, 9, 0.5)

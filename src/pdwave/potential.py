@@ -5,6 +5,8 @@ number k(x) and speed v(x) = hbar*k(x)/m.  Its density is an inhomogeneous
 traveling wave whose arrival time at x is the integral of 1/v, and the
 radial amplitude R(x) of the bound problem satisfies a Sturm-Liouville
 equation solved here by Numerov shooting with a dense-matrix cross-check.
+Shooting brackets each eigenvalue by node counts and converges it by
+Illinois steps on the end value of a summed-difference Numerov recurrence.
 """
 
 from __future__ import annotations
@@ -270,16 +272,18 @@ class SLProblem:
         V.setflags(write=False)
         object.__setattr__(self, "kx", kx)
         object.__setattr__(self, "V", V)
+        hbar, m = self.constants.hbar, self.constants.mass
+        w = hbar * hbar * kx**2 / (2.0 * m) + V
+        object.__setattr__(self, "_w_spline", _spline(self.sample_grid(), w))
+        # Fine-grid matrix eigenpairs by grid size; see solve_sturm_liouville.
+        object.__setattr__(self, "_fine_eigen", {})
 
     def sample_grid(self) -> np.ndarray:
         return np.linspace(self.x0, self.x_end, self.kx.size)
 
     def effective_potential(self, x) -> np.ndarray:
-        """W(x) = hbar^2 k^2(x)/2m + V(x)."""
-        grid = self.sample_grid()
-        hbar, m = self.constants.hbar, self.constants.mass
-        w = hbar * hbar * self.kx**2 / (2.0 * m) + self.V
-        return _spline(grid, w)(x)
+        """W(x) = hbar^2 k^2(x)/2m + V(x), a cubic spline through the samples."""
+        return self._w_spline(x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,12 +343,21 @@ def _matrix_eigen(
     return vals, funcs, x
 
 
-def _numerov_sweep(E: float, x: np.ndarray, W: np.ndarray, constants: PhysicalConstants) -> int:
+def _numerov_sweep(
+    E: float, x: np.ndarray, W: np.ndarray, constants: PhysicalConstants
+) -> tuple[int, float, int]:
     """Numerov integration of R'' = f(x) R from a Neumann start.
 
-    Returns the interior node count, which by Sturm oscillation is the
-    number of eigenvalues below E.  Only the last two values of R are
-    carried, rescaled together once they grow past 1e250.
+    Returns ``(nodes, y_end, rescales)``: the interior node count, which by
+    Sturm oscillation is the number of eigenvalues below E; the end value
+    R(x_end); and how often the carried values were scaled by 1e-200 once
+    |R| grew past 1e250, so that R(x_end) = y_end * 1e200**rescales.
+
+    The recurrence is Numerov's in summed-difference form (Blatt 1967): it
+    carries z = w*R with w = 1 - h^2 f/12 and its first difference D, as
+    D += h^2 f_i R_i, z += D, R = z/w.  E enters through h^2 f at full
+    precision.  The three-term form rounds w, which is 1 +- 5e-8 at 2001
+    points, and so moves in steps of E of about 12 eps/(h^2 2m/hbar^2).
     """
     h = x[1] - x[0]
     two_m = 2.0 * constants.mass / constants.hbar**2
@@ -353,18 +366,25 @@ def _numerov_sweep(E: float, x: np.ndarray, W: np.ndarray, constants: PhysicalCo
     f0 = f[0]
     fp0 = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
     fpp0 = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / h**2
-    y_prev = 1.0
-    y = float(1.0 + 0.5 * h**2 * f0 + h**3 * fp0 / 6.0 + h**4 * (fpp0 + f0 * f0) / 24.0)
+    dy = float(0.5 * h**2 * f0 + h**3 * fp0 / 6.0 + h**4 * (fpp0 + f0 * f0) / 24.0)
 
-    w = (1.0 - h**2 * f / 12.0).tolist()
-    nodes = 0
-    for i in range(1, x.size - 1):
-        y_prev, y = y, ((12.0 - 10.0 * w[i]) * y - w[i - 1] * y_prev) / w[i + 1]
+    h2f = h**2 * f
+    w = (1.0 - h2f / 12.0).tolist()
+    h2f = h2f.tolist()
+    y_prev, y = 1.0, 1.0 + dy
+    z = w[1] * y
+    d = dy - (h2f[1] * y - h2f[0]) / 12.0  # z1 - z0, without the rounding of w
+    nodes = rescales = 0
+    for h2f_i, w_next in zip(h2f[1:-1], w[2:]):
+        d += h2f_i * y
+        z += d
+        y_prev, y = y, z / w_next
         if y * y_prev < 0.0:
             nodes += 1
         if abs(y) > 1e250:
-            y_prev, y = y_prev * 1e-200, y * 1e-200
-    return nodes
+            y_prev, y, z, d = y_prev * 1e-200, y * 1e-200, z * 1e-200, d * 1e-200
+            rescales += 1
+    return nodes, y, rescales
 
 
 def _shooting_eigenvalues(
@@ -375,20 +395,47 @@ def _shooting_eigenvalues(
     n_eigen: int,
     constants: PhysicalConstants,
 ) -> np.ndarray:
-    """Numerov-shooting eigenvalues located by node-count bisection."""
+    """Numerov-shooting eigenvalues: node-count brackets, Illinois steps.
+
+    Every sweep's node count tightens the bracket of every eigenvalue, as
+    in Barth-Martin-Wilkinson bisection: eigenvalue j lies above each
+    energy with at most j nodes and below each with more.  Once the
+    bracket isolates eigenvalue j (j nodes at its low end, j + 1 at its
+    high end), (-1)^j R(x_end) falls from positive to negative across it,
+    and Illinois regula falsi (Dowell & Jarratt 1971) converges on that
+    root.  The step is a bisection instead while the bracket does not
+    isolate, while its ends were rescaled a different number of times (a
+    deep forbidden region makes R(x_end) a near-step), and after two steps
+    that failed to halve it.  Each eigenvalue stops at a bracket width of
+    1e-14*max(1, |E|).
+    """
     x = np.linspace(x0, x_end, n_grid)
     W = w_spline(x)
     L = x_end - x0
     c = constants.hbar**2 / (2.0 * constants.mass)
+    # The tightest (E, nodes, y_end, rescales) swept below and above each eigenvalue.
+    lo = [(-math.inf,)] * n_eigen
+    hi = [(math.inf,)] * n_eigen
+
+    def shoot(E: float) -> int:
+        nodes, y_end, rescales = _numerov_sweep(E, x, W, constants)
+        point = (E, nodes, y_end, rescales)
+        for j in range(nodes, n_eigen):
+            if E > lo[j][0]:
+                lo[j] = point
+        for j in range(min(nodes, n_eigen)):
+            if E < hi[j][0]:
+                hi[j] = point
+        return nodes
 
     e_lo = float(np.min(W)) - 1.0
     # No eigenvalue lies below min(W); nodes there mean the grid is too coarse.
-    spurious = _numerov_sweep(e_lo, x, W, constants)
+    spurious = shoot(e_lo)
     if spurious:
         raise ConvergenceError(f"Numerov sweep counts {spurious} nodes below min(W)")
     e_hi = float(np.min(W)) + c * ((n_eigen + 2) * math.pi / L) ** 2
     for _ in range(80):
-        if _numerov_sweep(e_hi, x, W, constants) > n_eigen:
+        if shoot(e_hi) > n_eigen:
             break
         e_hi = e_lo + 2.0 * (e_hi - e_lo)
     else:
@@ -398,25 +445,43 @@ def _shooting_eigenvalues(
 
     eigenvalues = []
     for j in range(n_eigen):
-        lo, hi = e_lo, e_hi
-        # Eigenvalue j sits where the node count passes from <= j to > j.
+        sign = -1.0 if j % 2 else 1.0
+        weight = [1.0, 1.0]  # Illinois halvings of the low and high end values
+        last = None  # the end the previous Illinois step replaced
+        width_ref, stale = math.inf, 0
         for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if hi - lo <= 1e-14 * max(1.0, abs(mid)):
+            (a, nodes_a, y_a, scale_a), (b, nodes_b, y_b, scale_b) = lo[j], hi[j]
+            mid = 0.5 * (a + b)
+            tol = 1e-14 * max(1.0, abs(mid))
+            if b - a <= tol:
                 break
-            if _numerov_sweep(mid, x, W, constants) <= j:
-                lo = mid
+            if b - a <= 0.5 * width_ref:
+                width_ref, stale = b - a, 0
+            g_a, g_b = sign * y_a * weight[0], sign * y_b * weight[1]
+            illinois = (stale < 2 and (nodes_a, nodes_b, scale_a) == (j, j + 1, scale_b)
+                        and g_a > 0.0 > g_b)
+            if illinois:
+                # A step under the tolerance goes just across the root, so the
+                # bracket collapses instead of creeping up on it from one side.
+                E = a + g_a * (b - a) / (g_a - g_b)
+                E = min(max(E, a + 0.5 * tol), b - 0.5 * tol)
             else:
-                hi = mid
+                E = mid
+            stale += 1
+            side = 0 if shoot(E) <= j else 1
+            weight[side] = 1.0
+            if illinois and side == last:
+                weight[1 - side] *= 0.5
+            last = side if illinois else None
         else:
-            raise ConvergenceError("node-count bisection stalled", iterations=200)
+            raise ConvergenceError("shooting stalled", iterations=200)
         eigenvalues.append(mid)
     gaps = np.diff(eigenvalues)
     if np.any(gaps <= 0.0):
         j = int(np.argmax(gaps <= 0.0))
         raise ConvergenceError(
             f"shooting eigenvalues {j} and {j + 1} coincide at {eigenvalues[j]:.6g}: "
-            "node-count bisection cannot resolve their spacing"
+            "a bracket width of 1e-14*|E| cannot resolve their spacing"
         )
     return np.asarray(eigenvalues)
 
@@ -426,18 +491,24 @@ def solve_sturm_liouville(
 ) -> SLSolution:
     """Solve the radial eigenproblem for the lowest ``n_eigen`` pairs.
 
-    ``backend="shooting"`` locates eigenvalues by node-count bisection over
-    fourth-order Numerov sweeps; ``backend="matrix"`` uses a dense
-    second-order tridiagonal discretization with Richardson extrapolation
-    over grids h and h/2.
+    ``backend="shooting"`` brackets eigenvalues by node counts and converges
+    them by Illinois steps over fourth-order Numerov sweeps;
+    ``backend="matrix"`` uses a dense second-order tridiagonal
+    discretization with Richardson extrapolation over grids h and h/2.
     Eigenfunctions always come from the matrix discretization on the fine
-    grid (trapezoid-orthonormal by construction).
+    grid (trapezoid-orthonormal by construction), which is solved once per
+    problem and grid size and shared, read-only, by both backends.
     """
     w_spline = problem.effective_potential
     n_fine = 2 * n_grid - 1
-    vals_fine, funcs, x_fine = _matrix_eigen(
-        w_spline, problem.x0, problem.x_end, n_fine, problem.n_eigen, problem.constants
-    )
+    if n_fine not in problem._fine_eigen:
+        fine = _matrix_eigen(
+            w_spline, problem.x0, problem.x_end, n_fine, problem.n_eigen, problem.constants
+        )
+        for a in fine:
+            a.setflags(write=False)
+        problem._fine_eigen[n_fine] = fine
+    vals_fine, funcs, x_fine = problem._fine_eigen[n_fine]
 
     if backend == "matrix":
         vals_coarse, _, _ = _matrix_eigen(

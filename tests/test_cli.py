@@ -29,22 +29,29 @@ GOLDEN_RUNS = {s: (s, "csv") for s in ALL_SCENARIOS} | {
 }
 
 
-@pytest.mark.parametrize("golden_name", list(GOLDEN_RUNS))
-def test_scenario_runs_clean_with_check(golden_name, tmp_path, tmp_path_factory):
+def run_golden(golden_name, out, config_dir) -> int:
+    """Exit code of the run that golden directory ``golden_name`` holds, written to ``out``.
+
+    The run has seed 42 and ``--check``; its config file, if any, goes to ``config_dir``.
+    """
     scenario, fmt, *entries = GOLDEN_RUNS[golden_name]
     config = []
     if entries:
-        ini = tmp_path_factory.mktemp("config") / "golden.ini"
+        ini = Path(config_dir) / "golden.ini"
         ini.write_text(f"[{scenario}]\n{entries[0]}\n")
         config = ["--config", str(ini)]
-    code = cli.main(
-        ["--scenario", scenario, "--out", str(tmp_path), "--seed", "42", "--check",
+    return cli.main(
+        ["--scenario", scenario, "--out", str(out), "--seed", "42", "--check",
          "--format", fmt, *config]
     )
-    assert code == 0
+
+
+@pytest.mark.parametrize("golden_name", list(GOLDEN_RUNS))
+def test_scenario_runs_clean_with_check(golden_name, tmp_path, tmp_path_factory):
+    assert run_golden(golden_name, tmp_path, tmp_path_factory.mktemp("config")) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["all_passed"] is True
-    assert report["scenario"] == scenario
+    assert report["scenario"] == GOLDEN_RUNS[golden_name][0]
     for check in report["checks"]:
         assert set(check) >= {"name", "passed", "value"}
 
@@ -352,6 +359,10 @@ class TestExitCodes:
             ("ensemble", "weights = 1"),
             ("ensemble", "weights = 1e-300,1"),
             ("composite", "weights = 1e-300,1"),
+            # p ~ 5e-321: sqrt(p(1-p)/n_trials) underflows to 0.
+            ("ensemble", "weights = 1e-320,1,1"),
+            ("composite", "weights = 1e-320,1,1\nsystem_speeds = 1,2,3\n"
+                          "pointer_speeds = 1.5,2.5,3.5"),
             ("sturm-liouville", "n_eigen = 0"),
             ("sturm-liouville", "x1 = 0"),
             ("sturm-liouville", "x1 = nan"),

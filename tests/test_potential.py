@@ -161,7 +161,8 @@ class TestSturmLiouville:
         exact = ((np.arange(6) + 0.5) * np.pi) ** 2 / 2.0
 
         def nodes(E):
-            return pot._numerov_sweep(E, x, W, problem.constants)
+            count, _, _ = pot._numerov_sweep(E, x, W, problem.constants)
+            return count
 
         assert nodes(0.5 * exact[0]) == 0
         for j in range(1, 6):
@@ -173,6 +174,38 @@ class TestSturmLiouville:
         exact = ((np.arange(6) + 0.5) * np.pi) ** 2 / 2.0
         assert np.max(np.abs(sol.eigenvalues - exact) / exact) < 1e-6
         assert sol.eigenvalues[0] == pytest.approx(1.2337005501361697, rel=1e-6)
+
+    def test_box_shooting_resolves_energy_below_the_rounding_of_w(self):
+        # The three-term recurrence rounds w = 1 - h^2 f/12 and lands 1.8e-9 off.
+        sol = pot.solve_sturm_liouville(self.box(), backend="shooting", n_grid=2001)
+        exact = ((np.arange(6) + 0.5) * np.pi) ** 2 / 2.0
+        assert np.max(np.abs(sol.eigenvalues - exact) / exact) < 1e-10
+
+    def test_shooting_takes_few_sweeps_per_eigenvalue(self, monkeypatch):
+        sweep, energies = pot._numerov_sweep, []
+
+        def counted(E, *args):
+            energies.append(E)
+            return sweep(E, *args)
+
+        monkeypatch.setattr(pot, "_numerov_sweep", counted)
+        pot.solve_sturm_liouville(self.box(), backend="shooting", n_grid=2001)
+        assert len(energies) <= 15 * 6
+
+    def test_backends_share_one_fine_grid_solve(self, monkeypatch):
+        eigh, sizes = pot.eigh_tridiagonal, []
+
+        def counted(d, e, **kwargs):
+            sizes.append(d.size)
+            return eigh(d, e, **kwargs)
+
+        monkeypatch.setattr(pot, "eigh_tridiagonal", counted)
+        problem = self.box()
+        shoot = pot.solve_sturm_liouville(problem, backend="shooting", n_grid=2001)
+        dense = pot.solve_sturm_liouville(problem, backend="matrix", n_grid=2001)
+        assert sorted(sizes) == [2000, 4000]  # unknowns of the coarse and the fine grid
+        assert shoot.eigenfunctions is dense.eigenfunctions
+        assert not dense.eigenfunctions.flags.writeable
 
     def test_backends_agree(self):
         shoot = pot.solve_sturm_liouville(self.box(), backend="shooting")
