@@ -357,7 +357,7 @@ def _numerov_sweep(
     carries z = w*R with w = 1 - h^2 f/12 and its first difference D, as
     D += h^2 f_i R_i, z += D, R = z/w.  E enters through h^2 f at full
     precision.  The three-term form rounds w, which is 1 +- 5e-8 at 2001
-    points, and so moves in steps of E of about 12 eps/(h^2 2m/hbar^2).
+    points, and so resolves E only in steps of about 12 eps/(h^2 2m/hbar^2).
     """
     h = x[1] - x[0]
     two_m = 2.0 * constants.mass / constants.hbar**2
