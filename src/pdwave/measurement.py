@@ -128,8 +128,11 @@ def run_ensemble(
     """Measure ``n_trials`` identical copies and tally outcome frequencies.
 
     Trials are split across ``workers`` independent deterministic streams
-    spawned from the seed; merged counts are order-independent, so the
-    report is bit-reproducible for a fixed (seed, workers) pair.
+    spawned from the seed.  The tally of m independent categorical trials
+    is distributed as one multinomial(m, |a_i|^2) draw, so each stream makes
+    that single draw: work and memory grow with the number of outcomes, not
+    with ``n_trials``.  Merged counts are order-independent, so the report
+    is bit-reproducible for a fixed (seed, workers) pair.
     """
     if n_trials < 1 or workers < 1:
         raise ValueError("n_trials and workers must be positive")
@@ -141,9 +144,7 @@ def run_ensemble(
         m = base + (1 if i < extra else 0)
         if m == 0:
             continue
-        rng = np.random.default_rng(child)
-        draws = rng.choice(state.n, size=m, p=probs)
-        counts += np.bincount(draws, minlength=state.n)
+        counts += np.random.default_rng(child).multinomial(m, probs)
     freq = counts / n_trials
     chi_square = float(np.sum((counts - n_trials * probs) ** 2 / (n_trials * probs)))
     return EnsembleReport(

@@ -563,7 +563,7 @@ def test_scenarios_import_only_the_scipy_they_call(tmp_path):
 
     for package in ("scipy.stats", "scipy.interpolate", "scipy.linalg", "scipy.special"):
         assert under(loaded["free-wave"], package) == [], package
-    assert under(loaded["ensemble"], "scipy.stats") == []
+    assert under(loaded["ensemble"], "scipy") == []
 
 
 def test_eigh_tridiagonal_is_a_module_function_for_the_tracer():
@@ -572,15 +572,20 @@ def test_eigh_tridiagonal_is_a_module_function_for_the_tracer():
     assert inspect.isfunction(fn) and fn.__module__ == "pdwave.potential"
 
 
-def test_chdtrc_p_value_matches_chi2_sf_bit_for_bit():
+def test_chi_square_sf_matches_chi2_sf():
     from scipy import stats
-    from scipy.special import chdtrc
 
     x = np.concatenate([np.linspace(0.0, 60.0, 601),
                         np.random.default_rng(7).uniform(0.0, 60.0, 2000)])
-    for df in range(1, 8):  # ensembles of 2 to 8 outcomes
-        ours, reference = chdtrc(df, x), stats.chi2.sf(x, df)
-        assert np.array_equal(ours.view(np.int64), reference.view(np.int64)), df
+    # Ensembles of 2 to 9 outcomes, then large df over their own bulk and tail.
+    cases = [(df, x, 1e-13) for df in range(1, 9)]
+    cases += [(df, np.concatenate([x, np.linspace(0.0, 2.0 * df, 3001)]), 1e-11)
+              for df in (99, 2999)]
+    for df, xs, rtol in cases:
+        ours = np.array([cli._chi_square_sf(float(v), df) for v in xs])
+        reference = stats.chi2.sf(xs, df)
+        assert np.all(np.abs(ours - reference) <= rtol * reference), df
+    assert cli._chi_square_sf(0.0, 1) == 1.0
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +109,31 @@ class TestEnsemble:
             p_value = stats.chi2.sf(rep.chi_square, df=2)
             passed += bool(ok and p_value > 0.001)
         assert passed >= 9
+
+    def test_each_stream_is_one_multinomial_draw(self):
+        state = born_state()
+        children = np.random.SeedSequence(8).spawn(3)
+        expected = sum(np.random.default_rng(child).multinomial(m, state.probabilities())
+                       for child, m in zip(children, (3334, 3333, 3333)))
+        assert np.array_equal(ms.run_ensemble(state, 10000, seed=8, workers=3).counts,
+                              expected)
+
+    def test_memory_does_not_grow_with_n_trials(self):
+        state = born_state()
+        tracemalloc.start()
+        try:
+            rep = ms.run_ensemble(state, 10_000_000, seed=2, workers=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert int(rep.counts.sum()) == 10_000_000
+        assert peak < 1_000_000
+
+    def test_chi_square_p_values_are_uniform(self):
+        # Under the Born rule the p-value of an ensemble's chi-square is U(0, 1).
+        p_values = [stats.chi2.sf(ms.run_ensemble(born_state(), 1000, seed=seed).chi_square,
+                                  df=2) for seed in range(200)]
+        assert stats.kstest(p_values, "uniform").pvalue > 0.001
 
     def test_csv_columns(self):
         table = ms.run_ensemble(born_state(), 1000, seed=5).table()
