@@ -461,7 +461,7 @@ def _run_sturm_liouville(cfg: ScenarioConfig, out: Path, report: Report) -> None
 def _run_uncertainty(cfg: ScenarioConfig, out: Path, report: Report) -> None:
     p = cfg.parameters
     rng = np.random.default_rng(cfg.seed)
-    z = np.empty(p["n_samples"], dtype=complex)  # filled in place: no a + 1j*b temporaries
+    z = np.empty(p["n_samples"], dtype=complex)  # filled in place, with no complex temporary
     z.real = rng.normal(0.0, p["sigma_re"], p["n_samples"])
     z.imag = rng.normal(0.0, p["sigma_im"], p["n_samples"])
     rep = analysis.uncertainty_decompose(analysis.ComplexSampleSet(values=z))
