@@ -21,7 +21,8 @@ GOLDEN = Path(__file__).parent / "golden"
 # Golden directory name -> (scenario, format[, config entries]) of the run it holds.
 GOLDEN_RUNS = {s: (s, "csv") for s in ALL_SCENARIOS} | {
     f"{s}-json": (s, "json")
-    for s in ("free-wave", "ensemble", "contour", "composite", "entropy", "uncertainty")
+    for s in ("free-wave", "ensemble", "contour", "composite", "entropy", "uncertainty",
+              "decoherence", "field", "potential-wave", "sturm-liouville")
 } | {
     "sturm-liouville-harmonic": (
         "sturm-liouville", "csv", "preset = harmonic\nn_eigen = 10\nn_grid = 1001"
