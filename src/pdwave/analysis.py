@@ -18,7 +18,6 @@ import numpy as np
 from .core import (
     ConvergenceError,
     DEFAULT_CONSTANTS,
-    Branch,
     FreeWaveParams,
     PhysicalConstants,
     RegionError,
@@ -232,7 +231,7 @@ def quantum_potential(params: FreeWaveParams, x: float, t: float) -> float:
     R = params.R
     if params.v == 0.0:
         return 0.0
-    log_slope = -R / params.v if params.branch is Branch.INCOMING else R / params.v
+    log_slope = -params.branch.sign * R / params.v
     curvature = log_slope * log_slope  # P = exp(linear): P''/P = (P'/P)^2
     hbar, m = params.constants.hbar, params.constants.mass
     return hbar * hbar / (4.0 * m) * (curvature - 0.5 * log_slope * log_slope)

@@ -236,8 +236,7 @@ def _run_free_wave(cfg: ScenarioConfig, out: Path, report: Report) -> None:
         emit_output({"x": xs, "t": t, "P": dens, "psi": psi}, cfg.format,
                     out / f"free_wave_t{idx}.{cfg.format}")
         report.add_residual(f"peak_density_one_t{idx}", float(np.max(dens)) - 1.0, 1e-12)
-        monotone = np.all(np.diff(dens) < 0) if branch_state.branch is Branch.INCOMING \
-            else np.all(np.diff(dens) > 0)
+        monotone = np.all(branch_state.branch.sign * np.diff(dens) < 0)
         report.add(f"envelope_monotone_t{idx}", bool(monotone), float(np.max(np.abs(np.diff(dens)))))
 
     seam = freewave.psi_free(state, state.v * 5.0, 5.0) - freewave.psi_free(
@@ -302,7 +301,7 @@ def _run_potential_wave(cfg: ScenarioConfig, out: Path, report: Report) -> None:
         1e-6,
     )
     if p["profile"] == "constant" and not p["v_table"]:
-        state = make_free_state(1.0, p["R"])
+        state = replace(make_free_state(1.0, p["R"]), omega=spec.omega)
         probe = np.linspace(mid, spec.x_end, 17)
         free_psi = freewave.psi_free(state, probe, 0.1)
         pot_psi = potential.psi_potential(spec, Branch.INCOMING, probe, 0.1,

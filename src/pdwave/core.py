@@ -48,15 +48,36 @@ DEFAULT_CONSTANTS = PhysicalConstants()
 
 
 class Branch(enum.Enum):
-    """Side of the measurement point a traveling wave occupies.
+    """Side of the arrival line t = tau(x) a traveling wave occupies.
 
-    INCOMING waves live on x >= v*t and decay toward +infinity; OUTGOING
-    waves live on x <= v*t and decay toward -infinity.  The two branches
-    coincide with a plane wave on the line x = v*t.
+    INCOMING waves live on t <= tau(x), OUTGOING waves on t >= tau(x); a
+    free wave has tau(x) = x/v, so INCOMING lives on x >= v*t.  The two
+    branches coincide with a plane wave on the arrival line.
     """
 
     INCOMING = "incoming"
     OUTGOING = "outgoing"
+
+    @property
+    def sign(self) -> int:
+        """+1 incoming, -1 outgoing: the sign of t - tau(x) in the envelope."""
+        return 1 if self is Branch.INCOMING else -1
+
+
+def envelope_lag(branch: Branch, t: float, tau, guard: float = 0.0):
+    """Signed lag sign*(t - tau) of probes with arrival times tau at time t.
+
+    The lag is at most 0 on the branch's side of the arrival line.  Raises
+    RegionError when any lag exceeds 1e-9*max(1, |t|, max|tau|) - guard, so
+    a positive guard keeps every probe that far clear of the line.
+    """
+    tau = np.asarray(tau, dtype=float)
+    lag = branch.sign * (t - tau)
+    slack = 1e-9 * max(1.0, abs(t), float(np.max(np.abs(tau))))
+    if np.any(lag > slack - guard):
+        raise RegionError(f"{branch.value} probe at t = {t} lags {float(np.max(lag))} "
+                          f"past its arrival line t = tau(x), margin {guard}")
+    return lag
 
 
 def dispersion_omega(

@@ -14,12 +14,11 @@ import numpy as np
 
 from .core import (
     DEFAULT_CONSTANTS,
-    Branch,
     FreeWaveParams,
     PhysicalConstants,
-    RegionError,
     _panel_quadrature,
     dispersion_omega,
+    envelope_lag,
 )
 
 __all__ = [
@@ -33,9 +32,6 @@ __all__ = [
     "normalize_state",
     "schrodinger_residual",
 ]
-
-# Slack for deciding whether a probe sits on the allowed side of x = v*t.
-_REGION_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -67,35 +63,6 @@ def min_momentum(
     return (p, -p)
 
 
-def _check_region(params: FreeWaveParams, x, t: float) -> None:
-    """Reject probes on the wrong side of the measurement point x = v*t."""
-    x = np.asarray(x, dtype=float)
-    seam = params.v * t
-    slack = _REGION_RTOL * max(1.0, abs(seam), float(np.max(np.abs(x))))
-    if params.branch is Branch.INCOMING:
-        if np.any(x < seam - slack):
-            raise RegionError(
-                f"incoming wave requires x >= v*t = {seam}; got min x = {x.min()}"
-            )
-    else:
-        if np.any(x > seam + slack):
-            raise RegionError(
-                f"outgoing wave requires x <= v*t = {seam}; got max x = {x.max()}"
-            )
-
-
-def _envelope_lag(params: FreeWaveParams, x, t: float):
-    """Signed lag behind the peak: t - x/v incoming, x/v - t outgoing.
-
-    Probes on the wrong side of the measurement point are rejected first.
-    """
-    _check_region(params, x, t)
-    xs = np.asarray(x, dtype=float)
-    if params.branch is Branch.INCOMING:
-        return t - xs / params.v
-    return xs / params.v - t
-
-
 def psi_free(params: FreeWaveParams, x, t: float):
     """Wave function of the free state at (x, t); x may be an array.
 
@@ -103,8 +70,8 @@ def psi_free(params: FreeWaveParams, x, t: float):
     outgoing: exp[(R/2)(x/v - t)] * exp[i(kx - omega*t)].
     On x = v*t both agree with the plane wave exp[i(kx - omega*t)].
     """
-    envelope = np.exp(0.5 * params.R * _envelope_lag(params, x, t))
     xs = np.asarray(x, dtype=float)
+    envelope = np.exp(0.5 * params.R * envelope_lag(params.branch, t, xs / params.v))
     phase = np.exp(1j * (params.k * xs - params.omega * t))
     out = envelope * phase
     return complex(out) if np.isscalar(x) else out
@@ -112,7 +79,8 @@ def psi_free(params: FreeWaveParams, x, t: float):
 
 def prob_density_free(params: FreeWaveParams, x, t: float):
     """Probability density |psi|^2, evaluated from the envelope directly."""
-    out = np.exp(params.R * _envelope_lag(params, x, t))
+    tau = np.asarray(x, dtype=float) / params.v
+    out = np.exp(params.R * envelope_lag(params.branch, t, tau))
     return float(out) if np.isscalar(x) else out
 
 
@@ -149,7 +117,7 @@ def normalize_state(params: FreeWaveParams) -> FreeWaveParams:
 
 def _analytic_rates(params: FreeWaveParams) -> tuple[complex, complex]:
     """Return (beta, alpha) with psi_t = beta*psi and psi_x = alpha*psi."""
-    sign = 1.0 if params.branch is Branch.INCOMING else -1.0
+    sign = params.branch.sign
     beta = sign * 0.5 * params.R - 1j * params.omega
     alpha = -sign * 0.5 * params.R / params.v + 1j * params.k
     return beta, alpha
@@ -179,7 +147,6 @@ def schrodinger_residual(
     c = hbar * hbar / (2.0 * m)
 
     if method == "analytic":
-        _check_region(params, xs, t)
         beta, alpha = _analytic_rates(params)
         psi = psi_free(params, xs, t)
         res = np.abs((1j * hbar * beta + c * alpha * alpha) * psi)
@@ -194,16 +161,10 @@ def schrodinger_residual(
     if method != "fd":
         raise ValueError(f"unknown method {method!r}")
 
-    # Guard band: the whole stencil must sit in one branch, three steps clear
-    # of the kink at x = v*t.
-    seam_lo = params.v * (t - h_t)
-    seam_hi = params.v * (t + h_t)
-    if params.branch is Branch.INCOMING:
-        if xs.min() - h_x < max(seam_lo, seam_hi) + 3.0 * h_x:
-            raise RegionError("finite-difference stencil straddles the measurement point")
-    else:
-        if xs.max() + h_x > min(seam_lo, seam_hi) - 3.0 * h_x:
-            raise RegionError("finite-difference stencil straddles the measurement point")
+    # Guard band: the stencil corner nearest the kink stays three x-steps clear.
+    sign = params.branch.sign
+    envelope_lag(params.branch, t + sign * h_t, (xs - sign * h_x) / params.v,
+                 guard=3.0 * h_x / params.v)
 
     d_t = (psi_free(params, xs, t + h_t) - psi_free(params, xs, t - h_t)) / (2.0 * h_t)
     psi0 = psi_free(params, xs, t)

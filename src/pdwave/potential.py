@@ -21,7 +21,7 @@ from .core import (
     Branch,
     ConvergenceError,
     PhysicalConstants,
-    RegionError,
+    envelope_lag,
 )
 from .freewave import Grid1D
 
@@ -140,31 +140,15 @@ def _phase(spec: PotentialSpec, x):
     return spec._phase_spline(x) - spec._phase_spline(spec.x_start)
 
 
-def _envelope_lag(spec: PotentialSpec, branch: Branch, x, t: float):
-    """Signed lag behind the peak: t - tau(x) incoming, tau(x) - t outgoing.
-
-    Probes on the wrong side of the arrival time are rejected first.
-    """
-    tau = np.asarray(arrival_time(spec, x))
-    slack = 1e-9 * max(1.0, float(np.max(np.abs(tau))), abs(t))
-    if branch is Branch.INCOMING:
-        if np.any(t > tau + slack):
-            raise RegionError("incoming wave requires t <= arrival time at x")
-        return t - tau
-    if np.any(t < tau - slack):
-        raise RegionError("outgoing wave requires t >= arrival time at x")
-    return tau - t
-
-
 def psi_potential(spec: PotentialSpec, branch: Branch, x, t: float, x_mp=None):
     """Wave function of the potential state at (x, t).
 
     |k_mp/k(x)|^(1/2) * exp[+-(R/2)(t - tau(x))] * exp[i(phase(x) - omega*t)],
     where tau is the arrival-time integral and k_mp = k at the measurement
     point ``x_mp`` (defaults to the probe x, which pins |psi| = 1 on
-    arrival there).
+    arrival there).  Probes on the wrong side of arrival raise RegionError.
     """
-    lag = _envelope_lag(spec, branch, x, t)
+    lag = envelope_lag(branch, t, arrival_time(spec, x))
     xs = np.asarray(x, dtype=float)
     k_here = spec.k_at(xs)
     k_mp = spec.k_at(x_mp) if x_mp is not None else k_here
@@ -177,7 +161,7 @@ def psi_potential(spec: PotentialSpec, branch: Branch, x, t: float, x_mp=None):
 
 def prob_density_potential(spec: PotentialSpec, branch: Branch, x, t: float, x_mp=None):
     """Probability density (k_mp/|k(x)|) * exp[+-R(t - tau(x))]."""
-    lag = _envelope_lag(spec, branch, x, t)
+    lag = envelope_lag(branch, t, arrival_time(spec, x))
     xs = np.asarray(x, dtype=float)
     k_here = spec.k_at(xs)
     k_mp = spec.k_at(x_mp) if x_mp is not None else k_here
@@ -209,16 +193,10 @@ def continuity_residual(
         def density(x_, t_):
             return prob_density_potential(spec, branch, x_, t_, x_mp=x_mp)
 
+    # Guard band: the stencil corner nearest the arrival line stays clear of it.
     v_min = float(np.min(spec.v_at(np.linspace(spec.x_start, spec.x_end, 256))))
-    guard = 3.0 * max(h_t, h_x / v_min)
-    tau_lo = np.min(arrival_time(spec, xs - h_x))
-    tau_hi = np.max(arrival_time(spec, xs + h_x))
-    if branch is Branch.INCOMING:
-        if t + h_t > tau_lo - guard:
-            raise RegionError("stencil straddles the measurement point")
-    else:
-        if t - h_t < tau_hi + guard:
-            raise RegionError("stencil straddles the measurement point")
+    envelope_lag(branch, t + branch.sign * h_t, arrival_time(spec, xs - branch.sign * h_x),
+                 guard=3.0 * max(h_t, h_x / v_min))
 
     dP_dt = (density(xs, t + h_t) - density(xs, t - h_t)) / (2.0 * h_t)
     flux_plus = density(xs + h_x, t) * spec.v_at(xs + h_x)

@@ -99,6 +99,36 @@ def test_entropy_outputs_closed_form_rows(tmp_path):
     assert "2.000000000000,0.000000000000,1" in rows
 
 
+def _run_potential_wave_check(tmp_path, entries):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[potential-wave]\nprofile = constant\n{entries}\n")
+    out = tmp_path / "out"
+    code = cli.main(["--scenario", "potential-wave", "--config", str(cfg),
+                     "--out", str(out), "--check"])
+    return code, json.loads((out / "report.json").read_text())
+
+
+@pytest.mark.parametrize("R, omega", [(0.1, 0.375), (0.5, 0.375), (2.0, 0.375),
+                                      (3.0, 0.375), (1.0, 0.2), (2.0, -1.5)])
+def test_constant_profile_degenerates_to_the_free_wave(R, omega, tmp_path):
+    # The free wave is built with the spec's omega, so both sides are one state.
+    code, report = _run_potential_wave_check(tmp_path, f"R = {R}\nomega = {omega}")
+    assert code == 0
+    check = next(c for c in report["checks"] if c["name"] == "degeneration_matches_free_wave")
+    assert check["value"] == 0.0
+
+
+def test_degeneration_check_catches_a_skewed_arrival_time(tmp_path, monkeypatch, capsys):
+    arrival_time = cli.potential.arrival_time
+    monkeypatch.setattr(cli.potential, "arrival_time",
+                        lambda spec, x: 1.01 * arrival_time(spec, x))
+    code, report = _run_potential_wave_check(tmp_path, "R = 1.0")
+    assert code == 3
+    assert "degeneration_matches_free_wave" in capsys.readouterr().err
+    failed = {c["name"] for c in report["checks"] if not c["passed"]}
+    assert "degeneration_matches_free_wave" in failed
+
+
 def test_ensemble_csv_schema(tmp_path):
     cli.main(["--scenario", "ensemble", "--out", str(tmp_path), "--seed", "1"])
     rows = (tmp_path / "ensemble.csv").read_text().splitlines()

@@ -9,7 +9,9 @@ from pdwave.core import (
     EigenRecord,
     FreeWaveParams,
     PhysicalConstants,
+    RegionError,
     dispersion_omega,
+    envelope_lag,
     make_free_state,
 )
 
@@ -106,3 +108,30 @@ def test_off_shell_construction_allowed_for_diagnostics():
 def test_normalized_flag():
     assert make_free_state(2.0, 2.0).is_normalized
     assert not make_free_state(2.0, 1.0).is_normalized
+
+
+def test_branch_sign():
+    assert (Branch.INCOMING.sign, Branch.OUTGOING.sign) == (1, -1)
+
+
+def test_envelope_lag_sides():
+    # Incoming probes lie before their arrival times, outgoing ones after.
+    assert envelope_lag(Branch.INCOMING, 1.0, [1.0, 3.0]).tolist() == [0.0, -2.0]
+    assert envelope_lag(Branch.OUTGOING, 3.0, [1.0, 3.0]).tolist() == [-2.0, 0.0]
+    with pytest.raises(RegionError):
+        envelope_lag(Branch.INCOMING, 1.5, [1.0, 3.0])
+    with pytest.raises(RegionError):
+        envelope_lag(Branch.OUTGOING, 2.0, [1.0, 3.0])
+
+
+def test_envelope_lag_slack_and_guard():
+    # Slack 1e-9*max(1, |t|, max|tau|) forgives rounding; a guard keeps probes clear.
+    assert envelope_lag(Branch.INCOMING, 1.0 + 9e-10, 1.0) > 0.0
+    with pytest.raises(RegionError):
+        envelope_lag(Branch.INCOMING, 1.0 + 2e-9, 1.0)
+    assert envelope_lag(Branch.INCOMING, 100.0 + 9e-8, 100.0) > 0.0
+    assert envelope_lag(Branch.INCOMING, 1.0, [1.5, 2.0], guard=0.5).tolist() == [-0.5, -1.0]
+    with pytest.raises(RegionError, match="incoming"):
+        envelope_lag(Branch.INCOMING, 1.0, [1.4, 2.0], guard=0.5)
+    with pytest.raises(RegionError, match="outgoing"):
+        envelope_lag(Branch.OUTGOING, 2.0, [1.6, 0.0], guard=0.5)

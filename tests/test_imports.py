@@ -1,0 +1,56 @@
+"""Every import in the package source is used.
+
+A name counts as used when the module reads it (an ``ast.Name`` anywhere in
+the tree) or exports it in ``__all__``.  ``from __future__`` imports and the
+``from . import`` submodule imports of ``__init__.py`` are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "pdwave").glob("*.py"))
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def unused_imports(source: str, is_init: bool = False) -> list[str]:
+    """Names that ``source`` imports and never reads or exports."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "__future__" or (is_init and node.level and node.module is None):
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    keep = read | _exported(tree)
+    return [f"{name} (line {line})" for name, line in sorted(imported.items())
+            if name not in keep]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(), path.name == "__init__.py") == []
+
+
+def test_detector_flags_a_leftover_import():
+    source = "from .core import Branch, envelope_lag\n\nlag = envelope_lag\n"
+    assert unused_imports(source) == ["Branch (line 1)"]
+    assert unused_imports("from __future__ import annotations\nimport numpy as np\n") == [
+        "np (line 2)"
+    ]
+    assert unused_imports("from . import core\n", is_init=True) == []
+    assert unused_imports("from . import core\n") == ["core (line 1)"]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from pdwave.core import Branch, ConvergenceError, RegionError, make_free_state
@@ -100,6 +102,37 @@ class TestWaves:
             pot.psi_potential(spec, Branch.INCOMING, 1.0, 2.0)
         with pytest.raises(RegionError):
             pot.prob_density_potential(spec, Branch.OUTGOING, 3.0, 1.0)
+
+
+class TestSharedArrivalRule:
+    """A free wave and a constant-k state of the same speed obey one side-of-arrival rule."""
+
+    @given(v=st.floats(0.1, 10.0), R=st.floats(0.01, 10.0), t=st.floats(0.0, 4.0))
+    def test_boundary_of_both_families(self, v, R, t):
+        spec = constant_spec(v=v, R=R, x1=50.0 * v, n=64)
+        x = v * t
+        free_on_line = x / v  # the free wave's tau(x), so the lag is exactly 0
+        pot_on_line = pot.arrival_time(spec, x)
+        for branch in Branch:
+            state = make_free_state(v, R, branch=branch)
+            assert fw.prob_density_free(state, x, free_on_line) == 1.0
+            assert pot.prob_density_potential(spec, branch, x, pot_on_line) == 1.0
+            for tau, densities in (
+                (free_on_line, (lambda t_: fw.psi_free(state, x, t_),
+                                lambda t_: fw.prob_density_free(state, x, t_))),
+                (pot_on_line, (lambda t_: pot.psi_potential(spec, branch, x, t_),
+                               lambda t_: pot.prob_density_potential(spec, branch, x, t_))),
+            ):
+                past = tau + branch.sign * 1e-6 * max(1.0, tau)
+                for density in densities:
+                    with pytest.raises(RegionError):
+                        density(past)
+
+    @given(v=st.floats(0.1, 10.0), R=st.floats(0.01, 10.0), t=st.floats(0.0, 4.0))
+    def test_outgoing_density_is_the_free_envelope_bit_for_bit(self, v, R, t):
+        state = make_free_state(v, R, branch=Branch.OUTGOING)
+        xs = np.linspace(v * t - 3.0, v * t, 9)
+        assert np.array_equal(fw.prob_density_free(state, xs, t), np.exp(R * (xs / v - t)))
 
 
 class TestContinuity:

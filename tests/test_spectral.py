@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,47 @@ from pdwave import spectral as sp
 CANON = make_free_state(1.0, 1.0)
 GRID_A = np.linspace(0.1, 1.0, 7)
 GRID_B = np.linspace(1.3, 2.0, 7)
+
+
+def _commutator_loop(pair, state, probe_grid, h=5e-3):
+    """Reference: ``commutator_check`` one probe point at a time, with cmath.
+
+    np.exp and cmath.exp may differ in the last bit, which the second
+    difference over h = 5e-3 magnifies by about 1/h^2 = 4e4; comparisons with
+    this loop therefore allow 1e-9.
+    """
+    hbar, m = state.constants.hbar, state.constants.mass
+    values = []
+    for x in probe_grid:
+        z = complex(x, x)
+
+        def psi(u):
+            return cmath.exp(1j * state.k * u)
+
+        if pair == "XcPc":
+            ab = z * (-1j * hbar) * sp._d1(psi, z, h)
+            ba = -1j * hbar * sp._d1(lambda u: u * psi(u), z, h)
+        else:
+            c = -hbar * hbar / (2.0 * m)
+            ab = (z / state.v) * c * sp._d2(psi, z, h)
+            ba = c * sp._d2(lambda u: (u / state.v) * psi(u), z, h)
+        values.append((ab - ba) / psi(z))
+    return complex(np.mean(values))
+
+
+def _residual_loop(state, probe_grid, t, h=5e-3):
+    """Reference: ``complex_schrodinger_residual`` one probe point at a time, with cmath."""
+    hbar, m = state.constants.hbar, state.constants.mass
+    t_c = t * (1.0 + 1.0j)
+    worst = 0.0
+    for x in probe_grid:
+        z = complex(x, x)
+        lhs = -(hbar * hbar / (2.0 * m)) * sp._d2(
+            lambda u: cmath.exp(1j * state.k * u - 1j * state.omega * t_c), z, h)
+        rhs = 1j * hbar * sp._d1(
+            lambda u: cmath.exp(1j * state.k * z - 1j * state.omega * u), t_c, h)
+        worst = max(worst, abs(lhs - rhs))
+    return worst
 
 
 class TestApplyObservable:
@@ -106,6 +148,22 @@ class TestCommutators:
         with pytest.raises(ValueError):
             sp.commutator_check("PcXc", CANON, GRID_A)
 
+    def test_matches_the_pointwise_cmath_loop(self):
+        state = make_free_state(1.7, 0.4, PhysicalConstants(hbar=0.8, mass=1.3))
+        for pair in ("XcPc", "TcHc"):
+            for s, grid in ((CANON, GRID_A), (state, GRID_B)):
+                expected = _commutator_loop(pair, s, grid)
+                assert abs(sp.commutator_check(pair, s, grid) - expected) < 1e-9
+
+    def test_underflow_names_first_offending_point(self):
+        # |psi| = exp(-k x) on the canonical line drops below 1e-300 past x ~ 691.
+        with pytest.raises(ValueError, match=re.escape("probe point (800+800j)")):
+            sp.commutator_check("XcPc", CANON, [0.5, 800.0, 900.0])
+
+    def test_overflow_raises(self):
+        with pytest.raises(OverflowError):
+            sp.commutator_check("TcHc", CANON, [0.5, -800.0])
+
 
 class TestPsiComplex:
     def test_origin(self):
@@ -137,6 +195,17 @@ class TestComplexResidual:
     def test_vanishes_for_plane_dispersion(self):
         state = dataclasses.replace(CANON, omega=0.5)
         assert sp.complex_schrodinger_residual(state, GRID_A) < 1e-10
+
+    def test_matches_the_pointwise_cmath_loop(self):
+        state = make_free_state(1.7, 0.4, PhysicalConstants(hbar=0.8, mass=1.3))
+        for s, grid, t in ((CANON, GRID_A, 0.0), (state, GRID_B, 0.4)):
+            expected = _residual_loop(s, grid, t)
+            assert abs(sp.complex_schrodinger_residual(s, grid, t) - expected) < 1e-9
+        assert sp.complex_schrodinger_residual(CANON, []) == 0.0
+
+    def test_overflow_raises(self):
+        with pytest.raises(OverflowError):
+            sp.complex_schrodinger_residual(CANON, [-800.0])
 
     def test_quantum_potential_gap(self):
         # With the envelope dispersion the residual equals the vanished
