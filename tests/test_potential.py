@@ -117,16 +117,15 @@ class TestSharedArrivalRule:
             state = make_free_state(v, R, branch=branch)
             assert fw.prob_density_free(state, x, free_on_line) == 1.0
             assert pot.prob_density_potential(spec, branch, x, pot_on_line) == 1.0
-            for tau, densities in (
-                (free_on_line, (lambda t_: fw.psi_free(state, x, t_),
-                                lambda t_: fw.prob_density_free(state, x, t_))),
-                (pot_on_line, (lambda t_: pot.psi_potential(spec, branch, x, t_),
-                               lambda t_: pot.prob_density_potential(spec, branch, x, t_))),
-            ):
-                past = tau + branch.sign * 1e-6 * max(1.0, tau)
-                for density in densities:
-                    with pytest.raises(RegionError):
-                        density(past)
+            # 1e-6 (relative) past the line: later for incoming, earlier for outgoing.
+            free_past = free_on_line + branch.sign * 1e-6 * max(1.0, free_on_line)
+            pot_past = pot_on_line + branch.sign * 1e-6 * max(1.0, pot_on_line)
+            for probe in (lambda: fw.psi_free(state, x, free_past),
+                          lambda: fw.prob_density_free(state, x, free_past),
+                          lambda: pot.psi_potential(spec, branch, x, pot_past),
+                          lambda: pot.prob_density_potential(spec, branch, x, pot_past)):
+                with pytest.raises(RegionError):
+                    probe()
 
     @given(v=st.floats(0.1, 10.0), R=st.floats(0.01, 10.0), t=st.floats(0.0, 4.0))
     def test_outgoing_density_is_the_free_envelope_bit_for_bit(self, v, R, t):
