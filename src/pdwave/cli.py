@@ -78,10 +78,13 @@ class ScenarioConfig:
 # Output helpers
 
 
-def _format_float(x: float) -> str:
-    if x != 0.0 and (abs(x) >= 1e16 or abs(x) < 1e-12):
-        return f"{x:.12e}"
-    return f"{x:.12f}"
+def _csv_floats(a: np.ndarray) -> list:
+    """CSV cells of a float column: 12 decimals, scientific if 0 < |x| < 1e-12 or |x| >= 1e16."""
+    x = a.astype(float, copy=False)
+    cells = ("%.12f\n" * x.size % tuple(x.tolist())).splitlines()
+    for i in np.flatnonzero((x != 0.0) & ((np.abs(x) >= 1e16) | (np.abs(x) < 1e-12))):
+        cells[i] = f"{x[i]:.12e}"
+    return cells
 
 
 def _require_finite(path: Path, rows) -> None:
@@ -98,9 +101,9 @@ def emit_output(table: dict, fmt: str, path) -> Path:
     A column is an array or a list; a scalar is repeated down its column.
     CSV: UTF-8, comma separated, one header row, floats at 12 digits after
     the point, complex columns split into ``_re``/``_im`` column pairs.
-    JSON: ``{"records": [...]}``, one object per row, with full-precision
-    floats (round-trips bit-exactly) and sorted keys.  NaN or inf raises
-    FloatingPointError.
+    JSON: ``{"records": [...]}``, one object per row, in the bytes of ``json.dumps(...,
+    sort_keys=True, indent=1)``: sorted keys, one-space indent and ``repr`` floats
+    (round-trip bit-exactly).  NaN or inf raises FloatingPointError.
     """
     path = Path(path)
     lengths = {np.size(c) for c in table.values() if np.ndim(c)}
@@ -117,17 +120,19 @@ def emit_output(table: dict, fmt: str, path) -> Path:
                 raise FloatingPointError(f"{path.name}: {name} = {bad} is not finite")
             columns[name] = part
     if fmt == "csv":
-        cells = [map(_format_float if a.dtype.kind == "f" else str, a.tolist())
+        cells = [_csv_floats(a) if a.dtype.kind == "f" else map(str, a.tolist())
                  for a in columns.values()]
         lines = [",".join(columns), *map(",".join, zip(*cells))]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     elif fmt == "json":
-        rows = zip(*(a.tolist() for a in columns.values()))
-        records = [dict(zip(columns, row)) for row in rows]
-        path.write_text(
-            json.dumps({"records": records}, sort_keys=True, indent=1) + "\n",
-            encoding="utf-8",
-        )
+        reprs = {"f": float.__repr__, "i": int.__repr__, "u": int.__repr__}
+        keys = sorted(columns)
+        cells = [map(reprs.get(columns[k].dtype.kind, json.dumps), columns[k].tolist())
+                 for k in keys]
+        fields = ",\n".join(f"   {json.dumps(k).replace('%', '%%')}: %s" for k in keys)
+        records = ",\n".join(map(f"  {{\n{fields}\n  }}".__mod__, zip(*cells)))
+        body = f"[\n{records}\n ]" if records else "[]"
+        path.write_text(f'{{\n "records": {body}\n}}\n', encoding="utf-8")
     else:
         raise ConfigError(f"unknown output format {fmt!r}")
     return path

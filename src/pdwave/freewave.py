@@ -63,6 +63,14 @@ def min_momentum(
     return (p, -p)
 
 
+def _lag(params: FreeWaveParams, t: float, x, guard_x: float = 0.0):
+    """``envelope_lag`` at tau = x/v, with the guard in x units; at v = 0 nothing arrives."""
+    if params.v == 0.0:
+        raise ValueError("free wave needs v > 0: at v = 0 there is no arrival line x = v*t")
+    tau = np.asarray(x, dtype=float) / params.v
+    return envelope_lag(params.branch, t, tau, guard_x / params.v)
+
+
 def psi_free(params: FreeWaveParams, x, t: float):
     """Wave function of the free state at (x, t); x may be an array.
 
@@ -71,7 +79,7 @@ def psi_free(params: FreeWaveParams, x, t: float):
     On x = v*t both agree with the plane wave exp[i(kx - omega*t)].
     """
     xs = np.asarray(x, dtype=float)
-    envelope = np.exp(0.5 * params.R * envelope_lag(params.branch, t, xs / params.v))
+    envelope = np.exp(0.5 * params.R * _lag(params, t, xs))
     phase = np.exp(1j * (params.k * xs - params.omega * t))
     out = envelope * phase
     return complex(out) if np.isscalar(x) else out
@@ -79,8 +87,7 @@ def psi_free(params: FreeWaveParams, x, t: float):
 
 def prob_density_free(params: FreeWaveParams, x, t: float):
     """Probability density |psi|^2, evaluated from the envelope directly."""
-    tau = np.asarray(x, dtype=float) / params.v
-    out = np.exp(params.R * envelope_lag(params.branch, t, tau))
+    out = np.exp(params.R * _lag(params, t, x))
     return float(out) if np.isscalar(x) else out
 
 
@@ -147,8 +154,8 @@ def schrodinger_residual(
     c = hbar * hbar / (2.0 * m)
 
     if method == "analytic":
-        beta, alpha = _analytic_rates(params)
         psi = psi_free(params, xs, t)
+        beta, alpha = _analytic_rates(params)
         res = np.abs((1j * hbar * beta + c * alpha * alpha) * psi)
         if relative:
             scale = np.maximum(
@@ -163,8 +170,7 @@ def schrodinger_residual(
 
     # Guard band: the stencil corner nearest the kink stays three x-steps clear.
     sign = params.branch.sign
-    envelope_lag(params.branch, t + sign * h_t, (xs - sign * h_x) / params.v,
-                 guard=3.0 * h_x / params.v)
+    _lag(params, t + sign * h_t, xs - sign * h_x, guard_x=3.0 * h_x)
 
     d_t = (psi_free(params, xs, t + h_t) - psi_free(params, xs, t - h_t)) / (2.0 * h_t)
     psi0 = psi_free(params, xs, t)

@@ -172,6 +172,8 @@ def commutator_check(
     """
     hbar, m = state.constants.hbar, state.constants.mass
     z = np.asarray(probe_grid, dtype=float) * (1.0 + 1.0j)
+    if z.size == 0:
+        raise ValueError("probe grid is empty")
 
     def psi(u):
         return _exp(1j * state.k * u)
@@ -204,11 +206,13 @@ def complex_schrodinger_residual(
     """
     hbar, m = state.constants.hbar, state.constants.mass
     z = np.asarray(probe_grid, dtype=float) * (1.0 + 1.0j)
+    if z.size == 0:
+        raise ValueError("probe grid is empty")
     t_c = t * (1.0 + 1.0j)
     lhs = -(hbar * hbar / (2.0 * m)) * _d2(
         lambda u: _exp(1j * state.k * u - 1j * state.omega * t_c), z, h)
     rhs = 1j * hbar * _d1(lambda u: _exp(1j * state.k * z - 1j * state.omega * u), t_c, h)
-    return float(np.max(np.abs(lhs - rhs), initial=0.0))
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 @dataclass(frozen=True)

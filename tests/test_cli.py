@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 import os
 import re
 import subprocess
@@ -667,8 +668,6 @@ class TestEmitOutput:
         assert not (tmp_path / "report.json").exists()
 
     def test_json_round_trip_bit_exact(self, tmp_path):
-        import math
-
         path = tmp_path / "x.json"
         values = {"a": math.pi, "b": 1.0 / 3.0, "c": 2.0 ** -52, "z": 0.1 + 0.2j}
         cli.emit_output(values, "json", path)  # scalars: a one-row table
@@ -678,3 +677,85 @@ class TestEmitOutput:
         assert loaded["c"] == 2.0 ** -52
         assert loaded["z_re"] == (0.1 + 0.2j).real
         assert loaded["z_im"] == (0.1 + 0.2j).imag
+
+
+def _old_format_float(x: float) -> str:
+    if x != 0.0 and (abs(x) >= 1e16 or abs(x) < 1e-12):
+        return f"{x:.12e}"
+    return f"{x:.12f}"
+
+
+def _old_emit_text(table: dict, fmt: str) -> str:
+    """Reference writer: per-row dicts through ``json.dumps``, per-cell ``_old_format_float``."""
+    lengths = {np.size(c) for c in table.values() if np.ndim(c)}
+    n = lengths.pop() if lengths else 1
+    columns = {}
+    for key, column in table.items():
+        a = np.broadcast_to(column, (n,))
+        parts = {f"{key}_re": a.real, f"{key}_im": a.imag} if a.dtype.kind == "c" else {key: a}
+        columns.update(parts)
+    if fmt == "csv":
+        cells = [map(_old_format_float if a.dtype.kind == "f" else str, a.tolist())
+                 for a in columns.values()]
+        return "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
+    records = [dict(zip(columns, row)) for row in zip(*(a.tolist() for a in columns.values()))]
+    return json.dumps({"records": records}, sort_keys=True, indent=1) + "\n"
+
+
+# Subnormals, signed zeros, the ends of the float range and both sides of the
+# two thresholds where the CSV writer switches to scientific notation.
+_EDGE_FLOATS = [
+    v for x in (5e-324, 2.2250738585072014e-308, 1e-310, 0.0, 1e-300, 1e300,
+                1.7976931348623157e308, 1e-12, 1e16, 0.1, 1.0 / 3.0)
+    for y in (x, math.nextafter(x, 0.0), math.nextafter(x, math.inf))
+    for v in (y, -y) if math.isfinite(v)
+]
+_floats = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+_texts = st.text(st.characters(exclude_categories=("Cs",)), max_size=6)
+_CELLS = {
+    "float": _floats,
+    "int": st.integers(-(2**63), 2**63 - 1),
+    "bool": st.booleans(),
+    "str": st.one_of(_texts, st.sampled_from(["π≈3.14", "ünïcödé", "日本", "a%sb", '"\\\n'])),
+    "complex": st.builds(complex, _floats, _floats),
+}
+
+
+@st.composite
+def _tables(draw):
+    n = draw(st.one_of(st.just(0), st.just(1), st.integers(2, 50)))
+    keys = draw(st.lists(st.one_of(_texts.filter(bool), st.sampled_from(["x", "P", "psi"])),
+                         min_size=1, max_size=6, unique=True))
+    table = {}
+    for key in keys:
+        kind = draw(st.sampled_from(sorted(_CELLS)))
+        if draw(st.integers(0, 4)) == 0:  # a broadcast scalar
+            table[key] = draw(_CELLS[kind])
+        else:
+            table[key] = draw(st.lists(_CELLS[kind], min_size=n, max_size=n))
+    return table
+
+
+@settings(max_examples=400, deadline=None)
+@given(table=_tables(), fmt=st.sampled_from(["csv", "json"]))
+def test_emit_output_bytes_match_the_row_wise_reference_writer(table, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = cli.emit_output(table, fmt, Path(tmp) / f"t.{fmt}")
+        assert path.read_bytes() == _old_emit_text(table, fmt).encode("utf-8")
+
+
+def test_json_emit_never_reaches_the_pure_python_encoder(tmp_path, monkeypatch):
+    # Any indent sends json.dumps onto the pure-Python _iterencode path.
+    def refuse(*args, **kwargs):
+        raise AssertionError("emit_output reached json's pure-Python encoder")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    n = 2000
+    x = np.linspace(-1.0, 1.0, n)
+    table = {"x": x, "i": np.arange(n), "label": "ψ-wave", "psi": np.exp(1j * x)}
+    path = cli.emit_output(table, "json", tmp_path / "t.json")
+    records = json.loads(path.read_text(encoding="utf-8"))["records"]
+    assert len(records) == n
+    last = table["psi"][-1]
+    assert records[-1] == {"i": n - 1, "label": "ψ-wave", "psi_im": last.imag,
+                           "psi_re": last.real, "x": 1.0}

@@ -155,6 +155,11 @@ class TestCommutators:
                 expected = _commutator_loop(pair, s, grid)
                 assert abs(sp.commutator_check(pair, s, grid) - expected) < 1e-9
 
+    @pytest.mark.parametrize("pair", ["XcPc", "TcHc"])
+    def test_empty_probe_grid_raises(self, pair):
+        with pytest.raises(ValueError, match="probe grid is empty"):
+            sp.commutator_check(pair, CANON, np.array([]))
+
     def test_underflow_names_first_offending_point(self):
         # |psi| = exp(-k x) on the canonical line drops below 1e-300 past x ~ 691.
         with pytest.raises(ValueError, match=re.escape("probe point (800+800j)")):
@@ -201,7 +206,10 @@ class TestComplexResidual:
         for s, grid, t in ((CANON, GRID_A, 0.0), (state, GRID_B, 0.4)):
             expected = _residual_loop(s, grid, t)
             assert abs(sp.complex_schrodinger_residual(s, grid, t) - expected) < 1e-9
-        assert sp.complex_schrodinger_residual(CANON, []) == 0.0
+
+    def test_empty_probe_grid_raises(self):
+        with pytest.raises(ValueError, match="probe grid is empty"):
+            sp.complex_schrodinger_residual(CANON, [])
 
     def test_overflow_raises(self):
         with pytest.raises(OverflowError):
