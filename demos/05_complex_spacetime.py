@@ -44,10 +44,10 @@ print("quantum potential gap:", an.quantum_potential(state, 3.0, 1.0))
 
 # The densities are entire, so closed contours integrate to zero and open
 # paths depend only on endpoints.
-square = an.Contour(np.array([0, 1, 1 + 1j, 1j, 0], dtype=complex), closed=True)
-print("\nclosed square integral:", abs(an.contour_integral("IncomingP1", state, square)))
+square = an.Contour(np.array([0, 1, 1 + 1j, 1j, 0], dtype=complex))
+print("\nclosed square integral:", abs(an.contour_integral(state, square)))
 seg = an.Contour(np.array([0, 1], dtype=complex))
-print("straight segment 0->1:", an.contour_integral("IncomingP1", state, seg).real,
+print("straight segment 0->1:", an.contour_integral(state, seg).real,
       " (1 - 1/e =", 1 - np.exp(-1.0), ")")
 
 # Variance of a complex observable splits exactly between its parts.

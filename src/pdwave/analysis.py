@@ -106,21 +106,25 @@ def heisenberg_check(
 
 @dataclass(frozen=True, eq=False)
 class Contour:
-    """Polyline of complex positions at a fixed complex time."""
+    """Polyline of complex positions at a fixed complex time.
+
+    The contour is closed when its last vertex returns to its first.
+    """
 
     vertices: np.ndarray
     t_c: complex = 0.0
-    closed: bool = False
 
     def __post_init__(self) -> None:
         v = np.asarray(self.vertices, dtype=complex)
         if v.ndim != 1 or v.size < 2:
             raise ValueError("need at least two vertices")
-        endpoints_match = abs(v[0] - v[-1]) < 1e-15 * max(1.0, abs(v[0]))
-        if self.closed != endpoints_match:
-            raise ValueError("closed flag inconsistent with first == last vertex")
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
+
+    @property
+    def closed(self) -> bool:
+        v = self.vertices
+        return bool(abs(v[0] - v[-1]) < 1e-15 * max(1.0, abs(v[0])))
 
     @classmethod
     def from_csv(cls, path, t_c: complex = 0.0) -> "Contour":
@@ -128,17 +132,7 @@ class Contour:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         if data.shape[1] != 2:
             raise ValueError("contour CSV must have columns re_x, im_x")
-        v = data[:, 0] + 1j * data[:, 1]
-        closed = bool(abs(v[0] - v[-1]) < 1e-15 * max(1.0, abs(v[0])))
-        return cls(vertices=v, t_c=t_c, closed=closed)
-
-
-def _density_function(density: str, params: FreeWaveParams, t_c: complex):
-    if density == "IncomingP1":
-        return lambda z: np.exp(params.R * (t_c - z / params.v))
-    if density == "OutgoingP1":
-        return lambda z: np.exp(params.R * (z / params.v - t_c))
-    raise ValueError(f"unknown density {density!r}")
+        return cls(vertices=data[:, 0] + 1j * data[:, 1], t_c=t_c)
 
 
 def _adaptive_segment(f, a: complex, b: complex, tol: float, depth: int = 0) -> complex:
@@ -154,23 +148,26 @@ def _adaptive_segment(f, a: complex, b: complex, tol: float, depth: int = 0) -> 
     )
 
 
-def contour_integral(
-    density: str, params: FreeWaveParams, contour: Contour, tol: float = 1e-10
-) -> complex:
-    """Integrate a branch density along a polyline in complex position.
+def contour_integral(params: FreeWaveParams, contour: Contour, tol: float = 1e-10) -> complex:
+    """Integrate the branch density exp[sign*R*(t_c - z/v)] along a polyline.
 
-    Both densities are entire in the complex position, so a closed
-    contour integrates to zero (Cauchy) and open paths with the same
-    endpoints agree.  Each segment uses order-16 Gauss-Legendre with adaptive
+    The sign is the state's ``branch.sign``: +1 incoming, -1 outgoing.  The
+    density is entire in the complex position z, so a closed contour
+    integrates to zero (Cauchy) and open paths with the same endpoints
+    agree.  Each segment uses order-16 Gauss-Legendre with adaptive
     bisection, at most 12 halvings deep, until the split disagreement is below ``tol``.
     """
     v = contour.vertices
     if np.any(v[1:] == v[:-1]):
         raise ValueError("contour contains a zero-length segment")
-    f = _density_function(density, params, contour.t_c)
+    rate = params.R * params.branch.sign
+
+    def density(z):
+        return np.exp(rate * (contour.t_c - z / params.v))
+
     total = 0.0 + 0.0j
     for a, b in zip(v[:-1], v[1:]):
-        total += _adaptive_segment(f, complex(a), complex(b), tol)
+        total += _adaptive_segment(density, complex(a), complex(b), tol)
     return total
 
 

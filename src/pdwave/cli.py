@@ -177,16 +177,20 @@ class Report:
 # Parameter parsing
 
 
-def _parse_value(scenario: str, key: str, raw: str, default):
-    """Parse a config string as the type of the key's default."""
+def _parse_value(scenario: str, key: str, raw: str, default, domain: tuple):
+    """Parse a config string as the type of the key's default, within its domain."""
+    text, test = domain
     try:
         if isinstance(default, tuple):
-            return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-        if isinstance(default, str):
-            return raw.strip()
-        return type(default)(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{scenario}] {key} = {raw!r}: {exc}") from exc
+            items = value = tuple(float(tok) for tok in raw.split(",") if tok.strip())
+        else:
+            value = raw.strip() if isinstance(default, str) else type(default)(raw)
+            items = (value,)
+    except ValueError:
+        items = ()
+    if not (items and all(map(test, items))):
+        raise ConfigError(f"[{scenario}] {key} = {raw.strip()}: must be {text}")
+    return value
 
 
 def _resolve_parameters(scenario: str, overrides: dict) -> dict:
@@ -195,12 +199,7 @@ def _resolve_parameters(scenario: str, overrides: dict) -> dict:
     for key, raw in overrides.items():
         if key not in keys:
             raise ConfigError(f"[{scenario}] unknown key {key!r}")
-        default, (text, test) = keys[key]
-        value = _parse_value(scenario, key, raw, default)
-        items = value if isinstance(default, tuple) else (value,)
-        if not (items and all(map(test, items))):
-            raise ConfigError(f"[{scenario}] {key} = {raw.strip()}: must be {text}")
-        parameters[key] = value
+        parameters[key] = _parse_value(scenario, key, raw, *keys[key])
     return parameters
 
 
@@ -323,13 +322,12 @@ def _normalized_weights(weights) -> np.ndarray:
     return np.asarray(weights) / np.sum(weights)
 
 
-def _sampled_state(weights, waves, n_trials: int) -> evolution.SuperposedState:
-    """sum_i sqrt(w_i)|wave_i> over normalized weights, sampled ``n_trials`` times.
+def _sampled_state(state: evolution.SuperposedState, n_trials: int) -> evolution.SuperposedState:
+    """``state``, once checked fit to be sampled ``n_trials`` times.
 
     Each outcome's z-score divides by sqrt(p(1-p)/n_trials)
     (``EnsembleReport.z_scores``), which must not be 0.
     """
-    state = evolution.SuperposedState(np.sqrt(_normalized_weights(weights)).astype(complex), waves)
     p = state.probabilities()
     if not np.all(np.sqrt(p * (1.0 - p) / n_trials) > 0.0):
         raise ConfigError("weights give an outcome a Born probability too close to 0 or 1 "
@@ -365,7 +363,8 @@ def _chi_square_sf(x: float, df: int) -> float:
 def _run_ensemble(cfg: ScenarioConfig, out: Path, report: Report) -> None:
     p = cfg.parameters
     waves = tuple(make_free_state(float(i + 1), float(i + 1)) for i in range(len(p["weights"])))
-    state = _sampled_state(p["weights"], waves, p["n_trials"])
+    amplitudes = np.sqrt(_normalized_weights(p["weights"])).astype(complex)
+    state = _sampled_state(evolution.SuperposedState(amplitudes, waves), p["n_trials"])
     rep = measurement.run_ensemble(state, p["n_trials"], seed=cfg.seed, workers=p["workers"])
     emit_output(rep.table(), cfg.format, out / f"ensemble.{cfg.format}")
     p_value = _chi_square_sf(rep.chi_square, rep.counts.size - 1)
@@ -490,23 +489,21 @@ def _run_uncertainty(cfg: ScenarioConfig, out: Path, report: Report) -> None:
 def _run_contour(cfg: ScenarioConfig, out: Path, report: Report) -> None:
     p = cfg.parameters
     state = make_free_state(p["v"], p["R"])
-    square = analysis.Contour(
-        vertices=np.array([0, 1, 1 + 1j, 1j, 0], dtype=complex), closed=True
-    )
+    square = analysis.Contour(vertices=np.array([0, 1, 1 + 1j, 1j, 0], dtype=complex))
     path_a = analysis.Contour(vertices=np.array([0, 1, 1 + 1j], dtype=complex))
     path_b = analysis.Contour(vertices=np.array([0, 1j, 1 + 1j], dtype=complex))
     segment = analysis.Contour(vertices=np.array([0, 1], dtype=complex))
 
-    closed_val = analysis.contour_integral("IncomingP1", state, square)
-    val_a = analysis.contour_integral("IncomingP1", state, path_a)
-    val_b = analysis.contour_integral("IncomingP1", state, path_b)
-    seg_val = analysis.contour_integral("IncomingP1", state, segment)
+    closed_val = analysis.contour_integral(state, square)
+    val_a = analysis.contour_integral(state, path_a)
+    val_b = analysis.contour_integral(state, path_b)
+    seg_val = analysis.contour_integral(state, segment)
 
     values = {"closed_square": closed_val, "path_a": val_a, "path_b": val_b,
               "segment_0_to_1": seg_val}
     if p["contour_csv"]:
         user = analysis.Contour.from_csv(p["contour_csv"])
-        values["user_contour"] = analysis.contour_integral("IncomingP1", state, user)
+        values["user_contour"] = analysis.contour_integral(state, user)
     emit_output({"name": list(values), "value": list(values.values())}, cfg.format,
                 out / f"contour.{cfg.format}")
 
@@ -523,8 +520,8 @@ def _run_composite(cfg: ScenarioConfig, out: Path, report: Report) -> None:
         raise ConfigError("weights, system_speeds, pointer_speeds must pair up")
     systems = tuple(make_free_state(v, v) for v in p["system_speeds"])
     pointers = tuple(make_free_state(v, v) for v in p["pointer_speeds"])
-    flat = _sampled_state(p["weights"], systems, p["n_trials"])
-    composite = measurement.tensor_compose(systems, pointers, flat.amplitudes)
+    composite = _sampled_state(
+        measurement.tensor_compose(systems, pointers, np.sqrt(weights)), p["n_trials"])
 
     grid = freewave.Grid1D(2.0, 2.5, 9, 0.5)
     report.add_residual(
@@ -536,7 +533,7 @@ def _run_composite(cfg: ScenarioConfig, out: Path, report: Report) -> None:
     )
 
     # Outcome statistics over the pointer basis.
-    rep = measurement.run_ensemble(flat, p["n_trials"], seed=cfg.seed)
+    rep = measurement.run_ensemble(composite, p["n_trials"], seed=cfg.seed)
     _add_three_sigma_checks(report, rep)
 
     event = measurement.detect_mp(systems[0], systems[0].v * 1.0, 1.0)
@@ -669,7 +666,9 @@ def main(argv=None) -> int:
 
     try:
         overrides = load_config(args.config, args.scenario) if args.config else {}
-        seed, fmt = int(overrides.pop("seed", 0)), overrides.pop("format", "csv")
+        seed = _parse_value(args.scenario, "seed", overrides.pop("seed", "0"), 0,
+                            _within(range(2**64)))
+        fmt = overrides.pop("format", "csv")
         out_dir = overrides.pop("output", ".")
         config = ScenarioConfig(
             scenario=args.scenario,

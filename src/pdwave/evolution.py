@@ -183,21 +183,20 @@ class EntropyTrajectory:
 def entropy_trajectory(
     state: SuperposedState,
     times,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
     measurement_times=(),
 ) -> EntropyTrajectory:
     """Entropy S(t) = -k_B * v * t of a state measured at t = 0.
 
-    Requires the dominant component to be normalized (R = v), for which
-    the unmeasured norm v/R combines with the energy's imaginary part to
-    give a constant slope -k_B*v.  Any time listed in
+    k_B and v are the dominant component's, which must be normalized
+    (R = v): the unmeasured norm v/R then combines with the energy's
+    imaginary part to give a constant slope -k_B*v.  Any time listed in
     ``measurement_times`` resets the entropy to zero (a measurement).
     """
     dominant = state.waves[int(np.argmax(np.abs(state.amplitudes)))]
     if not dominant.is_normalized:
         raise ValueError("entropy trajectory requires a normalized state (R = v)")
     ts = np.asarray(times, dtype=float)
-    S = -constants.kB * dominant.v * ts
+    S = -dominant.constants.kB * dominant.v * ts
     m_ts = np.asarray(list(measurement_times), dtype=float)
     return EntropyTrajectory(
         times=ts,

@@ -74,18 +74,15 @@ def detect_mp(target, x: float, t: float, tol: float = 1e-9) -> MeasurementEvent
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    if isinstance(target, FreeWaveParams):
-        if at_arrival(x, t, target.v, tol):
-            return MeasurementEvent(x=x, t=t, speed=target.v, tol=max(tol, 1e-9))
-        return None
     if isinstance(target, PotentialSpec):
         if abs(t - arrival_time(target, x)) <= tol:
             return MeasurementEvent(
                 x=x, t=t, speed=float(target.v_at(x)), tol=tol, kind="potential"
             )
         return None
-    if isinstance(target, SuperposedState):
-        for wave in target.waves:
+    if isinstance(target, (FreeWaveParams, SuperposedState)):
+        waves = target.waves if isinstance(target, SuperposedState) else (target,)
+        for wave in waves:
             if at_arrival(x, t, wave.v, tol):
                 return MeasurementEvent(x=x, t=t, speed=wave.v, tol=max(tol, 1e-9))
         return None
@@ -162,6 +159,8 @@ def _post_measurement_waves(waves: tuple, outcome: int, record: bool) -> tuple:
     A recorded outcome absorbs the particle (R = v = 0 stops it); otherwise
     it is re-emitted on the outgoing branch.
     """
+    if not 0 <= outcome < len(waves):
+        raise ValueError("outcome index out of range")
     wave = waves[outcome]
     if record:
         post = FreeWaveParams(
@@ -172,12 +171,24 @@ def _post_measurement_waves(waves: tuple, outcome: int, record: bool) -> tuple:
     return tuple(post if i == outcome else w for i, w in enumerate(waves))
 
 
-def _unit_outcome(amplitudes) -> int | None:
-    """Index of the single unit amplitude of a projected state, else None."""
-    amps = np.abs(amplitudes)
-    if np.sum(amps > 1e-12) == 1 and np.isclose(amps.max(), 1.0):
-        return int(np.argmax(amps))
-    return None
+def _project(state: SuperposedState, outcome: int, event: MeasurementEvent, record: bool,
+             **changes) -> SuperposedState:
+    """Collapse ``state`` onto ``outcome``, replacing ``changes`` fields as well.
+
+    A no-op when the outcome already has unit amplitude and every field
+    already holds its post-measurement value; otherwise the event must be
+    the outcome component's arrival.
+    """
+    changes["waves"] = _post_measurement_waves(state.waves, outcome, record)
+    amps = np.zeros(state.n, dtype=complex)
+    amps[outcome] = 1.0
+    if np.array_equal(state.amplitudes, amps) and all(
+        getattr(state, name) == value for name, value in changes.items()
+    ):
+        return state
+    if not at_arrival(event.x, event.t, state.waves[outcome].v, event.tol):
+        raise ValueError("event does not match the outcome component's arrival")
+    return replace(state, amplitudes=amps, **changes)
 
 
 def dirac_project(
@@ -193,65 +204,40 @@ def dirac_project(
     stopped and absorbed (R = v = 0); otherwise it is re-emitted on the
     outgoing branch.  Projecting an already-projected state is a no-op.
     """
-    if not 0 <= outcome < state.n:
-        raise ValueError("outcome index out of range")
-    if _unit_outcome(state.amplitudes) == outcome:
-        return state
-    if not at_arrival(event.x, event.t, state.waves[outcome].v, event.tol):
-        raise ValueError("event does not match the outcome component's arrival")
-    amps = np.zeros(state.n, dtype=complex)
-    amps[outcome] = 1.0
-    waves = _post_measurement_waves(state.waves, outcome, record)
-    return SuperposedState(amplitudes=amps, waves=waves)
+    return _project(state, outcome, event, record)
 
 
 @dataclass(frozen=True, eq=False)
-class CompositeState:
+class CompositeState(SuperposedState):
     """Entangled system+pointer state: sum_i a_i psi_i (x) phi_i.
 
-    Pointer states must be pairwise distinct; they represent macroscopically
-    distinguishable device configurations whose mutual orthogonality makes
-    the paired product states theta_i orthogonal.
+    A superposition whose ``waves`` are the system factors psi_i, each
+    paired with a pointer factor phi_i.  Pointer states must be pairwise
+    distinct; they represent macroscopically distinguishable device
+    configurations whose mutual orthogonality makes the paired product
+    states theta_i orthogonal.
     """
 
-    system_components: tuple[FreeWaveParams, ...]
     pointer_components: tuple[FreeWaveParams, ...]
-    amplitudes: np.ndarray
     collapsed: bool = False
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        n = amps.size
-        if len(self.system_components) != n or len(self.pointer_components) != n:
+        super().__post_init__()
+        pointers = tuple(self.pointer_components)
+        if len(pointers) != self.n:
             raise ValueError("component counts must match the amplitude count")
-        total = float(np.sum(np.abs(amps) ** 2))
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"amplitudes must be normalized; sum of squares = {total}")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.pointer_components[i] == self.pointer_components[j]:
-                    raise ValueError("pointer states must be mutually orthogonal (distinct)")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "system_components", tuple(self.system_components))
-        object.__setattr__(self, "pointer_components", tuple(self.pointer_components))
+        if len(set(pointers)) != self.n:
+            raise ValueError("pointer states must be mutually orthogonal (distinct)")
+        object.__setattr__(self, "pointer_components", pointers)
 
     @property
-    def n(self) -> int:
-        return self.amplitudes.size
-
-    def probabilities(self) -> np.ndarray:
-        p = np.abs(self.amplitudes) ** 2
-        return p / p.sum()
+    def system_components(self) -> tuple[FreeWaveParams, ...]:
+        return self.waves
 
 
 def tensor_compose(system_states, pointer_states, amplitudes) -> CompositeState:
     """Build the entangled composite sum_i a_i psi_i (x) phi_i."""
-    return CompositeState(
-        system_components=tuple(system_states),
-        pointer_components=tuple(pointer_states),
-        amplitudes=np.asarray(amplitudes, dtype=complex),
-    )
+    return CompositeState(amplitudes, tuple(system_states), tuple(pointer_states))
 
 
 def composite_eigenvalues(
@@ -311,29 +297,13 @@ def von_neumann_project(
     """Collapse the composite to the single product theta_outcome.
 
     Both factors become plane waves at the measurement point and the
-    amplitude is exactly one.  The result carries ``collapsed=True``; no
-    inverse operation exists in this module.  Idempotent.
+    amplitude is exactly one, by the same rule as ``dirac_project``.  The
+    result carries ``collapsed=True``; no inverse operation exists in this
+    module.  Idempotent.
     """
-    if not 0 <= outcome < composite.n:
-        raise ValueError("outcome index out of range")
-    amps = np.abs(composite.amplitudes)
-    if composite.collapsed and np.isclose(amps[outcome], 1.0):
-        return composite
-    sys_wave = composite.system_components[outcome]
-    if not at_arrival(event.x, event.t, sys_wave.v, event.tol):
-        raise ValueError("event does not match the outcome component's arrival")
-    new_amps = np.zeros(composite.n, dtype=complex)
-    new_amps[outcome] = 1.0
-    return CompositeState(
-        system_components=_post_measurement_waves(
-            composite.system_components, outcome, record
-        ),
-        pointer_components=_post_measurement_waves(
-            composite.pointer_components, outcome, record
-        ),
-        amplitudes=new_amps,
-        collapsed=True,
-    )
+    pointers = _post_measurement_waves(composite.pointer_components, outcome, record)
+    return _project(composite, outcome, event, record, pointer_components=pointers,
+                    collapsed=True)
 
 
 def mixture_density(states, weights) -> DensityMatrix:

@@ -68,7 +68,6 @@ def apply_observable(
     state: FreeWaveParams,
     at: tuple[float, float] | None = None,
     t0: float | None = None,
-    mp_tol: float = MP_TOL,
 ) -> EigenRecord:
     """Spectral value of an observable on a family state.
 
@@ -88,18 +87,18 @@ def apply_observable(
     elif obs == "S":
         if t0 is None:
             raise ValueError("S requires the sampling time t0")
-        if at is not None and t0 > at[0] / state.v + mp_tol:
+        if at is not None and t0 > at[0] / state.v + MP_TOL:
             raise ValueError("S requires t0 <= x/v (system has not passed the probe)")
         value = complex(state.v * t0, 0.5 * hbar * state.R * t0 / (m * state.v))
     else:
         raise ValueError(f"unknown observable {obs!r}")
 
-    if at is not None and at_arrival(at[0], at[1], state.v, mp_tol):
+    if at is not None and at_arrival(at[0], at[1], state.v, MP_TOL):
         return EigenRecord(observable=obs, value=complex(value.real, 0.0), at_mp=True)
     return EigenRecord(observable=obs, value=value, at_mp=False)
 
 
-def hermitize_at_mp(record: EigenRecord, event, tol: float = MP_TOL) -> EigenRecord:
+def hermitize_at_mp(record: EigenRecord, event) -> EigenRecord:
     """Drop the imaginary part of an eigenvalue at a measurement event.
 
     ``event`` must carry the event position ``x``, time ``t``, and the
@@ -111,7 +110,7 @@ def hermitize_at_mp(record: EigenRecord, event, tol: float = MP_TOL) -> EigenRec
     if hasattr(event, "is_at_mp"):
         at_mp = event.is_at_mp()
     else:
-        at_mp = at_arrival(event.x, event.t, event.speed, tol)
+        at_mp = at_arrival(event.x, event.t, event.speed, MP_TOL)
     if not at_mp:
         raise ValueError("event does not satisfy the arrival condition x = v*t")
     return replace(record, value=complex(record.value.real, 0.0), at_mp=True)

@@ -263,19 +263,17 @@ def test_criterion_10_entropy_trajectory():
 
 def test_criterion_11_contour_cauchy():
     state = make_free_state(1.0, 1.0)
-    square = an.Contour(
-        vertices=np.array([0, 1, 1 + 1j, 1j, 0], dtype=complex), closed=True
-    )
-    closed_mag = abs(an.contour_integral("IncomingP1", state, square))
+    square = an.Contour(vertices=np.array([0, 1, 1 + 1j, 1j, 0], dtype=complex))
+    closed_mag = abs(an.contour_integral(state, square))
     path_a = an.Contour(vertices=np.array([0, 1, 1 + 1j], dtype=complex))
     path_b = an.Contour(vertices=np.array([0, 1j, 1 + 1j], dtype=complex))
     path_gap = abs(
-        an.contour_integral("IncomingP1", state, path_a)
-        - an.contour_integral("IncomingP1", state, path_b)
+        an.contour_integral(state, path_a)
+        - an.contour_integral(state, path_b)
     )
     segment = an.Contour(vertices=np.array([0, 1], dtype=complex))
     seg_err = abs(
-        an.contour_integral("IncomingP1", state, segment) - (1.0 - math.exp(-1.0))
+        an.contour_integral(state, segment) - (1.0 - math.exp(-1.0))
     )
     ok = closed_mag < 1e-9 and path_gap < 1e-9 and seg_err <= 1e-9
     _report(

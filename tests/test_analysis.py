@@ -1,10 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from pdwave.core import ConvergenceError, PhysicalConstants, RegionError, make_free_state
+from pdwave.core import (
+    Branch, ConvergenceError, PhysicalConstants, RegionError, make_free_state,
+)
 from pdwave import analysis as an
 
 
@@ -69,26 +72,34 @@ class TestHeisenberg:
 
 class TestContour:
     def square(self):
-        return an.Contour(
-            vertices=np.array([0, 1, 1 + 1j, 1j, 0], dtype=complex), closed=True
-        )
+        return an.Contour(vertices=np.array([0, 1, 1 + 1j, 1j, 0], dtype=complex))
 
     def test_closed_contour_vanishes(self):
-        assert abs(an.contour_integral("IncomingP1", CANON, self.square())) < 1e-9
+        assert abs(an.contour_integral(CANON, self.square())) < 1e-9
 
     def test_outgoing_density_too(self):
-        assert abs(an.contour_integral("OutgoingP1", CANON, self.square())) < 1e-9
+        outgoing = replace(CANON, branch=Branch.OUTGOING)
+        assert abs(an.contour_integral(outgoing, self.square())) < 1e-9
+
+    @pytest.mark.parametrize("v, R", [(1.0, 1.0), (2.0, 0.5), (0.7, 1.3)])
+    def test_density_follows_the_branch(self, v, R):
+        # The outgoing density exp[R(z/v - t_c)] grows along the segment 0 -> 1.
+        outgoing = replace(make_free_state(v, R), branch=Branch.OUTGOING)
+        assert abs(an.contour_integral(outgoing, self.square())) < 1e-9
+        seg = an.Contour(vertices=np.array([0, 1], dtype=complex))
+        val = an.contour_integral(outgoing, seg)
+        assert abs(val - math.expm1(R / v) * v / R) < 1e-9
 
     def test_path_independence(self):
         a = an.Contour(vertices=np.array([0, 1, 1 + 1j], dtype=complex))
         b = an.Contour(vertices=np.array([0, 1j, 1 + 1j], dtype=complex))
-        va = an.contour_integral("IncomingP1", CANON, a)
-        vb = an.contour_integral("IncomingP1", CANON, b)
+        va = an.contour_integral(CANON, a)
+        vb = an.contour_integral(CANON, b)
         assert abs(va - vb) < 1e-9
 
     def test_straight_segment_closed_form(self):
         seg = an.Contour(vertices=np.array([0, 1], dtype=complex))
-        val = an.contour_integral("IncomingP1", CANON, seg)
+        val = an.contour_integral(CANON, seg)
         assert abs(val - (1.0 - math.exp(-1.0))) < 1e-9
 
     def test_refinement_invariance(self):
@@ -97,8 +108,8 @@ class TestContour:
             [0, 0.25 + 0.25j, 0.5 + 0.5j, 0.75 + 0.75j, 1 + 1j], dtype=complex
         )
         fine = an.Contour(vertices=fine_vertices)
-        coarse_val = an.contour_integral("IncomingP1", CANON, seg)
-        fine_val = an.contour_integral("IncomingP1", CANON, fine)
+        coarse_val = an.contour_integral(CANON, seg)
+        fine_val = an.contour_integral(CANON, fine)
         assert abs(coarse_val - fine_val) < 1e-10
 
     def test_unresolvable_oscillation_stops_at_twelve_halvings(self):
@@ -106,29 +117,25 @@ class TestContour:
         steep = make_free_state(1e-7, 1.0)
         seg = an.Contour(vertices=np.array([0, 1j], dtype=complex))
         with pytest.raises(ConvergenceError) as err:
-            an.contour_integral("IncomingP1", steep, seg)
+            an.contour_integral(steep, seg)
         assert err.value.iterations == 12
 
     def test_zero_length_segment_rejected(self):
         c = an.Contour(vertices=np.array([0, 0, 1], dtype=complex))
         with pytest.raises(ValueError):
-            an.contour_integral("IncomingP1", CANON, c)
-
-    def test_closed_flag_validation(self):
-        with pytest.raises(ValueError):
-            an.Contour(vertices=np.array([0, 1], dtype=complex), closed=True)
-
-    def test_unknown_density(self):
-        seg = an.Contour(vertices=np.array([0, 1], dtype=complex))
-        with pytest.raises(ValueError):
-            an.contour_integral("SidewaysP1", CANON, seg)
+            an.contour_integral(CANON, c)
 
     def test_from_csv(self, tmp_path):
         path = tmp_path / "contour.csv"
         path.write_text("re_x,im_x\n0.0,0.0\n1.0,0.0\n1.0,1.0\n0.0,1.0\n0.0,0.0\n")
         c = an.Contour.from_csv(path)
         assert c.closed
-        assert abs(an.contour_integral("IncomingP1", CANON, c)) < 1e-9
+        assert abs(an.contour_integral(CANON, c)) < 1e-9
+
+    def test_from_csv_open_polyline(self, tmp_path):
+        path = tmp_path / "contour.csv"
+        path.write_text("re_x,im_x\n0.0,0.0\n1.0,0.0\n1.0,1.0\n")
+        assert not an.Contour.from_csv(path).closed
 
 
 class TestNegativeSlope:

@@ -406,6 +406,8 @@ class TestExitCodes:
             ("field", "n = 1"),
             ("potential-wave", "t = 100"),
             ("potential-wave", "v_table = v.txt"),  # without its k_table
+            ("field", "seed = abc"),
+            ("field", "seed = 1.5"),
             *_OUTSIDE_DOMAIN,
         ],
     )

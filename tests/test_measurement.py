@@ -253,6 +253,14 @@ class TestVonNeumann:
         once = ms.von_neumann_project(comp, 0, event)
         assert ms.von_neumann_project(once, 0, event) is once
 
+    def test_composite_is_a_superposition(self):
+        comp = TestComposite().composite(weights=(0.64, 0.36))
+        assert isinstance(comp, SuperposedState)
+        assert comp.system_components is comp.waves
+        flat = SuperposedState(comp.amplitudes, comp.waves)
+        assert np.array_equal(ms.run_ensemble(comp, 10_000, seed=3).counts,
+                              ms.run_ensemble(flat, 10_000, seed=3).counts)
+
     def test_outcome_frequencies(self):
         weights = np.array([0.64, 0.36])
         systems = tuple(make_free_state(v, v) for v in (1.0, 2.0))
@@ -260,6 +268,25 @@ class TestVonNeumann:
         rep = ms.run_ensemble(flat, 100000, seed=17)
         sigma = np.sqrt(weights * (1 - weights) / 1e5)
         assert np.all(np.abs(rep.frequencies - weights) < 3 * sigma)
+
+
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("project", ["dirac", "von_neumann"])
+def test_pure_unmeasured_state_is_projected(project, record):
+    # Unit amplitude alone is no no-op: the INCOMING wave must still become
+    # the post-measurement wave, absorbed if recorded, else outgoing.
+    waves = (make_free_state(1.0, 1.0), make_free_state(2.0, 2.0))
+    pointers = (make_free_state(3.0, 3.0), make_free_state(4.0, 4.0))
+    state = (SuperposedState(np.array([1.0, 0.0]), waves) if project == "dirac"
+             else ms.tensor_compose(waves, pointers, [1.0, 0.0]))
+    fn = ms.dirac_project if project == "dirac" else ms.von_neumann_project
+    event = ms.detect_mp(waves[0], 1.0, 1.0)
+    post = fn(state, 0, event, record=record)
+    if record:
+        assert (post.waves[0].v, post.waves[0].R) == (0.0, 0.0)
+    else:
+        assert post.waves[0].branch is Branch.OUTGOING
+    assert fn(post, 0, event, record=record) is post
 
 
 class TestMixtureDensity:
