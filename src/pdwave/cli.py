@@ -100,7 +100,8 @@ def emit_output(table: dict, fmt: str, path) -> Path:
 
     A column is an array or a list; a scalar is repeated down its column.
     CSV: UTF-8, comma separated, one header row, floats at 12 digits after
-    the point, complex columns split into ``_re``/``_im`` column pairs.
+    the point, complex columns split into ``_re``/``_im`` column pairs; a
+    column name or string cell holding ``,``, ``"``, CR or LF raises ValueError.
     JSON: ``{"records": [...]}``, one object per row, in the bytes of ``json.dumps(...,
     sort_keys=True, indent=1)``: sorted keys, one-space indent and ``repr`` floats
     (round-trip bit-exactly).  NaN or inf raises FloatingPointError.
@@ -120,6 +121,11 @@ def emit_output(table: dict, fmt: str, path) -> Path:
                 raise FloatingPointError(f"{path.name}: {name} = {bad} is not finite")
             columns[name] = part
     if fmt == "csv":
+        for name, a in columns.items():
+            text = name + ("".join(map(str, a.tolist())) if a.dtype.kind in "OU" else "")
+            if not {",", '"', "\r", "\n"}.isdisjoint(text):
+                raise ValueError(f"{path.name}: column {name!r} holds a comma, quote or "
+                                 "line break, which CSV cannot write unquoted")
         cells = [_csv_floats(a) if a.dtype.kind == "f" else map(str, a.tolist())
                  for a in columns.values()]
         lines = [",".join(columns), *map(",".join, zip(*cells))]

@@ -80,6 +80,35 @@ def envelope_lag(branch: Branch, t: float, tau, guard: float = 0.0):
     return lag
 
 
+def on_arrival(t: float, tau: float, tol: float = 1e-9) -> bool:
+    """|t - tau| <= tol*max(1, |t|, |tau|): at tol = 1e-9, both envelope_lag branches accept t."""
+    return abs(t - tau) <= tol * max(1.0, abs(t), abs(tau))
+
+
+@dataclass(frozen=True, eq=False)
+class MeasurementEvent:
+    """Arrival of a wave peak at the device particle at (x, t).
+
+    ``tau`` is the arriving component's arrival time at x, x/speed for a
+    free wave when omitted.  An event exists only on arrival: construction
+    raises ValueError unless ``on_arrival(t, tau, tol)``.
+    """
+
+    x: float
+    t: float
+    speed: float
+    tol: float = 1e-9
+    tau: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.tau is None:
+            if self.speed == 0.0:
+                raise ValueError("a wave of speed 0 never arrives: an event needs tau")
+            object.__setattr__(self, "tau", self.x / self.speed)
+        if not on_arrival(self.t, self.tau, self.tol):
+            raise ValueError(f"event at t = {self.t} is off the arrival line t = {self.tau}")
+
+
 def dispersion_omega(
     k: float, R: float, v: float, constants: PhysicalConstants = DEFAULT_CONSTANTS
 ) -> float:
@@ -186,11 +215,6 @@ def _panel_quadrature(f, a: float, b: float) -> float:
     for lo, hi in zip(edges[:-1], edges[1:]):
         total += _gauss_segment(f, lo, hi).real
     return float(total)
-
-
-def at_arrival(x: float, t: float, v: float, tol: float) -> bool:
-    """Arrival condition of a wave peak: |x - v*t| <= tol * max(1, |x|)."""
-    return abs(x - v * t) <= tol * max(1.0, abs(x))
 
 
 def make_free_state(

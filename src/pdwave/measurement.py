@@ -1,7 +1,7 @@
 """Measurement-point detection, outcome sampling, and projection postulates.
 
-A measurement happens when a component's probability-wave peak reaches the
-device particle at x = v*t (free) or t = arrival_time(x) (potential).
+A measurement happens where a component's probability-wave peak reaches the
+device particle x, at its arrival time t = tau(x) (``core.on_arrival``).
 Outcomes are drawn categorically from the squared amplitudes; projection
 collapses the superposition to a single unit-amplitude component whose
 wave is a plane wave at the measurement point.  Composites pair system
@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Branch, FreeWaveParams, at_arrival
+from .core import Branch, FreeWaveParams, MeasurementEvent, on_arrival
 from .evolution import DensityMatrix, SuperposedState
 from .freewave import Grid1D, psi_free
 from .potential import PotentialSpec, arrival_time
@@ -37,56 +37,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementEvent:
-    """Arrival of a wave peak at the device particle.
-
-    The event pins the measurement-point regime: the component found there
-    is left as a plane wave with envelope rate zero, which is what lets
-    downstream hermitization return real eigenvalues.
-    """
-
-    x: float
-    t: float
-    speed: float
-    tol: float = 1e-9
-    kind: str = "free"
-
-    def __post_init__(self) -> None:
-        if self.kind == "free" and not self.is_at_mp():
-            raise ValueError("event does not satisfy the arrival condition x = v*t")
-
-    def is_at_mp(self) -> bool:
-        """Arrival condition: x = v*t for free waves (checked at detection
-        against the amplitude's arrival integral for potential waves)."""
-        if self.kind != "free":
-            return True
-        return at_arrival(self.x, self.t, self.speed, self.tol)
-
-
 def detect_mp(target, x: float, t: float, tol: float = 1e-9) -> MeasurementEvent | None:
-    """Return a measurement event iff the wave peak is at (x, t).
+    """Return a measurement event iff a wave peak arrives at (x, t).
 
-    ``target`` may be a FreeWaveParams (the event's own arrival condition
-    |x - v*t| <= tol * max(1, |x|)), a PotentialSpec (condition
-    |t - arrival_time(x)| <= tol), or a SuperposedState (any component's
-    peak arriving).  Absence of an event is a value, not an error.
+    ``target`` may be a FreeWaveParams (arrival time tau = x/v), a
+    PotentialSpec (tau = arrival_time(x)), or a SuperposedState (the first
+    component that arrives; one with v = 0 never does).  The condition is
+    ``on_arrival(t, tau, tol)``.  Absence of an event is a value, not an error.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if isinstance(target, PotentialSpec):
-        if abs(t - arrival_time(target, x)) <= tol:
-            return MeasurementEvent(
-                x=x, t=t, speed=float(target.v_at(x)), tol=tol, kind="potential"
-            )
-        return None
-    if isinstance(target, (FreeWaveParams, SuperposedState)):
+        arrivals = [(float(target.v_at(x)), arrival_time(target, x))]
+    elif isinstance(target, (FreeWaveParams, SuperposedState)):
         waves = target.waves if isinstance(target, SuperposedState) else (target,)
-        for wave in waves:
-            if at_arrival(x, t, wave.v, tol):
-                return MeasurementEvent(x=x, t=t, speed=wave.v, tol=max(tol, 1e-9))
-        return None
-    raise TypeError(f"cannot detect a measurement point on {type(target).__name__}")
+        arrivals = [(wave.v, x / wave.v) for wave in waves if wave.v > 0.0]
+    else:
+        raise TypeError(f"cannot detect a measurement point on {type(target).__name__}")
+    for speed, tau in arrivals:
+        if on_arrival(t, tau, tol):
+            return MeasurementEvent(x=x, t=t, speed=speed, tol=tol, tau=tau)
+    return None
 
 
 def sample_outcome(state: SuperposedState, rng: np.random.Generator) -> int:
@@ -171,26 +142,6 @@ def _post_measurement_waves(waves: tuple, outcome: int, record: bool) -> tuple:
     return tuple(post if i == outcome else w for i, w in enumerate(waves))
 
 
-def _project(state: SuperposedState, outcome: int, event: MeasurementEvent, record: bool,
-             **changes) -> SuperposedState:
-    """Collapse ``state`` onto ``outcome``, replacing ``changes`` fields as well.
-
-    A no-op when the outcome already has unit amplitude and every field
-    already holds its post-measurement value; otherwise the event must be
-    the outcome component's arrival.
-    """
-    changes["waves"] = _post_measurement_waves(state.waves, outcome, record)
-    amps = np.zeros(state.n, dtype=complex)
-    amps[outcome] = 1.0
-    if np.array_equal(state.amplitudes, amps) and all(
-        getattr(state, name) == value for name, value in changes.items()
-    ):
-        return state
-    if not at_arrival(event.x, event.t, state.waves[outcome].v, event.tol):
-        raise ValueError("event does not match the outcome component's arrival")
-    return replace(state, amplitudes=amps, **changes)
-
-
 def dirac_project(
     state: SuperposedState,
     outcome: int,
@@ -202,9 +153,30 @@ def dirac_project(
     The surviving amplitude is exactly one and the surviving wave is the
     measurement-point plane wave: with ``record=True`` the particle is
     stopped and absorbed (R = v = 0); otherwise it is re-emitted on the
-    outgoing branch.  Projecting an already-projected state is a no-op.
+    outgoing branch.  On a CompositeState this is von Neumann projection:
+    the pointer factor follows the same rule and ``collapsed`` becomes True.
+    A no-op when every field already holds its post-measurement value;
+    otherwise the event must be the outcome component's arrival.
     """
-    return _project(state, outcome, event, record)
+    changes = {"waves": _post_measurement_waves(state.waves, outcome, record)}
+    if isinstance(state, CompositeState):
+        changes["pointer_components"] = _post_measurement_waves(
+            state.pointer_components, outcome, record)
+        changes["collapsed"] = True
+    amps = np.zeros(state.n, dtype=complex)
+    amps[outcome] = 1.0
+    if np.array_equal(state.amplitudes, amps) and all(
+        getattr(state, name) == value for name, value in changes.items()
+    ):
+        return state
+    wave = state.waves[outcome]
+    if not (wave.v > 0.0 and on_arrival(event.t, event.x / wave.v, event.tol)):
+        raise ValueError("event does not match the outcome component's arrival")
+    return replace(state, amplitudes=amps, **changes)
+
+
+# The paper's name for the same rule applied to a system-pointer composite.
+von_neumann_project = dirac_project
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,24 +258,6 @@ def composite_schrodinger_residual(
     d_11 = (theta(x1 + h_x, x2, t) - 2.0 * base + theta(x1 - h_x, x2, t)) / h_x**2
     d_22 = (theta(x1, x2 + h_x, t) - 2.0 * base + theta(x1, x2 - h_x, t)) / h_x**2
     return float(np.max(np.abs(1j * hbar * d_t + c * (d_11 + d_22))))
-
-
-def von_neumann_project(
-    composite: CompositeState,
-    outcome: int,
-    event: MeasurementEvent,
-    record: bool = False,
-) -> CompositeState:
-    """Collapse the composite to the single product theta_outcome.
-
-    Both factors become plane waves at the measurement point and the
-    amplitude is exactly one, by the same rule as ``dirac_project``.  The
-    result carries ``collapsed=True``; no inverse operation exists in this
-    module.  Idempotent.
-    """
-    pointers = _post_measurement_waves(composite.pointer_components, outcome, record)
-    return _project(composite, outcome, event, record, pointer_components=pointers,
-                    collapsed=True)
 
 
 def mixture_density(states, weights) -> DensityMatrix:

@@ -17,10 +17,13 @@ import numpy as np
 
 from .core import (
     DEFAULT_CONSTANTS,
+    Branch,
     EigenRecord,
     FreeWaveParams,
+    MeasurementEvent,
     PhysicalConstants,
-    at_arrival,
+    envelope_lag,
+    on_arrival,
 )
 
 __all__ = [
@@ -34,8 +37,6 @@ __all__ = [
     "galilean_phase",
     "probability_field",
 ]
-
-MP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -73,9 +74,9 @@ def apply_observable(
 
     H -> hbar*omega + i*hbar*R/2;  Hdagger -> its conjugate;
     P -> hbar*k + i*hbar*R/(2v);  S -> v*t0 + i*hbar*R*t0/(2 m v)
-    (position of the system at the earlier time t0 <= x/v).  When ``at``
-    = (x, t) satisfies the arrival condition x = v*t, the hermitized
-    (real) value is returned with ``at_mp=True``.
+    (position of the system at a time t0 before the probe's arrival x/v).
+    When ``at`` = (x, t) is on the arrival line t = x/v of a moving state,
+    the hermitized (real) value is returned with ``at_mp=True``.
     """
     hbar, m = state.constants.hbar, state.constants.mass
     if obs == "H":
@@ -87,32 +88,25 @@ def apply_observable(
     elif obs == "S":
         if t0 is None:
             raise ValueError("S requires the sampling time t0")
-        if at is not None and t0 > at[0] / state.v + MP_TOL:
-            raise ValueError("S requires t0 <= x/v (system has not passed the probe)")
+        if at is not None:
+            envelope_lag(Branch.INCOMING, t0, at[0] / state.v)
         value = complex(state.v * t0, 0.5 * hbar * state.R * t0 / (m * state.v))
     else:
         raise ValueError(f"unknown observable {obs!r}")
 
-    if at is not None and at_arrival(at[0], at[1], state.v, MP_TOL):
+    if at is not None and state.v > 0.0 and on_arrival(at[1], at[0] / state.v):
         return EigenRecord(observable=obs, value=complex(value.real, 0.0), at_mp=True)
     return EigenRecord(observable=obs, value=value, at_mp=False)
 
 
-def hermitize_at_mp(record: EigenRecord, event) -> EigenRecord:
+def hermitize_at_mp(record: EigenRecord, event: MeasurementEvent) -> EigenRecord:
     """Drop the imaginary part of an eigenvalue at a measurement event.
 
-    ``event`` must carry the event position ``x``, time ``t``, and the
-    measured component's ``speed``; the arrival condition x = v*t is
-    enforced.  Idempotent: a record already at the MP is returned as is.
+    An event exists only on arrival, so any ``MeasurementEvent`` will do;
+    anything else raises ValueError.  Idempotent.
     """
-    if record.at_mp and record.value.imag == 0.0:
-        return record
-    if hasattr(event, "is_at_mp"):
-        at_mp = event.is_at_mp()
-    else:
-        at_mp = at_arrival(event.x, event.t, event.speed, MP_TOL)
-    if not at_mp:
-        raise ValueError("event does not satisfy the arrival condition x = v*t")
+    if not isinstance(event, MeasurementEvent):
+        raise ValueError(f"hermitization needs a MeasurementEvent, got {type(event).__name__}")
     return replace(record, value=complex(record.value.real, 0.0), at_mp=True)
 
 

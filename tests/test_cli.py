@@ -654,6 +654,21 @@ class TestEmitOutput:
         with pytest.raises(ValueError, match="columns differ in length"):
             cli.emit_output({"x": [1.0, 2.0], "y": [1.0]}, "csv", tmp_path / "x.csv")
 
+    @pytest.mark.parametrize("table, column", [
+        ({"x": [1.0, 2.0], "label": ["ok", "a,b"]}, "label"),
+        ({"label": 'say "hi"', "n": [1, 2]}, "label"),
+        ({"label": ["line\r"]}, "label"),
+        ({"a\nb": [1.0]}, "a\nb"),
+        ({"z,w": [1j]}, "z,w_re"),
+    ])
+    def test_csv_rejects_strings_it_cannot_write_unquoted(self, table, column, tmp_path):
+        path = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match=re.escape(f"x.csv: column {column!r}")):
+            cli.emit_output(table, "csv", path)
+        assert not path.exists()
+        json_path = cli.emit_output(table, "json", tmp_path / "x.json")
+        assert column in json.loads(json_path.read_text(encoding="utf-8"))["records"][0]
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_value_raises_and_writes_nothing(self, fmt, bad, tmp_path):
@@ -738,10 +753,23 @@ def _tables(draw):
     return table
 
 
+def _needs_csv_quoting(table: dict) -> bool:
+    """Whether a column name or string cell of ``table`` holds , " CR or LF."""
+    n = max((len(c) for c in table.values() if isinstance(c, list)), default=1)
+    cells = [s for c in table.values() for s in (c if isinstance(c, list) else [c] * n)
+             if isinstance(s, str)]
+    return any(ch in s for s in [*table, *cells] for ch in ',"\r\n')
+
+
 @settings(max_examples=400, deadline=None)
 @given(table=_tables(), fmt=st.sampled_from(["csv", "json"]))
 def test_emit_output_bytes_match_the_row_wise_reference_writer(table, fmt):
     with tempfile.TemporaryDirectory() as tmp:
+        if fmt == "csv" and _needs_csv_quoting(table):
+            # The reference writer wrote these unquoted, shifting or splitting rows.
+            with pytest.raises(ValueError, match="t.csv: column "):
+                cli.emit_output(table, fmt, Path(tmp) / "t.csv")
+            return
         path = cli.emit_output(table, fmt, Path(tmp) / f"t.{fmt}")
         assert path.read_bytes() == _old_emit_text(table, fmt).encode("utf-8")
 

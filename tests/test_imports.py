@@ -1,11 +1,13 @@
-"""Every import in the package source is used.
+"""Every import in the package source is used, and every export exists.
 
 A name counts as used when the module reads it (an ``ast.Name`` anywhere in
 the tree) or exports it in ``__all__``.  ``from __future__`` imports and the
-``from . import`` submodule imports of ``__init__.py`` are exempt.
+``from . import`` submodule imports of ``__init__.py`` are exempt.  Every
+name in a module's ``__all__`` must resolve on the imported module.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -54,3 +56,10 @@ def test_detector_flags_a_leftover_import():
     ]
     assert unused_imports("from . import core\n", is_init=True) == []
     assert unused_imports("from . import core\n") == ["core (line 1)"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_exported_name_resolves(path):
+    name = "pdwave" if path.name == "__init__.py" else f"pdwave.{path.stem}"
+    module = importlib.import_module(name)
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []

@@ -3,12 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy import stats
 
-from pdwave.core import Branch, make_free_state
+from pdwave.core import Branch, MeasurementEvent, RegionError, envelope_lag, make_free_state
 from pdwave.evolution import SuperposedState, purity
 from pdwave.freewave import Grid1D, prob_density_free
-from pdwave.spectral import apply_observable
+from pdwave.spectral import apply_observable, hermitize_at_mp
 from pdwave import measurement as ms
 from pdwave import potential as pot
 
@@ -51,12 +53,81 @@ class TestDetect:
             ms.MeasurementEvent(x=2.0, t=1.0, speed=1.0)
 
     def test_detection_matches_event_condition_far_out(self):
-        # The event accepts |x - v*t| <= tol * max(1, |x|); detection agrees.
+        # The event accepts |t - x/v| <= tol * max(1, |t|, |x/v|); detection agrees.
         x, t = 1e6, 1e6 + 5e-4
         ms.MeasurementEvent(x=x, t=t, speed=1.0)
         assert ms.detect_mp(make_free_state(1.0, 1.0), x, t) is not None
         assert ms.detect_mp(born_state(), x, t) is not None
         assert ms.detect_mp(make_free_state(1.0, 1.0), x, x + 5e-3) is None
+
+    def test_potential_event_carries_its_arrival_time(self):
+        xs = np.linspace(0.0, 2.0, 201)
+        spec = pot.PotentialSpec(
+            x_samples=xs, V=np.zeros_like(xs), kx=1.0 + xs, R=1.0, omega=0.375
+        )
+        event = ms.detect_mp(spec, 1.0, pot.arrival_time(spec, 1.0))
+        assert event.tau == pot.arrival_time(spec, 1.0)
+        assert event.speed == spec.v_at(1.0)
+
+    def test_zero_speed_component_never_arrives(self):
+        state = born_state()
+        absorbed = ms.dirac_project(state, 0, ms.detect_mp(state.waves[0], 2.0, 2.0),
+                                    record=True)
+        assert absorbed.waves[0].v == 0.0
+        assert ms.detect_mp(absorbed.waves[0], 0.0, 0.0) is None
+        assert ms.detect_mp(absorbed, 2.0, 2.0) is None  # only the v = 1 wave arrived here
+        assert ms.detect_mp(absorbed, 4.0, 2.0).speed == 2.0
+
+    def test_event_of_a_zero_speed_needs_tau(self):
+        with pytest.raises(ValueError, match="speed"):
+            MeasurementEvent(x=1.0, t=1.0, speed=0.0)
+        assert MeasurementEvent(x=1.0, t=1.0, speed=0.0, tau=1.0).tau == 1.0
+
+    def test_event_is_re_exported(self):
+        assert ms.MeasurementEvent is MeasurementEvent
+
+
+class TestOneArrivalRule:
+    # A probe of a free wave just past its arrival time x/v, inside the slack
+    # 1e-9*max(1, |t|, |x/v|) but 500 times the old |x - v*t| <= 1e-9 bound.
+    V, X = 1e3, 1.0
+    T = X / V + 5e-10
+
+    def test_fast_probe_is_detected_and_hermitized(self):
+        state = make_free_state(self.V, self.V)
+        event = ms.detect_mp(state, self.X, self.T)
+        assert event is not None and event.tau == self.X / self.V
+        record = apply_observable("H", state, at=(self.X, self.T))
+        assert record.at_mp and record.value.imag == 0.0
+        out = hermitize_at_mp(apply_observable("H", state), event)
+        assert out.at_mp and out.value == complex(record.value.real, 0.0)
+
+    @given(v=st.floats(1e-3, 1e3), x=st.floats(-1e3, 1e3), offset=st.floats(-3.0, 3.0))
+    @example(v=1e3, x=1.0, offset=0.5)
+    @example(v=1e3, x=1.0, offset=1.5)
+    @example(v=1e-3, x=1e3, offset=-0.9)
+    def test_detection_lag_observable_and_event_agree(self, v, x, offset):
+        # t sits `offset` slack widths from the arrival time x/v.
+        tau = x / v
+        t = tau + offset * 1e-9 * max(1.0, abs(tau))
+        state = make_free_state(v, v)
+
+        def accepted(branch):
+            try:
+                envelope_lag(branch, t, tau)
+            except RegionError:
+                return False
+            return True
+
+        try:
+            MeasurementEvent(x, t, v)
+            constructs = True
+        except ValueError:
+            constructs = False
+        detected = ms.detect_mp(state, x, t) is not None
+        lags = accepted(Branch.INCOMING) and accepted(Branch.OUTGOING)
+        at_mp = apply_observable("H", state, at=(x, t)).at_mp
+        assert detected == lags == at_mp == constructs
 
 
 class TestSampling:
@@ -170,6 +241,21 @@ class TestDiracProjection:
         event = ms.detect_mp(state.waves[0], 2.0, 2.0)  # v = 1 arrival
         with pytest.raises(ValueError):
             ms.dirac_project(state, 1, event)  # v = 2 component not at MP
+
+    def test_zero_speed_outcome_is_no_arrival(self):
+        state = born_state()
+        event = ms.detect_mp(state.waves[0], 2.0, 2.0)
+        absorbed = ms.dirac_project(state, 0, event, record=True)
+        with pytest.raises(ValueError, match="arrival"):
+            ms.dirac_project(absorbed, 0, event)  # re-emitting needs the stopped wave to arrive
+
+    def test_composite_collapses_its_pointer(self):
+        comp = TestComposite().composite()
+        post = ms.dirac_project(comp, 0, ms.detect_mp(comp.waves[0], 1.0, 1.0))
+        assert post.collapsed
+        assert post.pointer_components[0].branch is Branch.OUTGOING
+        assert post.pointer_components[1] == comp.pointer_components[1]
+        assert ms.von_neumann_project is ms.dirac_project
 
     def test_record_stops_particle(self):
         state = born_state()
