@@ -40,17 +40,86 @@ __all__ = [
 ]
 
 
-# scipy is imported at the first call: most scenarios never build a spline or
-# solve the matrix eigenproblem, and its import costs more than their run.
-def _spline(x, y):
-    """Not-a-knot cubic spline through (x, y), as ``scipy.interpolate.CubicSpline``."""
-    from scipy.interpolate import CubicSpline
+class _Spline:
+    """Piecewise polynomial sum_j c[j, i] (x - x[i])**j on [x[i], x[i+1]], rounded as PPoly."""
 
-    return CubicSpline(x, y)
+    def __init__(self, x, c):
+        self.x, self.c = x, c
+
+    def __call__(self, xp):
+        # PPoly's order: lowest power first, each s**j the product of the previous and s.
+        xp = np.asarray(xp, dtype=float)
+        i = np.searchsorted(self.x[1:-1], xp, "right")
+        s, z, out = xp - self.x[i], 1.0, 0.0 + self.c[0, i]
+        for c in self.c[1:]:
+            z = z * s
+            out = out + c[i] * z
+        return out
+
+    def antiderivative(self) -> _Spline:
+        """The antiderivative that is 0 at x[0]."""
+        c = self.c / np.arange(1.0, len(self.c) + 1.0)[:, None]
+        h = np.broadcast_to(np.diff(self.x), c.shape)
+        # Piece ends, summed term by term in order as PPoly's fix_continuity does.
+        ends = np.cumsum((c * np.cumprod(h, axis=0)).T)[len(c) - 1::len(c)]
+        return _Spline(self.x, np.vstack([np.r_[0.0, ends[:-1]], c]))
+
+    def minimum(self) -> float:
+        """The least value on [x[0], x[-1]]: each cubic's ends and turning points."""
+        c0, c1, c2, c3 = self.c
+        h = np.diff(self.x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = -(c2 + np.copysign(np.sqrt(c2 * c2 - 3.0 * c1 * c3), c2))
+            s = np.clip([0 * h, h, q / (3 * c3), c1 / q], 0.0, h)
+        values = c0 + s * (c1 + s * (c2 + s * c3))
+        return float(np.min(values[~np.isnan(values)]))
+
+
+def _tridiagonal_solve(a, b, c, d):
+    """Solve a[i] s[i-1] + b[i] s[i] + c[i] s[i+1] = d[i], where a[0] = c[-1] = 0."""
+    n = b.size
+    if n == 1:
+        return d / b
+    if n % 2 == 0:  # an identity row at the end gives every odd row two neighbours
+        a, b, c, d = (np.append(v, pad) for v, pad in zip((a, b, c, d), (0.0, 1.0, 0.0, 0.0)))
+    # Odd-even cyclic reduction (Hockney 1965), stable for diagonally dominant systems:
+    # each odd row absorbs its even neighbours; the even unknowns follow from the odd.
+    alpha, gamma = -a[1::2] / b[:-1:2], -c[1::2] / b[2::2]
+    s = np.empty(b.size)
+    s[1::2] = odd = _tridiagonal_solve(
+        alpha * a[:-1:2], b[1::2] + alpha * c[:-1:2] + gamma * a[2::2],
+        gamma * c[2::2], d[1::2] + alpha * d[:-1:2] + gamma * d[2::2])
+    s[::2] = (d[::2] - a[::2] * np.r_[0.0, odd] - c[::2] * np.r_[odd, 0.0]) / b[::2]
+    return s[:n]
+
+
+def _spline(x, y) -> _Spline:
+    """Not-a-knot cubic spline through (x, y), as scipy's ``CubicSpline(x, y)``.
+
+    The slopes solve de Boor's system (A Practical Guide to Splines, 1978) in
+    scipy's rows; each end row folded into its neighbour leaves a strictly
+    diagonally dominant system.  Two points give the line, three the parabola.
+    """
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    if x.size < 4:  # the derivatives of the line or the parabola through the points
+        mid = (dx[-1] * slope[0] + dx[0] * slope[-1]) / (dx[0] + dx[-1])
+        s = np.array([2 * slope[0] - mid, mid, 2 * slope[-1] - mid])[: x.size]
+    else:
+        d0, d1 = x[2] - x[0], x[-1] - x[-3]
+        b0 = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
+        b1 = (dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+        diag, rhs = 2 * (dx[:-1] + dx[1:]), 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        diag[[0, -1]] -= d0, d1
+        rhs[[0, -1]] -= b0, b1
+        inner = _tridiagonal_solve(np.r_[0.0, dx[2:]], diag, np.r_[dx[:-2], 0.0], rhs)
+        s = np.r_[(b0 - d0 * inner[0]) / dx[1], inner, (b1 - d1 * inner[-1]) / dx[-2]]
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return _Spline(x, np.stack([y[:-1], s[:-1], (slope - s[:-1]) / dx - t, t / dx]))
 
 
 def eigh_tridiagonal(d, e, **kwargs):
-    """``scipy.linalg.eigh_tridiagonal``, forwarded under this module's name."""
+    """``scipy.linalg.eigh_tridiagonal``, imported on first use: only sturm-liouville needs it."""
     from scipy import linalg
 
     return linalg.eigh_tridiagonal(d, e, **kwargs)
@@ -60,9 +129,9 @@ def eigh_tridiagonal(d, e, **kwargs):
 class PotentialSpec:
     """Sampled potential V(x) and local wave number k(x) for one state.
 
-    The local speed v(x) = hbar*k(x)/m must stay positive on the whole
-    domain.  Between samples, k and V are cubic-spline interpolated;
-    arrival times and phases are the exact integrals of the interpolants.
+    The local speed v(x) = hbar*k(x)/m must stay positive on the whole domain.
+    Between samples, k and 1/v are not-a-knot cubic splines computed in numpy;
+    arrival times and phases are their exact integrals.
     """
 
     x_samples: np.ndarray
@@ -97,8 +166,7 @@ class PotentialSpec:
         k_spline = _spline(xs, kx)
         v = self.constants.hbar * kx / self.constants.mass
         # Positivity can fail between nodes even when samples are positive.
-        probe = np.linspace(xs[0], xs[-1], 8 * xs.size)
-        if np.any(k_spline(probe) <= 0.0):
+        if k_spline.minimum() <= 0.0:
             raise ValueError("interpolated k(x) dips to zero between samples")
         inv_v_spline = _spline(xs, 1.0 / v)
         object.__setattr__(self, "_k_spline", k_spline)
@@ -252,6 +320,8 @@ class SLProblem:
         object.__setattr__(self, "V", V)
         hbar, m = self.constants.hbar, self.constants.mass
         w = hbar * hbar * kx**2 / (2.0 * m) + V
+        if not np.all(np.isfinite(w)):
+            raise ValueError("effective potential hbar^2 k^2/2m + V must be finite")
         object.__setattr__(self, "_w_spline", _spline(self.sample_grid(), w))
         # Fine-grid matrix eigenpairs by grid size; see solve_sturm_liouville.
         object.__setattr__(self, "_fine_eigen", {})
@@ -535,6 +605,10 @@ def load_potential_tables(
     xk = np.loadtxt(k_table_path, comments="#", ndmin=2)
     if xv.shape[1] != 2 or xk.shape[1] != 2:
         raise ValueError("tables must have exactly two columns")
+    if xk.shape[0] < 2 or not np.all(np.isfinite(xk)):
+        raise ValueError("k_table needs at least 2 rows of finite x and k")
+    if np.any(np.diff(xk[:, 0]) <= 0):
+        raise ValueError("k_table x must be strictly increasing")
     x, V = xv[:, 0], xv[:, 1]
     if xk.shape[0] == x.shape[0] and np.allclose(xk[:, 0], x):
         kx = xk[:, 1]

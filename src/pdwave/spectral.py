@@ -79,6 +79,8 @@ def apply_observable(
     the hermitized (real) value is returned with ``at_mp=True``.
     """
     hbar, m = state.constants.hbar, state.constants.mass
+    if obs in ("P", "S") and state.v == 0.0:
+        raise ValueError(f"observable {obs} needs v > 0: at v = 0 its imaginary part divides by v")
     if obs == "H":
         value = complex(hbar * state.omega, 0.5 * hbar * state.R)
     elif obs == "Hdagger":

@@ -281,6 +281,35 @@ class TestExitCodes:
         ) == 2
         assert cfg.is_file()  # the rejected run leaves an existing --out in place
 
+    @staticmethod
+    def _tables(tmp_path, k_rows):
+        v_path, k_path = tmp_path / "v.txt", tmp_path / "k.txt"
+        v_path.write_text("".join(f"{float(x)!r} 0.0\n" for x in np.linspace(0.0, 2.0, 41)))
+        k_path.write_text("".join(f"{row}\n" for row in k_rows))
+        return f"v_table = {v_path}\nk_table = {k_path}"
+
+    @pytest.mark.parametrize(
+        "k_rows, message",
+        [
+            (["0 1"], "needs at least 2 rows"),
+            (["0 1", "1 2", "1 3"], "x must be strictly increasing"),  # repeated x
+            (["0 1", "2 2", "1 3"], "x must be strictly increasing"),  # decreasing x
+            (["0 1", "nan 2", "2 3"], "needs at least 2 rows of finite x and k"),
+            (["0 1", "1 inf", "2 3"], "needs at least 2 rows of finite x and k"),
+        ],
+    )
+    def test_bad_k_table_is_config_error(self, k_rows, message, tmp_path, capsys):
+        entries = self._tables(tmp_path, k_rows)
+        assert _failed_run_code("potential-wave", entries, tmp_path) == 1
+        assert capsys.readouterr().err.startswith(f"pdwave: config error: k_table {message}")
+
+    @pytest.mark.parametrize("k_rows", [["0 1", "2 3"], ["0 1", "1 1.25", "2 2"]])
+    def test_two_and_three_row_k_tables_run(self, k_rows, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[potential-wave]\nx_mp = 0.5\n{self._tables(tmp_path, k_rows)}\n")
+        assert cli.main(["--scenario", "potential-wave", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 0
+
     @pytest.mark.parametrize(
         "entries, message",
         [
@@ -579,7 +608,7 @@ def scipy():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 from pdwave import cli
 loaded = {"import": scipy()}
-for scenario in ("free-wave", "ensemble"):
+for scenario in ("free-wave", "ensemble", "potential-wave", "sturm-liouville"):
     assert cli.main(["--scenario", scenario, "--out", scenario]) == 0
     loaded[scenario] = scipy()
 print(json.dumps(loaded))
@@ -598,6 +627,9 @@ def test_scenarios_import_only_the_scipy_they_call(tmp_path):
     for package in ("scipy.stats", "scipy.interpolate", "scipy.linalg", "scipy.special"):
         assert under(loaded["free-wave"], package) == [], package
     assert under(loaded["ensemble"], "scipy") == []
+    assert under(loaded["potential-wave"], "scipy") == []
+    assert under(loaded["sturm-liouville"], "scipy.linalg") != []
+    assert under(loaded["sturm-liouville"], "scipy.interpolate") == []
 
 
 def test_eigh_tridiagonal_is_a_module_function_for_the_tracer():

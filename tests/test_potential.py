@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
 from pdwave.core import Branch, ConvergenceError, RegionError, make_free_state
 from pdwave import freewave as fw
@@ -23,6 +24,63 @@ def linear_spec(x1=1.0, n=201, R=1.0, omega=0.375):
     return pot.PotentialSpec(
         x_samples=xs, V=np.zeros_like(xs), kx=1.0 + xs, R=R, omega=omega
     )
+
+
+def _knots(n, uniform, seed):
+    """n increasing knots, uniform or with neighbour spacing ratios within 1e-3..1e3."""
+    rng = np.random.default_rng(seed)
+    if uniform:
+        return np.linspace(rng.uniform(-5.0, 5.0), rng.uniform(6.0, 50.0), n)
+    return rng.uniform(-5.0, 5.0) + np.cumsum(10.0 ** rng.uniform(-1.5, 1.5, n)) - 1.0
+
+
+class TestSpline:
+    """The numpy not-a-knot spline, with scipy's CubicSpline as the oracle."""
+
+    @settings(max_examples=200)
+    @given(n=st.integers(4, 2000), uniform=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_cubic_spline(self, n, uniform, seed):
+        x = _knots(n, uniform, seed)
+        rng = np.random.default_rng(seed + 1)
+        y = rng.normal(size=n) + (np.sin(x) if rng.random() < 0.5 else 0.0)
+        probe = np.concatenate([x, rng.uniform(x[0], x[-1], 3 * n), 0.5 * (x[1:] + x[:-1])])
+        ours, oracle = pot._spline(x, y), CubicSpline(x, y)
+        for got, want in ((ours(probe), oracle(probe)),
+                          (ours.antiderivative()(probe), oracle.antiderivative()(probe))):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("y", [[1.0, 3.0], [1.0, 1.25, 2.0], [2.0, -1.0, 0.5]])
+    def test_two_and_three_knots_give_the_line_and_the_parabola(self, y):
+        x = np.array([0.0, 1.0, 2.0])[: len(y)]
+        probe = np.linspace(-0.5, 2.5, 31)
+        np.testing.assert_allclose(pot._spline(x, y)(probe), CubicSpline(x, y)(probe),
+                                   rtol=1e-14, atol=1e-14)
+
+    @given(n=st.integers(4, 60), uniform=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_exact_minimum_is_below_the_sampled_one(self, n, uniform, seed):
+        x = _knots(n, uniform, seed)
+        spline = pot._spline(x, np.random.default_rng(seed + 1).normal(size=n))
+        sampled = spline(np.linspace(x[0], x[-1], 8 * n))  # the check the exact one replaced
+        scale = np.max(np.abs(sampled))
+        assert spline.minimum() <= np.min(sampled) + 1e-13 * scale
+        assert spline.minimum() >= np.min(spline(np.linspace(x[0], x[-1], 20001))) - 1e-3 * scale
+
+    def test_dip_between_samples_is_rejected(self):
+        xs = np.linspace(0.0, 1.0, 9)
+        kx = np.array([5.0, 5.0, 5.0, 5.0, 0.05, 0.05, 5.0, 5.0, 5.0])
+        assert CubicSpline(xs, kx)(0.5625) < 0.0
+        with pytest.raises(ValueError, match="dips to zero between samples"):
+            pot.PotentialSpec(x_samples=xs, V=np.zeros_like(xs), kx=kx, R=1.0, omega=0.5)
+
+    def test_dip_between_the_old_probe_points_is_rejected(self):
+        # The same dip lifted until its only negative part, near x = 0.5624,
+        # falls between two of the 8*n probe points the sampled check used.
+        xs = np.linspace(0.0, 1.0, 9)
+        kx = np.array([5.0, 5.0, 5.0, 5.0, 0.05, 0.05, 5.0, 5.0, 5.0]) + 0.9351
+        assert np.min(CubicSpline(xs, kx)(np.linspace(0.0, 1.0, 8 * xs.size))) > 1e-4
+        assert np.min(CubicSpline(xs, kx)(np.linspace(0.56, 0.565, 501))) < -1e-4
+        with pytest.raises(ValueError, match="dips to zero between samples"):
+            pot.PotentialSpec(x_samples=xs, V=np.zeros_like(xs), kx=kx, R=1.0, omega=0.5)
 
 
 class TestArrivalTime:
@@ -283,6 +341,13 @@ class TestSturmLiouville:
         for smaller, larger in zip(eigs[1:], eigs[:-1]):
             assert np.all(smaller <= larger + 1e-12)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_effective_potential_rejected(self, bad):
+        V = np.zeros(64)
+        V[10] = bad
+        with pytest.raises(ValueError, match="effective potential"):
+            pot.SLProblem(x0=0.0, x_end=1.0, kx=np.zeros(64), V=V, n_eigen=2)
+
     def test_too_many_eigenvalues(self):
         with pytest.raises(ConvergenceError):
             pot.solve_sturm_liouville(self.box(n_eigen=50), backend="matrix", n_grid=26)
@@ -316,3 +381,16 @@ def test_load_potential_tables(tmp_path):
     assert spec.kx[0] == pytest.approx(1.0)
     assert spec.V[-1] == pytest.approx(2.0)
     assert pot.arrival_time(spec, 2.0) == pytest.approx(math.log(3.0), abs=1e-6)
+
+
+@pytest.mark.parametrize("k_rows, k_of_x", [
+    ("0 1\n2 3\n", lambda x: 1.0 + x),
+    ("0 1\n1 1.25\n2 2\n", lambda x: 1.0 + 0.25 * x * x),
+])
+def test_short_k_tables_resample_as_the_line_and_the_parabola(k_rows, k_of_x, tmp_path):
+    xs = np.linspace(0.0, 3.0, 31)  # past the k table's last row, too
+    v_path, k_path = tmp_path / "v.txt", tmp_path / "k.txt"
+    v_path.write_text("".join(f"{float(x)!r} 0.0\n" for x in xs))
+    k_path.write_text(k_rows)
+    spec = pot.load_potential_tables(v_path, k_path, R=1.0, omega=0.375)
+    np.testing.assert_allclose(spec.kx, k_of_x(xs), rtol=1e-14)

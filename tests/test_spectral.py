@@ -86,6 +86,18 @@ class TestApplyObservable:
         with pytest.raises(ValueError):
             sp.apply_observable("S", CANON)
 
+    # The absorbed wave that a recording measurement leaves: R = v = 0.
+    ABSORBED = dataclasses.replace(CANON, k=0.0, omega=0.0, R=0.0, v=0.0)
+
+    @pytest.mark.parametrize("obs, t0", [("P", None), ("S", 1.0)])
+    def test_momentum_and_position_need_a_moving_wave(self, obs, t0):
+        with pytest.raises(ValueError, match=rf"observable {obs} needs v > 0: at v = 0"):
+            sp.apply_observable(obs, self.ABSORBED, t0=t0)
+
+    @pytest.mark.parametrize("obs", ["H", "Hdagger"])
+    def test_energy_of_the_absorbed_wave_is_zero(self, obs):
+        assert sp.apply_observable(obs, self.ABSORBED).value == 0.0
+
     def test_energy_difference_is_ihbar_R(self):
         h = sp.apply_observable("H", CANON).value
         hd = sp.apply_observable("Hdagger", CANON).value
