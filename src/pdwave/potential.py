@@ -323,8 +323,8 @@ class SLProblem:
         if not np.all(np.isfinite(w)):
             raise ValueError("effective potential hbar^2 k^2/2m + V must be finite")
         object.__setattr__(self, "_w_spline", _spline(self.sample_grid(), w))
-        # Fine-grid matrix eigenpairs by grid size; see solve_sturm_liouville.
-        object.__setattr__(self, "_fine_eigen", {})
+        # Matrix eigensolves by grid size and kind; see solve_sturm_liouville.
+        object.__setattr__(self, "_matrix_solves", {})
 
     def sample_grid(self) -> np.ndarray:
         return np.linspace(self.x0, self.x_end, self.kx.size)
@@ -358,14 +358,17 @@ class SLSolution:
 
 
 def _matrix_eigen(
-    w_spline, x0: float, x_end: float, n_grid: int, n_eigen: int, constants: PhysicalConstants
+    w_spline, x0: float, x_end: float, n_grid: int, n_eigen: int, constants: PhysicalConstants,
+    eigvals_only: bool = False,
 ):
     """Dense (tridiagonal) second-order eigensolve with Neumann-left BC.
 
     Returns eigenvalues and eigenfunction samples on the full grid
-    including the Dirichlet endpoint.  The Neumann ghost row is folded to
-    a symmetric matrix whose natural weight is the trapezoid rule, so the
-    returned functions are trapezoid-orthonormal by construction.
+    including the Dirichlet endpoint, or with ``eigvals_only`` the
+    eigenvalues alone (LAPACK stebz either way, so the same bits).  The
+    Neumann ghost row is folded to a symmetric matrix whose natural weight
+    is the trapezoid rule, so the functions are trapezoid-orthonormal by
+    construction.
     """
     x = np.linspace(x0, x_end, n_grid)
     h = x[1] - x[0]
@@ -379,7 +382,10 @@ def _matrix_eigen(
         raise ConvergenceError(
             f"only {n_grid - 1} eigenvalues exist below the discretization ceiling"
         )
-    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, n_eigen - 1))
+    lowest = {"select": "i", "select_range": (0, n_eigen - 1)}
+    if eigvals_only:
+        return eigh_tridiagonal(diag, off, eigvals_only=True, **lowest)
+    vals, vecs = eigh_tridiagonal(diag, off, **lowest)
     # Undo the row scaling, append the Dirichlet zero, normalize per trapezoid.
     funcs = np.zeros((n_eigen, n_grid))
     for j in range(n_eigen):
@@ -442,7 +448,8 @@ def _shooting_eigenvalues(
     n_grid: int,
     n_eigen: int,
     constants: PhysicalConstants,
-) -> np.ndarray:
+    seeds=(),
+) -> tuple[np.ndarray, int]:
     """Numerov-shooting eigenvalues: node-count brackets, Illinois steps.
 
     Every sweep's node count tightens the bracket of every eigenvalue, as
@@ -456,6 +463,13 @@ def _shooting_eigenvalues(
     deep forbidden region makes R(x_end) a near-step), and after two steps
     that failed to halve it.  Each eigenvalue stops at a bracket width of
     1e-14*max(1, |E|).
+
+    ``seeds`` holds estimates of the eigenvalues in order, such as the
+    matrix backend's.  After the global bracket, each seed E_j is swept at
+    E_j -+ 1e-7*max(1, |E_j|) where that lies inside eigenvalue j's
+    bracket.  Node counts place those sweeps like any other, so a wrong
+    seed costs sweeps but cannot change the answer; a non-finite one is
+    skipped.  Returns ``(eigenvalues, sweeps)``, the Numerov sweeps taken.
     """
     x = np.linspace(x0, x_end, n_grid)
     W = w_spline(x)
@@ -464,8 +478,11 @@ def _shooting_eigenvalues(
     # The tightest (E, nodes, y_end, rescales) swept below and above each eigenvalue.
     lo = [(-math.inf,)] * n_eigen
     hi = [(math.inf,)] * n_eigen
+    sweeps = 0
 
     def shoot(E: float) -> int:
+        nonlocal sweeps
+        sweeps += 1
         nodes, y_end, rescales = _numerov_sweep(E, x, W, constants)
         point = (E, nodes, y_end, rescales)
         for j in range(nodes, n_eigen):
@@ -490,6 +507,11 @@ def _shooting_eigenvalues(
         raise ConvergenceError(
             f"could not bracket {n_eigen} eigenvalues below the ceiling", iterations=80
         )
+    for j, seed in enumerate(seeds):
+        delta = 1e-7 * max(1.0, abs(seed))
+        for E in (float(seed - delta), float(seed + delta)):
+            if lo[j][0] < E < hi[j][0]:  # elsewhere it cannot narrow, and past e_hi may overflow
+                shoot(E)
 
     eigenvalues = []
     for j in range(n_eigen):
@@ -531,7 +553,12 @@ def _shooting_eigenvalues(
             f"shooting eigenvalues {j} and {j + 1} coincide at {eigenvalues[j]:.6g}: "
             "a bracket width of 1e-14*|E| cannot resolve their spacing"
         )
-    return np.asarray(eigenvalues)
+    return np.asarray(eigenvalues), sweeps
+
+
+def _richardson(fine, coarse):
+    """Second-order eigenvalues on grids h/2 and h, extrapolated to fourth order."""
+    return (4.0 * fine - coarse) / 3.0
 
 
 def solve_sturm_liouville(
@@ -539,33 +566,37 @@ def solve_sturm_liouville(
 ) -> SLSolution:
     """Solve the radial eigenproblem for the lowest ``n_eigen`` pairs.
 
-    ``backend="shooting"`` brackets eigenvalues by node counts and converges
-    them by Illinois steps over fourth-order Numerov sweeps;
     ``backend="matrix"`` uses a dense second-order tridiagonal
-    discretization with Richardson extrapolation over grids h and h/2.
-    Eigenfunctions always come from the matrix discretization on the fine
-    grid (trapezoid-orthonormal by construction), which is solved once per
-    problem and grid size and shared, read-only, by both backends.
+    discretization with Richardson extrapolation over grids h and h/2;
+    ``backend="shooting"`` brackets eigenvalues by node counts and converges
+    them by Illinois steps over fourth-order Numerov sweeps, seeded by those
+    Richardson values.  Node counts still decide every bracket, so a seed
+    saves sweeps but cannot move the answer, and the backends remain two
+    independent discretizations.  Each matrix solve is made once per problem
+    and grid size and shared, read-only, by both backends; eigenfunctions
+    always come from the fine grid (trapezoid-orthonormal by construction).
     """
-    w_spline = problem.effective_potential
-    n_fine = 2 * n_grid - 1
-    if n_fine not in problem._fine_eigen:
-        fine = _matrix_eigen(
-            w_spline, problem.x0, problem.x_end, n_fine, problem.n_eigen, problem.constants
-        )
-        for a in fine:
-            a.setflags(write=False)
-        problem._fine_eigen[n_fine] = fine
-    vals_fine, funcs, x_fine = problem._fine_eigen[n_fine]
+    def matrix_eigen(n, eigvals_only=False):
+        key = (n, eigvals_only)
+        if key not in problem._matrix_solves:
+            solved = _matrix_eigen(problem.effective_potential, problem.x0, problem.x_end, n,
+                                   problem.n_eigen, problem.constants, eigvals_only)
+            for a in [solved] if eigvals_only else solved:
+                a.setflags(write=False)
+            problem._matrix_solves[key] = solved
+        return problem._matrix_solves[key]
 
+    vals_fine, funcs, x_fine = matrix_eigen(2 * n_grid - 1)
     if backend == "matrix":
-        vals_coarse, _, _ = _matrix_eigen(
-            w_spline, problem.x0, problem.x_end, n_grid, problem.n_eigen, problem.constants
-        )
-        eigenvalues = (4.0 * vals_fine - vals_coarse) / 3.0
+        eigenvalues = _richardson(vals_fine, matrix_eigen(n_grid, eigvals_only=True))
     elif backend == "shooting":
-        eigenvalues = _shooting_eigenvalues(
-            w_spline, problem.x0, problem.x_end, n_grid, problem.n_eigen, problem.constants
+        try:
+            seeds = _richardson(vals_fine, matrix_eigen(n_grid, eigvals_only=True))
+        except ConvergenceError:  # too few coarse levels: shooting cannot bracket them and says so
+            seeds = ()
+        eigenvalues, _ = _shooting_eigenvalues(
+            problem.effective_potential, problem.x0, problem.x_end, n_grid, problem.n_eigen,
+            problem.constants, seeds,
         )
     else:
         raise ValueError(f"unknown backend {backend!r}")

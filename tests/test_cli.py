@@ -82,6 +82,16 @@ def test_sturm_liouville_edge_config_passes_check(entries, tmp_path):
     ) == 0
 
 
+def test_backends_agree_catches_a_wrong_richardson_step(tmp_path, monkeypatch, capsys):
+    # The seeds come from the same step, so shooting must not inherit the defect.
+    monkeypatch.setattr(cli.potential, "_richardson",
+                        lambda fine, coarse: (2.0 * fine - coarse) / 3.0)
+    assert cli.main(["--scenario", "sturm-liouville", "--out", str(tmp_path), "--check"]) == 3
+    assert "backends_agree" in capsys.readouterr().err
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert {c["name"] for c in report["checks"] if not c["passed"]} == {"backends_agree"}
+
+
 def test_free_wave_has_unit_density_row(tmp_path):
     cli.main(["--scenario", "free-wave", "--out", str(tmp_path)])
     body = (tmp_path / "free_wave_t1.csv").read_text().splitlines()

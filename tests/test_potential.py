@@ -280,7 +280,64 @@ class TestSturmLiouville:
 
         monkeypatch.setattr(pot, "_numerov_sweep", counted)
         pot.solve_sturm_liouville(self.box(), backend="shooting", n_grid=2001)
-        assert len(energies) <= 15 * 6
+        assert len(energies) <= 2 + 5 * 6
+
+    def shoot(self, problem, seeds=(), n_grid=2001):
+        return pot._shooting_eigenvalues(
+            problem.effective_potential, problem.x0, problem.x_end, n_grid, problem.n_eigen,
+            problem.constants, seeds,
+        )
+
+    def richardson(self, problem, n_grid=2001):
+        return pot.solve_sturm_liouville(problem, backend="matrix", n_grid=n_grid).eigenvalues
+
+    def test_shooting_counts_its_sweeps(self, monkeypatch):
+        sweep, energies = pot._numerov_sweep, []
+
+        def counted(E, *args):
+            energies.append(E)
+            return sweep(E, *args)
+
+        monkeypatch.setattr(pot, "_numerov_sweep", counted)
+        _, sweeps = self.shoot(self.box())
+        assert sweeps == len(energies)
+
+    @pytest.mark.parametrize("n_eigen", [1, 6])
+    def test_seeding_lowers_the_sweep_count(self, n_eigen):
+        problem = self.box(n_eigen=n_eigen)
+        unseeded, unseeded_sweeps = self.shoot(problem)
+        seeded, seeded_sweeps = self.shoot(problem, self.richardson(problem))
+        assert seeded_sweeps < unseeded_sweeps
+        assert seeded_sweeps <= 2 + 5 * n_eigen
+        np.testing.assert_allclose(seeded, unseeded, rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("wrong", [
+        lambda E: E * (1.0 + 1e-6),
+        lambda E: np.r_[E[1:], 2.0 * E[-1] - E[-2]],  # each seed one level up
+        lambda E: np.r_[E[-1], E[:-1]],  # each seed one level down, the first at the top
+        lambda E: np.zeros_like(E),
+        lambda E: -E,
+        lambda E: np.full_like(E, 1e200),  # a sweep there overflows and counts 0 nodes
+    ], ids=["off-1e-6-relative", "one-level-up", "one-level-down", "zero", "negative", "huge"])
+    def test_wrong_seeds_cannot_change_the_answer(self, wrong):
+        problem = self.box()
+        unseeded, _ = self.shoot(problem)
+        seeded, _ = self.shoot(problem, wrong(self.richardson(problem)))
+        assert np.all(np.abs(seeded - unseeded) <= 1e-14 * np.maximum(1.0, np.abs(unseeded)))
+
+    def test_non_finite_seeds_are_skipped(self, monkeypatch):
+        problem = self.box()
+        unseeded, unseeded_sweeps = self.shoot(problem)
+        seeds = [math.nan, math.inf, -math.inf, math.nan, math.inf, -math.inf]
+        seeded, seeded_sweeps = self.shoot(problem, seeds)
+        assert seeded_sweeps == unseeded_sweeps
+        np.testing.assert_array_equal(seeded, unseeded)
+
+    def test_coarse_eigenvalues_alone_are_bit_identical(self):
+        problem = self.box()
+        args = (problem.effective_potential, problem.x0, problem.x_end, 2001, 6, problem.constants)
+        vals, _, _ = pot._matrix_eigen(*args)
+        np.testing.assert_array_equal(pot._matrix_eigen(*args, eigvals_only=True), vals)
 
     def test_backends_share_one_fine_grid_solve(self, monkeypatch):
         eigh, sizes = pot.eigh_tridiagonal, []
