@@ -467,9 +467,10 @@ def _shooting_eigenvalues(
     ``seeds`` holds estimates of the eigenvalues in order, such as the
     matrix backend's.  After the global bracket, each seed E_j is swept at
     E_j -+ 1e-7*max(1, |E_j|) where that lies inside eigenvalue j's
-    bracket.  Node counts place those sweeps like any other, so a wrong
-    seed costs sweeps but cannot change the answer; a non-finite one is
-    skipped.  Returns ``(eigenvalues, sweeps)``, the Numerov sweeps taken.
+    bracket.  Node counts place those sweeps like any other, so wherever
+    the counts rise with E, as they do on a grid that resolves the modes, a
+    wrong seed costs sweeps but cannot change the answer; a non-finite one
+    is skipped.  Returns ``(eigenvalues, sweeps)``, the Numerov sweeps taken.
     """
     x = np.linspace(x0, x_end, n_grid)
     W = w_spline(x)
@@ -570,9 +571,9 @@ def solve_sturm_liouville(
     discretization with Richardson extrapolation over grids h and h/2;
     ``backend="shooting"`` brackets eigenvalues by node counts and converges
     them by Illinois steps over fourth-order Numerov sweeps, seeded by those
-    Richardson values.  Node counts still decide every bracket, so a seed
-    saves sweeps but cannot move the answer, and the backends remain two
-    independent discretizations.  Each matrix solve is made once per problem
+    Richardson values.  Node counts still decide every bracket, so on a
+    grid that resolves the modes a seed saves sweeps but cannot move the
+    answer, and the backends remain two independent discretizations.  Each matrix solve is made once per problem
     and grid size and shared, read-only, by both backends; eigenfunctions
     always come from the fine grid (trapezoid-orthonormal by construction).
     """
