@@ -468,12 +468,20 @@ def _run_sturm_liouville(cfg: ScenarioConfig, out: Path, report: Report) -> None
 
 
 def _run_uncertainty(cfg: ScenarioConfig, out: Path, report: Report) -> None:
+    """Fill z by blocks with rng.normal(0.0, sigma, n)'s bytes, 0.0 + sigma*x, re then im."""
     p = cfg.parameters
-    rng = np.random.default_rng(cfg.seed)
-    z = np.empty(p["n_samples"], dtype=complex)  # filled in place, with no complex temporary
-    z.real = rng.normal(0.0, p["sigma_re"], p["n_samples"])
-    z.imag = rng.normal(0.0, p["sigma_im"], p["n_samples"])
-    rep = analysis.uncertainty_decompose(analysis.ComplexSampleSet(values=z))
+    rng, n, block = np.random.default_rng(cfg.seed), p["n_samples"], analysis._BLOCK
+    z, buf = np.empty(n, dtype=complex), np.empty(min(n, block))
+    try:
+        for part, sigma in ((z.real, p["sigma_re"]), (z.imag, p["sigma_im"])):
+            for start in range(0, n, block):
+                x = rng.standard_normal(out=buf[:min(block, n - start)])
+                np.add(np.multiply(x, sigma, out=x), 0.0, out=part[start:start + block])
+        rep = analysis.uncertainty_decompose(analysis.ComplexSampleSet(values=z))
+    except FloatingPointError as exc:
+        raise FloatingPointError(
+            f"the samples' second moment overflows the float range ({exc}); lower "
+            f"sigma_re = {p['sigma_re']!r} or sigma_im = {p['sigma_im']!r}") from exc
     emit_output(asdict(rep), cfg.format, out / f"uncertainty.{cfg.format}")
 
     report.add_residual(

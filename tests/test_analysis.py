@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -42,6 +43,39 @@ class TestUncertainty:
             rep = an.uncertainty_decompose(an.ComplexSampleSet(values=z))
             assert rep.var_real - rep.var_imag - rep.var_complex.real == 0.0
             assert rep.var_complex.imag - 2.0 * rep.covariance == 0.0
+
+    def test_large_mean_does_not_cancel(self):
+        # mean(a*b) - mean(a)*mean(b) gave var_real 2.0 here, against np.var's 1.0003.
+        rng = np.random.default_rng(11)
+        re, im = 1e8 + rng.normal(0, 1.0, 100000), 1e8 + rng.normal(0, 2.0, 100000)
+        rep = an.uncertainty_decompose(an.ComplexSampleSet(values=re + 1j * im))
+        assert rep.var_real == pytest.approx(np.var(re), rel=1e-9)
+        assert rep.var_imag == pytest.approx(np.var(im), rel=1e-9)
+        covariance = np.mean((re - re.mean()) * (im - im.mean()))
+        assert rep.covariance == pytest.approx(covariance, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [2, an._BLOCK - 1, an._BLOCK, an._BLOCK + 1, 3 * an._BLOCK + 7])
+    def test_block_edges_match_one_shot_moments(self, n):
+        # Correlated parts keep the covariance O(1), so 1e-14 relative is a rounding bound.
+        rng = np.random.default_rng(n)
+        x = 3.0 + rng.normal(0, 2.0, n)
+        z = x + 1j * (0.5 * x + rng.normal(0, 1.0, n) - 1.0)
+        rep = an.uncertainty_decompose(an.ComplexSampleSet(values=z))
+        d = z - z.mean()
+        one_shot = np.mean(d.real * d.real), np.mean(d.imag * d.imag), np.mean(d.real * d.imag)
+        assert (rep.var_real, rep.var_imag, rep.covariance) == pytest.approx(one_shot, rel=1e-14)
+
+    def test_peak_memory_is_one_block(self):
+        # Three full-size product temporaries at 1e6 samples peaked at 8.0 MB.
+        rng = np.random.default_rng(3)
+        samples = an.ComplexSampleSet(values=rng.normal(size=1_000_000) + 1j)
+        tracemalloc.start()
+        try:
+            an.uncertainty_decompose(samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):

@@ -168,6 +168,26 @@ def test_seed_changes_ensemble_output(tmp_path):
     assert (out_a / "ensemble.csv").read_bytes() != (out_b / "ensemble.csv").read_bytes()
 
 
+@pytest.mark.parametrize("n", [2, pdwave.analysis._BLOCK + 1, 3 * pdwave.analysis._BLOCK - 1])
+@pytest.mark.parametrize("sigma_re, sigma_im", [(2.0, 1.0), (0.0, 1.0), (2.0, 0.0)])
+def test_uncertainty_draws_are_rng_normal(n, sigma_re, sigma_im, tmp_path, monkeypatch):
+    # Bytes, not values: at sigma = 0, sigma*x alone would give -0.0 where normal gives +0.0.
+    seen = []
+    decompose = pdwave.analysis.uncertainty_decompose
+    monkeypatch.setattr(pdwave.analysis, "uncertainty_decompose",
+                        lambda samples: seen.append(samples.values) or decompose(samples))
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[uncertainty]\nn_samples = {n}\nsigma_re = {sigma_re}\n"
+                   f"sigma_im = {sigma_im}\nseed = 9\n")
+    assert cli.main(["--scenario", "uncertainty", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+    rng = np.random.default_rng(9)
+    expected = np.empty(n, dtype=complex)
+    expected.real = rng.normal(0.0, sigma_re, n)
+    expected.imag = rng.normal(0.0, sigma_im, n)
+    assert seen[0].tobytes() == expected.tobytes()
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[ensemble]\nweights = 0.6,0.4\nn_trials = 2000\nseed = 5\n"
@@ -338,6 +358,13 @@ class TestExitCodes:
         "scenario, entries, message",
         [
             ("decoherence", "t = 2000", "overflow encountered in exp"),
+            # (1e200)^2 and (1e160)^2 pass the largest float.
+            ("uncertainty", "sigma_re = 1e200",
+             "second moment overflows the float range (overflow encountered in multiply); "
+             "lower sigma_re = 1e+200 or sigma_im = 1.0"),
+            ("uncertainty", "sigma_im = 1e160", "lower sigma_re = 2.0 or sigma_im = 1e+160"),
+            # The draws themselves overflow here.
+            ("uncertainty", "sigma_re = 1e308", "lower sigma_re = 1e+308 or sigma_im = 1.0"),
             # core.dispersion_omega names the keys: (R/v)^2 with R = 1 overflows,
             # or R^2 (and k^2, with k = m*v/hbar) overflows.
             ("contour", "v = 1e-300", "v = 1e-300"),
