@@ -15,36 +15,34 @@ from pdwave import potential as pot
 # Half-open box: R'(0) = 0, R(1) = 0.  Closed form: E_n = ((n+1/2) pi)^2 / 2.
 n = 64
 box = pot.SLProblem(x0=0.0, x_end=1.0, kx=np.zeros(n), V=np.zeros(n), n_eigen=6)
-shoot = pot.solve_sturm_liouville(box, backend="shooting")
-dense = pot.solve_sturm_liouville(box, backend="matrix")
+sol = pot.solve_sturm_liouville(box)
+shoot, dense = sol.eigenvalues, sol.matrix_eigenvalues
 exact = ((np.arange(6) + 0.5) * np.pi) ** 2 / 2.0
 
 print("box eigenvalues (shooting vs matrix vs exact):")
 print(" n   shooting        matrix          exact           rel.err")
 for j in range(6):
-    rel = abs(shoot.eigenvalues[j] - exact[j]) / exact[j]
-    print(f"{j:2d}   {shoot.eigenvalues[j]:.10f}  {dense.eigenvalues[j]:.10f}"
+    rel = abs(shoot[j] - exact[j]) / exact[j]
+    print(f"{j:2d}   {shoot[j]:.10f}  {dense[j]:.10f}"
           f"  {exact[j]:.10f}  {rel:.1e}")
 
 # Eigenfunctions come out orthonormal under the trapezoid inner product.
-gram = shoot.gram_matrix()
+gram = sol.gram_matrix()
 print("\northonormality defect:", np.max(np.abs(gram - np.eye(6))))
 
 # A constant local wave number k0 shifts the whole spectrum by k0^2/2.
 shifted = pot.solve_sturm_liouville(
-    pot.SLProblem(x0=0.0, x_end=1.0, kx=np.full(n, 2.0), V=np.zeros(n), n_eigen=3),
-    backend="shooting",
+    pot.SLProblem(x0=0.0, x_end=1.0, kx=np.full(n, 2.0), V=np.zeros(n), n_eigen=3)
 )
-print("\nconstant k0=2 shift (should be 2.0):",
-      shifted.eigenvalues - shoot.eigenvalues[:3])
+print("\nconstant k0=2 shift (should be 2.0):", shifted.eigenvalues - shoot[:3])
 
 # Half-line harmonic well: the zero-slope condition selects the even
 # oscillator states 1/2, 5/2, 9/2.
 xs = np.linspace(0.0, 8.0, 128)
 osc = pot.SLProblem(x0=0.0, x_end=8.0, kx=np.zeros(128), V=0.5 * xs**2, n_eigen=3)
-sol = pot.solve_sturm_liouville(osc, backend="shooting")
-print("\nhalf-line oscillator:", sol.eigenvalues)
+osc_energies = pot.solve_sturm_liouville(osc).eigenvalues
+print("\nhalf-line oscillator:", osc_energies)
 
 # Discrete energies discretize the arrival times at a fixed detector.
-times = pot.mode_arrival_times(sol.eigenvalues, x=4.0)
+times = pot.mode_arrival_times(osc_energies, x=4.0)
 print("mode arrival times at x=4:", times)

@@ -47,10 +47,11 @@ class ComplexSampleSet:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        z = np.asarray(self.values, dtype=complex)
+        z = np.ascontiguousarray(self.values, dtype=complex)
         if z.ndim != 1 or z.size < 2:
             raise ValueError("need at least two samples")
-        if not np.all(np.isfinite(z)):
+        parts = z.view(float)  # min and max carry any NaN through and make no temporary
+        if not (np.isfinite(parts.min()) and np.isfinite(parts.max())):
             raise ValueError("samples must be finite")
         z.setflags(write=False)
         object.__setattr__(self, "values", z)

@@ -387,6 +387,9 @@ def _run_decoherence(cfg: ScenarioConfig, out: Path, report: Report) -> None:
     weights = _normalized_weights(p["weights"])
     if len(p["speeds"]) != weights.size:
         raise ConfigError("speeds and weights must pair up")
+    if max(p["speeds"]) * max(p["t"], 1.0) > math.log(sys.float_info.max):  # R = v, t up to 1
+        raise ConfigError(f"t = {p['t']!r} with speeds up to {max(p['speeds'])!r} overflows "
+                          "exp(R*t): max(speeds)*max(t, 1) must be at most ln(max float) ~ 709.78")
     waves = tuple(make_free_state(v, v) for v in p["speeds"])
     state = evolution.SuperposedState(np.sqrt(weights).astype(complex), waves)
 
@@ -440,6 +443,9 @@ def _run_sturm_liouville(cfg: ScenarioConfig, out: Path, report: Report) -> None
     p = cfg.parameters
     if not p["x0"] < p["x1"]:
         raise ConfigError(f"x0 must be < x1, got {p['x0']}, {p['x1']}")
+    if p["n_eigen"] > p["n_grid"] - 1:  # the coarse matrix's n_grid - 1 unknowns
+        raise ConfigError(f"n_grid = {p['n_grid']} holds at most {p['n_grid'] - 1} levels, "
+                          f"fewer than n_eigen = {p['n_eigen']}")
     n_samples = 201
     xs = np.linspace(p["x0"], p["x1"], n_samples)
     V = np.zeros_like(xs) if p["preset"] == "box" else 0.5 * xs**2
@@ -447,23 +453,18 @@ def _run_sturm_liouville(cfg: ScenarioConfig, out: Path, report: Report) -> None
         x0=p["x0"], x_end=p["x1"], kx=np.full(n_samples, p["k0"]), V=V,
         n_eigen=p["n_eigen"],
     )
-    shoot = potential.solve_sturm_liouville(problem, backend="shooting",
-                                            n_grid=p["n_grid"])
-    dense = potential.solve_sturm_liouville(problem, backend="matrix",
-                                            n_grid=p["n_grid"])
-    table = {"n": np.arange(p["n_eigen"]), "energy_shooting": shoot.eigenvalues,
-             "energy_matrix": dense.eigenvalues,
-             "backend_gap": shoot.eigenvalues - dense.eigenvalues}
+    solution = potential.solve_sturm_liouville(problem, n_grid=p["n_grid"])
+    shoot, dense = solution.eigenvalues, solution.matrix_eigenvalues
+    table = {"n": np.arange(p["n_eigen"]), "energy_shooting": shoot, "energy_matrix": dense,
+             "backend_gap": shoot - dense}
     emit_output(table, cfg.format, out / f"sturm_liouville.{cfg.format}")
 
-    rel_gap = np.max(
-        np.abs(shoot.eigenvalues - dense.eigenvalues) / np.abs(dense.eigenvalues)
-    )
-    report.add_residual("backends_agree", float(rel_gap), 1e-6)
+    report.add_residual("backends_agree", float(np.max(np.abs(shoot - dense) / np.abs(dense))),
+                        1e-6)
     if p["preset"] == "box":
         L = p["x1"] - p["x0"]
         exact = ((np.arange(p["n_eigen"]) + 0.5) * np.pi / L) ** 2 / 2.0 + p["k0"] ** 2 / 2.0
-        rel = float(np.max(np.abs(shoot.eigenvalues - exact) / exact))
+        rel = float(np.max(np.abs(shoot - exact) / exact))
         report.add_residual("closed_form_match", rel, 1e-6)
 
 

@@ -323,8 +323,6 @@ class SLProblem:
         if not np.all(np.isfinite(w)):
             raise ValueError("effective potential hbar^2 k^2/2m + V must be finite")
         object.__setattr__(self, "_w_spline", _spline(self.sample_grid(), w))
-        # Matrix eigensolves by grid size and kind; see solve_sturm_liouville.
-        object.__setattr__(self, "_matrix_solves", {})
 
     def sample_grid(self) -> np.ndarray:
         return np.linspace(self.x0, self.x_end, self.kx.size)
@@ -336,18 +334,20 @@ class SLProblem:
 
 @dataclass(frozen=True, eq=False)
 class SLSolution:
-    """Lowest eigenpairs, eigenfunctions trapezoid-orthonormal on the grid."""
+    """Lowest eigenvalues by shooting and by the Richardson-extrapolated matrix, and
+    the fine matrix grid's eigenfunctions, trapezoid-orthonormal on ``x``."""
 
     eigenvalues: np.ndarray
+    matrix_eigenvalues: np.ndarray
     eigenfunctions: np.ndarray
     x: np.ndarray
 
     def __post_init__(self) -> None:
-        ev = np.asarray(self.eigenvalues, dtype=float)
-        if np.any(np.diff(ev) <= 0):
-            raise ValueError("eigenvalues must be strictly increasing")
+        for name in ("eigenvalues", "matrix_eigenvalues"):
+            if np.any(np.diff(getattr(self, name)) <= 0):
+                raise ValueError(f"{name} must be strictly increasing")
         gram = self.gram_matrix()
-        if np.max(np.abs(gram - np.eye(ev.size))) > 1e-8:
+        if np.max(np.abs(gram - np.eye(len(self.eigenvalues)))) > 1e-8:
             raise ValueError("eigenfunctions are not orthonormal to 1e-8")
 
     def gram_matrix(self) -> np.ndarray:
@@ -357,10 +357,7 @@ class SLSolution:
         return np.einsum("ik,k,jk->ij", self.eigenfunctions, w, self.eigenfunctions)
 
 
-def _matrix_eigen(
-    w_spline, x0: float, x_end: float, n_grid: int, n_eigen: int, constants: PhysicalConstants,
-    eigvals_only: bool = False,
-):
+def _matrix_eigen(problem: SLProblem, n_grid: int, eigvals_only: bool = False):
     """Dense (tridiagonal) second-order eigensolve with Neumann-left BC.
 
     Returns eigenvalues and eigenfunction samples on the full grid
@@ -370,25 +367,24 @@ def _matrix_eigen(
     is the trapezoid rule, so the functions are trapezoid-orthonormal by
     construction.
     """
-    x = np.linspace(x0, x_end, n_grid)
-    h = x[1] - x[0]
-    c = constants.hbar**2 / (2.0 * constants.mass)
-    W = w_spline(x)
-    # Unknowns at x[0..n-2]; R(x_end) = 0 eliminated.
-    diag = 2.0 * c / h**2 + W[:-1]
-    off = np.full(n_grid - 2, -c / h**2)
-    off[0] *= math.sqrt(2.0)  # symmetrized Neumann ghost row
-    if n_eigen > n_grid - 1:
+    if problem.n_eigen > n_grid - 1:
         raise ConvergenceError(
             f"only {n_grid - 1} eigenvalues exist below the discretization ceiling"
         )
-    lowest = {"select": "i", "select_range": (0, n_eigen - 1)}
+    x = np.linspace(problem.x0, problem.x_end, n_grid)
+    h = x[1] - x[0]
+    c = problem.constants.hbar**2 / (2.0 * problem.constants.mass)
+    # Unknowns at x[0..n-2]; R(x_end) = 0 eliminated.
+    diag = 2.0 * c / h**2 + problem.effective_potential(x)[:-1]
+    off = np.full(n_grid - 2, -c / h**2)
+    off[0] *= math.sqrt(2.0)  # symmetrized Neumann ghost row
+    lowest = {"select": "i", "select_range": (0, problem.n_eigen - 1)}
     if eigvals_only:
         return eigh_tridiagonal(diag, off, eigvals_only=True, **lowest)
     vals, vecs = eigh_tridiagonal(diag, off, **lowest)
     # Undo the row scaling, append the Dirichlet zero, normalize per trapezoid.
-    funcs = np.zeros((n_eigen, n_grid))
-    for j in range(n_eigen):
+    funcs = np.zeros((problem.n_eigen, n_grid))
+    for j in range(problem.n_eigen):
         u = vecs[:, j].copy()
         u[0] *= math.sqrt(2.0)
         funcs[j, :-1] = u / math.sqrt(h)
@@ -441,15 +437,7 @@ def _numerov_sweep(
     return nodes, y, rescales
 
 
-def _shooting_eigenvalues(
-    w_spline,
-    x0: float,
-    x_end: float,
-    n_grid: int,
-    n_eigen: int,
-    constants: PhysicalConstants,
-    seeds=(),
-) -> tuple[np.ndarray, int]:
+def _shooting_eigenvalues(problem: SLProblem, n_grid: int, seeds=()) -> tuple[np.ndarray, int]:
     """Numerov-shooting eigenvalues: node-count brackets, Illinois steps.
 
     Every sweep's node count tightens the bracket of every eigenvalue, as
@@ -472,9 +460,10 @@ def _shooting_eigenvalues(
     wrong seed costs sweeps but cannot change the answer; a non-finite one
     is skipped.  Returns ``(eigenvalues, sweeps)``, the Numerov sweeps taken.
     """
-    x = np.linspace(x0, x_end, n_grid)
-    W = w_spline(x)
-    L = x_end - x0
+    n_eigen, constants = problem.n_eigen, problem.constants
+    x = np.linspace(problem.x0, problem.x_end, n_grid)
+    W = problem.effective_potential(x)
+    L = problem.x_end - problem.x0
     c = constants.hbar**2 / (2.0 * constants.mass)
     # The tightest (E, nodes, y_end, rescales) swept below and above each eigenvalue.
     lo = [(-math.inf,)] * n_eigen
@@ -562,47 +551,21 @@ def _richardson(fine, coarse):
     return (4.0 * fine - coarse) / 3.0
 
 
-def solve_sturm_liouville(
-    problem: SLProblem, backend: str = "shooting", n_grid: int = 2001
-) -> SLSolution:
-    """Solve the radial eigenproblem for the lowest ``n_eigen`` pairs.
+def solve_sturm_liouville(problem: SLProblem, n_grid: int = 2001) -> SLSolution:
+    """Solve the radial eigenproblem for the lowest ``n_eigen`` pairs, two ways.
 
-    ``backend="matrix"`` uses a dense second-order tridiagonal
-    discretization with Richardson extrapolation over grids h and h/2;
-    ``backend="shooting"`` brackets eigenvalues by node counts and converges
-    them by Illinois steps over fourth-order Numerov sweeps, seeded by those
-    Richardson values.  Node counts still decide every bracket, so on a
-    grid that resolves the modes a seed saves sweeps but cannot move the
-    answer, and the backends remain two independent discretizations.  Each matrix solve is made once per problem
-    and grid size and shared, read-only, by both backends; eigenfunctions
-    always come from the fine grid (trapezoid-orthonormal by construction).
+    The matrix eigenvalues are second-order tridiagonal solves on ``n_grid``
+    and ``2*n_grid - 1`` points, Richardson-extrapolated to fourth order.  The
+    shooting eigenvalues are bracketed by node counts and converged by Illinois
+    steps over fourth-order Numerov sweeps on ``n_grid`` points, seeded by the
+    matrix values; node counts still decide every bracket, so on a grid that
+    resolves the modes the two stay independent.  Eigenfunctions come from the
+    fine matrix grid.  Fewer than ``n_eigen + 1`` points raise ConvergenceError.
     """
-    def matrix_eigen(n, eigvals_only=False):
-        key = (n, eigvals_only)
-        if key not in problem._matrix_solves:
-            solved = _matrix_eigen(problem.effective_potential, problem.x0, problem.x_end, n,
-                                   problem.n_eigen, problem.constants, eigvals_only)
-            for a in [solved] if eigvals_only else solved:
-                a.setflags(write=False)
-            problem._matrix_solves[key] = solved
-        return problem._matrix_solves[key]
-
-    vals_fine, funcs, x_fine = matrix_eigen(2 * n_grid - 1)
-    if backend == "matrix":
-        eigenvalues = _richardson(vals_fine, matrix_eigen(n_grid, eigvals_only=True))
-    elif backend == "shooting":
-        try:
-            seeds = _richardson(vals_fine, matrix_eigen(n_grid, eigvals_only=True))
-        except ConvergenceError:  # too few coarse levels: shooting cannot bracket them and says so
-            seeds = ()
-        eigenvalues, _ = _shooting_eigenvalues(
-            problem.effective_potential, problem.x0, problem.x_end, n_grid, problem.n_eigen,
-            problem.constants, seeds,
-        )
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-
-    return SLSolution(eigenvalues=np.asarray(eigenvalues), eigenfunctions=funcs, x=x_fine)
+    vals_fine, funcs, x_fine = _matrix_eigen(problem, 2 * n_grid - 1)
+    matrix = _richardson(vals_fine, _matrix_eigen(problem, n_grid, eigvals_only=True))
+    eigenvalues, _ = _shooting_eigenvalues(problem, n_grid, seeds=matrix)
+    return SLSolution(eigenvalues, matrix, funcs, x_fine)
 
 
 def mode_arrival_times(

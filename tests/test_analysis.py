@@ -77,6 +77,25 @@ class TestUncertainty:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    def test_finiteness_check_makes_no_full_size_temporary(self):
+        # np.all(np.isfinite(z)) peaked at 1.0 MB, a boolean per sample.
+        z = np.random.default_rng(4).normal(size=1_000_000) + 1j
+        tracemalloc.start()
+        try:
+            an.ComplexSampleSet(values=z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    def test_non_finite_sample_rejected(self, bad, part):
+        z = np.ones(5, dtype=complex)
+        getattr(z, part)[2] = bad
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="samples must be finite"):
+            an.ComplexSampleSet(values=z)
+
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             an.ComplexSampleSet(values=np.array([1.0 + 0j]))

@@ -343,7 +343,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "entries, message",
         [
-            ("n_grid = 4", "could not bracket"),
+            # 6 levels fit under the coarse matrix's ceiling but not Numerov's node counts.
+            ("n_grid = 7", "could not bracket"),
             # Grid step 500: the Numerov weight turns negative below min(W).
             ("x1 = 1e6", "counts 1999 nodes below min(W)"),
             # W ~ 5e15: bisection resolves ~50, about the level spacing.
@@ -357,7 +358,6 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "scenario, entries, message",
         [
-            ("decoherence", "t = 2000", "overflow encountered in exp"),
             # (1e200)^2 and (1e160)^2 pass the largest float.
             ("uncertainty", "sigma_re = 1e200",
              "second moment overflows the float range (overflow encountered in multiply); "
@@ -378,6 +378,29 @@ class TestExitCodes:
     ):
         assert _failed_run_code(scenario, entries, tmp_path) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "scenario, entries, named",
+        [
+            ("sturm-liouville", "n_grid = 4", ("n_grid = 4", "n_eigen = 6")),
+            # max(speeds) = 3: 3*236.6 = 709.8 passes ln(max float) = 709.78.
+            ("decoherence", "t = 236.6", ("t = 236.6", "speeds up to 3.0")),
+            ("decoherence", "speeds = 1,2,710\nt = 0.5", ("t = 0.5", "speeds up to 710.0")),
+        ],
+    )
+    def test_cross_key_rejection_names_both_keys(
+        self, scenario, entries, named, tmp_path, capsys
+    ):
+        assert _failed_run_code(scenario, entries, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert all(text in err for text in named)
+
+    @pytest.mark.parametrize("entries", ["t = 236.5", "speeds = 1,2,709"])
+    def test_decoherence_just_inside_the_float_range_runs(self, entries, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[decoherence]\n{entries}\n")
+        assert cli.main(["--scenario", "decoherence", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize(
         "scenario, entries, check",
@@ -466,6 +489,12 @@ class TestExitCodes:
             ("sturm-liouville", "x1 = nan"),
             ("sturm-liouville", "k0 = nan"),
             ("sturm-liouville", "n_grid = 3"),
+            # n_eigen = 6 needs n_grid - 1 >= 6 coarse matrix levels.
+            ("sturm-liouville", "n_grid = 4"),
+            # exp(R*t) with R = v past the largest float: max(speeds)*max(t, 1) > 709.78,
+            # through the norm law or the semigroup check's step to t = 1.
+            ("decoherence", "t = 2000"),
+            ("decoherence", "speeds = 1,2,710\nt = 0.5"),
             ("sturm-liouville", "k0 = 1e200"),
             ("entropy", "n = 0"),
             ("entropy", "n = 1"),

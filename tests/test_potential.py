@@ -260,14 +260,14 @@ class TestSturmLiouville:
             assert type(count) is int and count == j
 
     def test_box_closed_form(self):
-        sol = pot.solve_sturm_liouville(self.box(), backend="shooting")
+        sol = pot.solve_sturm_liouville(self.box())
         exact = ((np.arange(6) + 0.5) * np.pi) ** 2 / 2.0
         assert np.max(np.abs(sol.eigenvalues - exact) / exact) < 1e-6
         assert sol.eigenvalues[0] == pytest.approx(1.2337005501361697, rel=1e-6)
 
     def test_box_shooting_resolves_energy_below_the_rounding_of_w(self):
         # The three-term recurrence rounds w = 1 - h^2 f/12 and lands 1.8e-9 off.
-        sol = pot.solve_sturm_liouville(self.box(), backend="shooting", n_grid=2001)
+        sol = pot.solve_sturm_liouville(self.box(), n_grid=2001)
         exact = ((np.arange(6) + 0.5) * np.pi) ** 2 / 2.0
         assert np.max(np.abs(sol.eigenvalues - exact) / exact) < 1e-10
 
@@ -279,17 +279,14 @@ class TestSturmLiouville:
             return sweep(E, *args)
 
         monkeypatch.setattr(pot, "_numerov_sweep", counted)
-        pot.solve_sturm_liouville(self.box(), backend="shooting", n_grid=2001)
+        pot.solve_sturm_liouville(self.box(), n_grid=2001)
         assert len(energies) <= 2 + 5 * 6
 
     def shoot(self, problem, seeds=(), n_grid=2001):
-        return pot._shooting_eigenvalues(
-            problem.effective_potential, problem.x0, problem.x_end, n_grid, problem.n_eigen,
-            problem.constants, seeds,
-        )
+        return pot._shooting_eigenvalues(problem, n_grid, seeds)
 
     def richardson(self, problem, n_grid=2001):
-        return pot.solve_sturm_liouville(problem, backend="matrix", n_grid=n_grid).eigenvalues
+        return pot.solve_sturm_liouville(problem, n_grid=n_grid).matrix_eigenvalues
 
     def test_shooting_counts_its_sweeps(self, monkeypatch):
         sweep, energies = pot._numerov_sweep, []
@@ -335,9 +332,8 @@ class TestSturmLiouville:
 
     def test_coarse_eigenvalues_alone_are_bit_identical(self):
         problem = self.box()
-        args = (problem.effective_potential, problem.x0, problem.x_end, 2001, 6, problem.constants)
-        vals, _, _ = pot._matrix_eigen(*args)
-        np.testing.assert_array_equal(pot._matrix_eigen(*args, eigvals_only=True), vals)
+        vals, _, _ = pot._matrix_eigen(problem, 2001)
+        np.testing.assert_array_equal(pot._matrix_eigen(problem, 2001, eigvals_only=True), vals)
 
     def test_backends_share_one_fine_grid_solve(self, monkeypatch):
         eigh, sizes = pot.eigh_tridiagonal, []
@@ -347,22 +343,17 @@ class TestSturmLiouville:
             return eigh(d, e, **kwargs)
 
         monkeypatch.setattr(pot, "eigh_tridiagonal", counted)
-        problem = self.box()
-        shoot = pot.solve_sturm_liouville(problem, backend="shooting", n_grid=2001)
-        dense = pot.solve_sturm_liouville(problem, backend="matrix", n_grid=2001)
+        pot.solve_sturm_liouville(self.box(), n_grid=2001)
         assert sorted(sizes) == [2000, 4000]  # unknowns of the coarse and the fine grid
-        assert shoot.eigenfunctions is dense.eigenfunctions
-        assert not dense.eigenfunctions.flags.writeable
 
     def test_backends_agree(self):
-        shoot = pot.solve_sturm_liouville(self.box(), backend="shooting")
-        dense = pot.solve_sturm_liouville(self.box(), backend="matrix")
-        rel = np.abs(shoot.eigenvalues - dense.eigenvalues) / np.abs(dense.eigenvalues)
+        sol = pot.solve_sturm_liouville(self.box())
+        rel = np.abs(sol.eigenvalues - sol.matrix_eigenvalues) / np.abs(sol.matrix_eigenvalues)
         assert np.max(rel) < 1e-6
 
     def test_constant_k_shifts_spectrum(self):
-        base = pot.solve_sturm_liouville(self.box(n_eigen=3), backend="shooting")
-        shifted = pot.solve_sturm_liouville(self.box(n_eigen=3, k0=2.0), backend="shooting")
+        base = pot.solve_sturm_liouville(self.box(n_eigen=3))
+        shifted = pot.solve_sturm_liouville(self.box(n_eigen=3, k0=2.0))
         # hbar^2 k0^2 / 2m = 2 exactly.
         assert np.max(np.abs(shifted.eigenvalues - base.eigenvalues - 2.0)) < 1e-6
 
@@ -371,32 +362,29 @@ class TestSturmLiouville:
         prob = pot.SLProblem(
             x0=0.0, x_end=8.0, kx=np.zeros(128), V=0.5 * xs**2, n_eigen=2
         )
-        sol = pot.solve_sturm_liouville(prob, backend="shooting")
+        sol = pot.solve_sturm_liouville(prob)
         assert sol.eigenvalues[0] == pytest.approx(0.5, abs=1e-3)
         assert sol.eigenvalues[1] == pytest.approx(2.5, abs=1e-3)
-        dense = pot.solve_sturm_liouville(prob, backend="matrix")
-        assert np.max(np.abs(sol.eigenvalues - dense.eigenvalues)) < 1e-6
+        assert np.max(np.abs(sol.eigenvalues - sol.matrix_eigenvalues)) < 1e-6
 
     def test_eigenfunctions_orthonormal(self):
-        sol = pot.solve_sturm_liouville(self.box(), backend="matrix")
+        sol = pot.solve_sturm_liouville(self.box())
         gram = sol.gram_matrix()
         assert np.max(np.abs(gram - np.eye(6))) < 1e-8
 
     def test_box_eigenfunction_shape(self):
-        sol = pot.solve_sturm_liouville(self.box(n_eigen=1), backend="matrix")
+        sol = pot.solve_sturm_liouville(self.box(n_eigen=1))
         exact = np.sqrt(2.0) * np.cos(0.5 * np.pi * sol.x)
         overlap = np.trapezoid(sol.eigenfunctions[0] * exact, sol.x)
         assert abs(abs(overlap) - 1.0) < 1e-6
 
     def test_domain_growth_monotonicity(self):
-        eigs = []
-        for x1 in (1.0, 1.5, 2.0):
-            sol = pot.solve_sturm_liouville(
-                self.box(n_eigen=4, x1=x1), backend="matrix", n_grid=1001
-            )
-            eigs.append(sol.eigenvalues)
-        for smaller, larger in zip(eigs[1:], eigs[:-1]):
-            assert np.all(smaller <= larger + 1e-12)
+        sols = [pot.solve_sturm_liouville(self.box(n_eigen=4, x1=x1), n_grid=1001)
+                for x1 in (1.0, 1.5, 2.0)]
+        for name in ("eigenvalues", "matrix_eigenvalues"):
+            eigs = [getattr(sol, name) for sol in sols]
+            for smaller, larger in zip(eigs[1:], eigs[:-1]):
+                assert np.all(smaller <= larger + 1e-12)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_effective_potential_rejected(self, bad):
@@ -406,21 +394,21 @@ class TestSturmLiouville:
             pot.SLProblem(x0=0.0, x_end=1.0, kx=np.zeros(64), V=V, n_eigen=2)
 
     def test_too_many_eigenvalues(self):
-        with pytest.raises(ConvergenceError):
-            pot.solve_sturm_liouville(self.box(n_eigen=50), backend="matrix", n_grid=26)
+        # The coarse matrix holds n_grid - 1 = 25 levels; shooting is not reached.
+        with pytest.raises(ConvergenceError, match="only 25 eigenvalues exist"):
+            pot.solve_sturm_liouville(self.box(n_eigen=50), n_grid=26)
 
     def test_solution_validation(self):
-        sol = pot.solve_sturm_liouville(self.box(n_eigen=2), backend="matrix")
-        with pytest.raises(ValueError):
-            pot.SLSolution(
-                eigenvalues=sol.eigenvalues[::-1],
-                eigenfunctions=sol.eigenfunctions,
-                x=sol.x,
-            )
+        fields = vars(pot.solve_sturm_liouville(self.box(n_eigen=2)))
+        flipped = {name: fields[name][::-1] for name in ("eigenvalues", "matrix_eigenvalues")}
+        # Either array out of order is rejected; with both, the shooting one is named.
+        for names in (["eigenvalues"], ["matrix_eigenvalues"], list(flipped)):
+            with pytest.raises(ValueError, match=f"^{names[0]} must be strictly increasing"):
+                pot.SLSolution(**{**fields, **{n: flipped[n] for n in names}})
 
     def test_mode_arrival_times_distinct(self):
-        sol = pot.solve_sturm_liouville(self.box(), backend="matrix")
-        times = pot.mode_arrival_times(sol.eigenvalues, 1.0)
+        sol = pot.solve_sturm_liouville(self.box())
+        times = pot.mode_arrival_times(sol.matrix_eigenvalues, 1.0)
         assert times.size == np.unique(times).size
         assert np.all(np.diff(times) < 0)  # faster modes arrive sooner
 
