@@ -26,7 +26,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, evolution, freewave, measurement, potential, spectral
 from .core import (
     Branch,
     ConvergenceError,
@@ -227,7 +226,14 @@ def load_config(path, scenario: str) -> dict:
 # Scenario implementations
 
 
+def _sorted_unique(x: np.ndarray) -> np.ndarray:
+    """``np.unique(x)`` of a 1-D float array, by the same sort, without its numpy.ma import."""
+    x = np.sort(x)
+    return x[np.append(True, x[1:] != x[:-1])]
+
+
 def _run_free_wave(cfg: ScenarioConfig, out: Path, report: Report) -> None:
+    from . import freewave
     p = cfg.parameters
     state = make_free_state(p["v"], p["R"])
     for idx, t in enumerate(p["times"]):
@@ -240,7 +246,7 @@ def _run_free_wave(cfg: ScenarioConfig, out: Path, report: Report) -> None:
             lo, hi = peak - p["span"], peak
         xs = np.linspace(lo, hi, p["n"])
         if lo <= p["mp_x"] <= hi:
-            xs = np.unique(np.concatenate([xs, [p["mp_x"]]]))
+            xs = _sorted_unique(np.append(xs, p["mp_x"]))
         psi = freewave.psi_free(branch_state, xs, t)
         dens = freewave.prob_density_free(branch_state, xs, t)
         emit_output({"x": xs, "t": t, "P": dens, "psi": psi}, cfg.format,
@@ -272,6 +278,7 @@ def _run_free_wave(cfg: ScenarioConfig, out: Path, report: Report) -> None:
 
 
 def _make_potential_spec(p: dict) -> potential.PotentialSpec:
+    from . import potential
     if bool(p["v_table"]) != bool(p["k_table"]):
         raise ConfigError("v_table and k_table must be given together")
     if p["v_table"]:
@@ -286,6 +293,7 @@ def _make_potential_spec(p: dict) -> potential.PotentialSpec:
 
 
 def _run_potential_wave(cfg: ScenarioConfig, out: Path, report: Report) -> None:
+    from . import freewave, potential
     p = cfg.parameters
     spec = _make_potential_spec(p)
     xs = np.linspace(spec.x_start, spec.x_end, p["n"])
@@ -367,6 +375,7 @@ def _chi_square_sf(x: float, df: int) -> float:
 
 
 def _run_ensemble(cfg: ScenarioConfig, out: Path, report: Report) -> None:
+    from . import evolution, measurement
     p = cfg.parameters
     waves = tuple(make_free_state(float(i + 1), float(i + 1)) for i in range(len(p["weights"])))
     amplitudes = np.sqrt(_normalized_weights(p["weights"])).astype(complex)
@@ -383,6 +392,7 @@ def _run_ensemble(cfg: ScenarioConfig, out: Path, report: Report) -> None:
 
 
 def _run_decoherence(cfg: ScenarioConfig, out: Path, report: Report) -> None:
+    from . import evolution, spectral
     p = cfg.parameters
     weights = _normalized_weights(p["weights"])
     if len(p["speeds"]) != weights.size:
@@ -417,6 +427,7 @@ def _run_decoherence(cfg: ScenarioConfig, out: Path, report: Report) -> None:
 
 
 def _run_entropy(cfg: ScenarioConfig, out: Path, report: Report) -> None:
+    from . import evolution
     p = cfg.parameters
     state = evolution.SuperposedState(
         np.array([1.0 + 0j]), (make_free_state(p["v"], p["v"]),)
@@ -440,6 +451,7 @@ def _run_entropy(cfg: ScenarioConfig, out: Path, report: Report) -> None:
 
 
 def _run_sturm_liouville(cfg: ScenarioConfig, out: Path, report: Report) -> None:
+    from . import potential
     p = cfg.parameters
     if not p["x0"] < p["x1"]:
         raise ConfigError(f"x0 must be < x1, got {p['x0']}, {p['x1']}")
@@ -470,6 +482,7 @@ def _run_sturm_liouville(cfg: ScenarioConfig, out: Path, report: Report) -> None
 
 def _run_uncertainty(cfg: ScenarioConfig, out: Path, report: Report) -> None:
     """Fill z by blocks with rng.normal(0.0, sigma, n)'s bytes, 0.0 + sigma*x, re then im."""
+    from . import analysis
     p = cfg.parameters
     rng, n, block = np.random.default_rng(cfg.seed), p["n_samples"], analysis._BLOCK
     z, buf = np.empty(n, dtype=complex), np.empty(min(n, block))
@@ -502,6 +515,7 @@ def _run_uncertainty(cfg: ScenarioConfig, out: Path, report: Report) -> None:
 
 
 def _run_contour(cfg: ScenarioConfig, out: Path, report: Report) -> None:
+    from . import analysis
     p = cfg.parameters
     state = make_free_state(p["v"], p["R"])
     square = analysis.Contour(vertices=np.array([0, 1, 1 + 1j, 1j, 0], dtype=complex))
@@ -529,6 +543,7 @@ def _run_contour(cfg: ScenarioConfig, out: Path, report: Report) -> None:
 
 
 def _run_composite(cfg: ScenarioConfig, out: Path, report: Report) -> None:
+    from . import freewave, measurement, spectral
     p = cfg.parameters
     weights = _normalized_weights(p["weights"])
     if not (len(p["system_speeds"]) == len(p["pointer_speeds"]) == weights.size):
@@ -566,6 +581,7 @@ def _run_composite(cfg: ScenarioConfig, out: Path, report: Report) -> None:
 
 
 def _run_field(cfg: ScenarioConfig, out: Path, report: Report) -> None:
+    from . import freewave, spectral
     p = cfg.parameters
     state = freewave.normalize_state(make_free_state(p["v"], p["v"]))
     ss = np.linspace(0.0, p["s_max"], p["n"])

@@ -7,6 +7,7 @@ and times) are represented with Python's built-in ``complex``.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -195,14 +196,18 @@ class EigenRecord:
             raise ValueError("a measurement-point record must carry a real value")
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+@functools.cache
+def _gauss_legendre_16() -> tuple[np.ndarray, np.ndarray]:
+    """Order-16 Gauss-Legendre nodes and weights, so only a quadrature loads numpy.polynomial."""
+    return np.polynomial.legendre.leggauss(16)
 
 
 def _gauss_segment(f, a, b):
     """Order-16 Gauss-Legendre integral of f along the straight segment a -> b."""
+    nodes, weights = _gauss_legendre_16()
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    return half * np.sum(_GL_WEIGHTS * f(mid + half * _GL_NODES))
+    return half * np.sum(weights * f(mid + half * nodes))
 
 
 def _panel_quadrature(f, a: float, b: float) -> float:

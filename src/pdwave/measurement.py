@@ -17,7 +17,6 @@ import numpy as np
 from .core import Branch, FreeWaveParams, MeasurementEvent, on_arrival
 from .evolution import DensityMatrix, SuperposedState
 from .freewave import Grid1D, psi_free
-from .potential import PotentialSpec, arrival_time
 from .spectral import apply_observable
 
 __all__ = [
@@ -47,13 +46,14 @@ def detect_mp(target, x: float, t: float, tol: float = 1e-9) -> MeasurementEvent
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    if isinstance(target, PotentialSpec):
-        arrivals = [(float(target.v_at(x)), arrival_time(target, x))]
-    elif isinstance(target, (FreeWaveParams, SuperposedState)):
+    if isinstance(target, (FreeWaveParams, SuperposedState)):
         waves = target.waves if isinstance(target, SuperposedState) else (target,)
         arrivals = [(wave.v, x / wave.v) for wave in waves if wave.v > 0.0]
     else:
-        raise TypeError(f"cannot detect a measurement point on {type(target).__name__}")
+        from .potential import PotentialSpec, arrival_time  # only this branch needs it
+        if not isinstance(target, PotentialSpec):
+            raise TypeError(f"cannot detect a measurement point on {type(target).__name__}")
+        arrivals = [(float(target.v_at(x)), arrival_time(target, x))]
     for speed, tau in arrivals:
         if on_arrival(t, tau, tol):
             return MeasurementEvent(x=x, t=t, speed=speed, tol=tol, tau=tau)

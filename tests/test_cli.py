@@ -84,7 +84,7 @@ def test_sturm_liouville_edge_config_passes_check(entries, tmp_path):
 
 def test_backends_agree_catches_a_wrong_richardson_step(tmp_path, monkeypatch, capsys):
     # The seeds come from the same step, so shooting must not inherit the defect.
-    monkeypatch.setattr(cli.potential, "_richardson",
+    monkeypatch.setattr(pdwave.potential, "_richardson",
                         lambda fine, coarse: (2.0 * fine - coarse) / 3.0)
     assert cli.main(["--scenario", "sturm-liouville", "--out", str(tmp_path), "--check"]) == 3
     assert "backends_agree" in capsys.readouterr().err
@@ -100,6 +100,18 @@ def test_free_wave_has_unit_density_row(tmp_path):
         row.startswith("2.000000000000,2.000000000000,1.000000000000")
         for row in body[1:]
     )
+
+
+def test_sorted_unique_matches_np_unique_on_free_wave_grids():
+    # A free-wave grid is linspace(lo, hi, n) plus mp_x, which may fall on a grid point,
+    # sit in a span too small to separate the points, or be a zero of the other sign.
+    rng = np.random.default_rng(19)
+    for _ in range(20_000):
+        n, lo = int(rng.integers(2, 200)), float(rng.choice([0.0, -0.0, rng.normal()]))
+        xs = np.linspace(lo, lo + float(rng.choice([1e-300, 1e-15, rng.uniform(1e-3, 9.0)])), n)
+        mp_x = float(rng.choice([xs[rng.integers(n)], 0.0, -0.0, rng.uniform(xs[0], xs[-1])]))
+        grid = np.append(xs, mp_x)
+        assert cli._sorted_unique(grid).tobytes() == np.unique(grid).tobytes(), grid
 
 
 def test_entropy_outputs_closed_form_rows(tmp_path):
@@ -130,8 +142,8 @@ def test_constant_profile_degenerates_to_the_free_wave(R, omega, tmp_path):
 
 
 def test_degeneration_check_catches_a_skewed_arrival_time(tmp_path, monkeypatch, capsys):
-    arrival_time = cli.potential.arrival_time
-    monkeypatch.setattr(cli.potential, "arrival_time",
+    arrival_time = pdwave.potential.arrival_time
+    monkeypatch.setattr(pdwave.potential, "arrival_time",
                         lambda spec, x: 1.01 * arrival_time(spec, x))
     code, report = _run_potential_wave_check(tmp_path, "R = 1.0")
     assert code == 3
@@ -668,34 +680,75 @@ def test_package_import_does_not_load_the_runner(tmp_path):
     assert proc.stdout.split() == ["False", "False"]
 
 
-_SCIPY_AFTER_RUNS = """
+SUBMODULES = ("analysis", "cli", "core", "evolution", "freewave", "measurement", "potential",
+              "spectral")
+
+
+def _pdwave_modules(names) -> set:
+    return {m for m in names if m.split(".")[0] == "pdwave"}
+
+
+def test_package_import_loads_only_core_until_a_submodule_is_used(tmp_path):
+    proc = _run_python(["-c", "import json, sys, pdwave\n"
+                        "before = sorted(sys.modules)\n"
+                        "pdwave.freewave\n"
+                        "print(json.dumps([before, sorted(sys.modules)]))"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    before, after = json.loads(proc.stdout)
+    assert _pdwave_modules(before) == {"pdwave", "pdwave.core"}
+    assert _pdwave_modules(after) == {"pdwave", "pdwave.core", "pdwave.freewave"}
+
+
+def test_every_submodule_resolves_on_the_package():
+    from pdwave import analysis, cli, core, evolution, freewave, measurement, potential, spectral
+
+    modules = [analysis, cli, core, evolution, freewave, measurement, potential, spectral]
+    assert [m.__name__ for m in modules] == [f"pdwave.{name}" for name in SUBMODULES]
+    assert all(getattr(pdwave, name) is m for name, m in zip(SUBMODULES, modules))
+    with pytest.raises(AttributeError, match="no_such_module"):
+        pdwave.no_such_module
+    assert not hasattr(pdwave, "no_such_module")
+
+
+_MODULES_AFTER_RUN = """
 import json, sys
-def scipy():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 from pdwave import cli
-loaded = {"import": scipy()}
-for scenario in ("free-wave", "ensemble", "potential-wave", "sturm-liouville"):
-    assert cli.main(["--scenario", scenario, "--out", scenario]) == 0
-    loaded[scenario] = scipy()
-print(json.dumps(loaded))
+imported = sorted(sys.modules)
+assert cli.main(["--scenario", sys.argv[1], "--out", "out"]) == 0
+print(json.dumps([imported, sorted(sys.modules)]))
 """
 
+# The pdwave submodules each scenario loads besides pdwave.core and pdwave.cli.
+SCENARIO_MODULES = {
+    "free-wave": {"freewave"},
+    "potential-wave": {"freewave", "potential"},
+    "ensemble": {"evolution", "freewave", "measurement", "spectral"},
+    "decoherence": {"evolution", "spectral"},
+    "entropy": {"evolution"},
+    "sturm-liouville": {"freewave", "potential"},
+    "uncertainty": {"analysis"},
+    "contour": {"analysis"},
+    "composite": {"evolution", "freewave", "measurement", "spectral"},
+    "field": {"freewave", "spectral"},
+}
 
-def test_scenarios_import_only_the_scipy_they_call(tmp_path):
-    proc = _run_python(["-c", _SCIPY_AFTER_RUNS], tmp_path)
+
+@pytest.mark.parametrize("scenario", ALL_SCENARIOS)
+def test_scenarios_import_only_what_they_run(scenario, tmp_path):
+    proc = _run_python(["-c", _MODULES_AFTER_RUN, scenario], tmp_path)
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout)
-    assert loaded["import"] == []
-
-    def under(names, package):
-        return [m for m in names if m == package or m.startswith(package + ".")]
-
-    for package in ("scipy.stats", "scipy.interpolate", "scipy.linalg", "scipy.special"):
-        assert under(loaded["free-wave"], package) == [], package
-    assert under(loaded["ensemble"], "scipy") == []
-    assert under(loaded["potential-wave"], "scipy") == []
-    assert under(loaded["sturm-liouville"], "scipy.linalg") != []
-    assert under(loaded["sturm-liouville"], "scipy.interpolate") == []
+    imported, loaded = map(set, json.loads(proc.stdout))
+    assert _pdwave_modules(imported) == {"pdwave", "pdwave.core", "pdwave.cli"}
+    assert "scipy" not in imported
+    assert _pdwave_modules(loaded) == {"pdwave", "pdwave.core", "pdwave.cli"} | {
+        f"pdwave.{name}" for name in SCENARIO_MODULES[scenario]}
+    if scenario == "sturm-liouville":  # scipy.linalg brings numpy.ma and numpy.polynomial
+        assert "scipy.linalg" in loaded and "scipy.interpolate" not in loaded
+    else:
+        assert "scipy" not in loaded
+        assert "numpy.ma" not in loaded
+        # Only the Gauss-Legendre quadratures need numpy.polynomial.
+        assert ("numpy.polynomial" in loaded) == (scenario in ("free-wave", "contour"))
 
 
 def test_eigh_tridiagonal_is_a_module_function_for_the_tracer():

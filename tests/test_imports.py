@@ -1,9 +1,9 @@
 """Every import in the package source is used, and every export exists.
 
 A name counts as used when the module reads it (an ``ast.Name`` anywhere in
-the tree) or exports it in ``__all__``.  ``from __future__`` imports and the
-``from . import`` submodule imports of ``__init__.py`` are exempt.  Every
-name in a module's ``__all__`` must resolve on the imported module.
+the tree) or exports it in ``__all__``.  ``from __future__`` imports are
+exempt.  Every name in a module's ``__all__`` must resolve on the imported
+module.
 """
 
 import ast
@@ -24,7 +24,7 @@ def _exported(tree: ast.Module) -> set[str]:
     return set()
 
 
-def unused_imports(source: str, is_init: bool = False) -> list[str]:
+def unused_imports(source: str) -> list[str]:
     """Names that ``source`` imports and never reads or exports."""
     tree = ast.parse(source)
     imported = {}
@@ -33,7 +33,7 @@ def unused_imports(source: str, is_init: bool = False) -> list[str]:
             for alias in node.names:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
         elif isinstance(node, ast.ImportFrom):
-            if node.module == "__future__" or (is_init and node.level and node.module is None):
+            if node.module == "__future__":
                 continue
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
@@ -45,7 +45,7 @@ def unused_imports(source: str, is_init: bool = False) -> list[str]:
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
-    assert unused_imports(path.read_text(), path.name == "__init__.py") == []
+    assert unused_imports(path.read_text()) == []
 
 
 def test_detector_flags_a_leftover_import():
@@ -54,7 +54,6 @@ def test_detector_flags_a_leftover_import():
     assert unused_imports("from __future__ import annotations\nimport numpy as np\n") == [
         "np (line 2)"
     ]
-    assert unused_imports("from . import core\n", is_init=True) == []
     assert unused_imports("from . import core\n") == ["core (line 1)"]
 
 
