@@ -50,8 +50,9 @@ class ComplexSampleSet:
         z = np.ascontiguousarray(self.values, dtype=complex)
         if z.ndim != 1 or z.size < 2:
             raise ValueError("need at least two samples")
-        parts = z.view(float)  # min and max carry any NaN through and make no temporary
-        if not (np.isfinite(parts.min()) and np.isfinite(parts.max())):
+        f = z.view(float)  # min and max carry NaN through; max reads min's 512 kB from L2
+        blocks = (f[i:i + (1 << 16)] for i in range(0, f.size, 1 << 16))
+        if not all(np.isfinite(b.min()) and np.isfinite(b.max()) for b in blocks):
             raise ValueError("samples must be finite")
         z.setflags(write=False)
         object.__setattr__(self, "values", z)

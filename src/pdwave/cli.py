@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextvars
 import json
 import math
 import shutil
 import sys
 import tempfile
+import threading
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -481,16 +483,31 @@ def _run_sturm_liouville(cfg: ScenarioConfig, out: Path, report: Report) -> None
 
 
 def _run_uncertainty(cfg: ScenarioConfig, out: Path, report: Report) -> None:
-    """Fill z by blocks with rng.normal(0.0, sigma, n)'s bytes, 0.0 + sigma*x, re then im."""
+    """Fill z by blocks with normal(0.0, sigma, n)'s bytes, 0.0 + sigma*x, from two streams.
+
+    Part i draws from SeedSequence(seed).spawn(2)[i]: z.real here and z.imag on one more
+    thread, in a copy of the context that holds np.errstate. No scheduling moves a byte.
+    """
     from . import analysis
-    p = cfg.parameters
-    rng, n, block = np.random.default_rng(cfg.seed), p["n_samples"], analysis._BLOCK
-    z, buf = np.empty(n, dtype=complex), np.empty(min(n, block))
-    try:
-        for part, sigma in ((z.real, p["sigma_re"]), (z.imag, p["sigma_im"])):
+    p, seeds, failed = cfg.parameters, np.random.SeedSequence(cfg.seed).spawn(2), [None, None]
+    n, block = p["n_samples"], analysis._BLOCK
+    z = np.empty(n, dtype=complex)
+    def fill(i: int, part: np.ndarray, sigma: float) -> None:
+        try:
+            rng, buf = np.random.default_rng(seeds[i]), np.empty(min(n, block))
             for start in range(0, n, block):
                 x = rng.standard_normal(out=buf[:min(block, n - start)])
                 np.add(np.multiply(x, sigma, out=x), 0.0, out=part[start:start + block])
+        except Exception as exc:  # raised by the main thread after join(), part 0 first
+            failed[i] = exc
+    worker = threading.Thread(target=contextvars.copy_context().run,
+                              args=(fill, 1, z.imag, p["sigma_im"]))
+    worker.start()
+    fill(0, z.real, p["sigma_re"])
+    worker.join()
+    try:
+        for exc in filter(None, failed):
+            raise exc
         rep = analysis.uncertainty_decompose(analysis.ComplexSampleSet(values=z))
     except FloatingPointError as exc:
         raise FloatingPointError(

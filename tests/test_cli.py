@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -160,16 +161,20 @@ def test_ensemble_csv_schema(tmp_path):
 
 
 def test_byte_identical_reruns(tmp_path):
-    out_a = tmp_path / "a"
-    out_b = tmp_path / "b"
-    args = ["--scenario", "ensemble", "--seed", "42"]
-    assert cli.main(args + ["--out", str(out_a)]) == 0
-    assert cli.main(args + ["--out", str(out_b)]) == 0
-    files_a = sorted(p.name for p in out_a.iterdir())
-    files_b = sorted(p.name for p in out_b.iterdir())
-    assert files_a == files_b
-    for name in files_a:
-        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+    runs = {"ensemble": "", "uncertainty": f"n_samples = {3 * pdwave.analysis._BLOCK - 1}"}
+    for scenario, entries in runs.items():
+        out_a = tmp_path / scenario / "a"
+        out_b = tmp_path / scenario / "b"
+        cfg = tmp_path / f"{scenario}.ini"
+        cfg.write_text(f"[{scenario}]\n{entries}\n")
+        args = ["--scenario", scenario, "--config", str(cfg), "--seed", "42"]
+        assert cli.main(args + ["--out", str(out_a)]) == 0
+        assert cli.main(args + ["--out", str(out_b)]) == 0
+        files_a = sorted(p.name for p in out_a.iterdir())
+        files_b = sorted(p.name for p in out_b.iterdir())
+        assert files_a == files_b
+        for name in files_a:
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
 def test_seed_changes_ensemble_output(tmp_path):
@@ -180,10 +185,8 @@ def test_seed_changes_ensemble_output(tmp_path):
     assert (out_a / "ensemble.csv").read_bytes() != (out_b / "ensemble.csv").read_bytes()
 
 
-@pytest.mark.parametrize("n", [2, pdwave.analysis._BLOCK + 1, 3 * pdwave.analysis._BLOCK - 1])
-@pytest.mark.parametrize("sigma_re, sigma_im", [(2.0, 1.0), (0.0, 1.0), (2.0, 0.0)])
-def test_uncertainty_draws_are_rng_normal(n, sigma_re, sigma_im, tmp_path, monkeypatch):
-    # Bytes, not values: at sigma = 0, sigma*x alone would give -0.0 where normal gives +0.0.
+def _uncertainty_samples(n, sigma_re, sigma_im, tmp_path, monkeypatch):
+    """The sample array a seed-9 uncertainty run hands to uncertainty_decompose."""
     seen = []
     decompose = pdwave.analysis.uncertainty_decompose
     monkeypatch.setattr(pdwave.analysis, "uncertainty_decompose",
@@ -191,13 +194,36 @@ def test_uncertainty_draws_are_rng_normal(n, sigma_re, sigma_im, tmp_path, monke
     cfg = tmp_path / "run.ini"
     cfg.write_text(f"[uncertainty]\nn_samples = {n}\nsigma_re = {sigma_re}\n"
                    f"sigma_im = {sigma_im}\nseed = 9\n")
+    threads = threading.active_count()
     assert cli.main(["--scenario", "uncertainty", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 0
-    rng = np.random.default_rng(9)
+    assert threading.active_count() == threads
+    return seen[0]
+
+
+def _two_stream_normals(n, sigma_re, sigma_im):
+    child_re, child_im = np.random.SeedSequence(9).spawn(2)
     expected = np.empty(n, dtype=complex)
-    expected.real = rng.normal(0.0, sigma_re, n)
-    expected.imag = rng.normal(0.0, sigma_im, n)
-    assert seen[0].tobytes() == expected.tobytes()
+    expected.real = np.random.default_rng(child_re).normal(0.0, sigma_re, n)
+    expected.imag = np.random.default_rng(child_im).normal(0.0, sigma_im, n)
+    return expected
+
+
+@pytest.mark.parametrize("n", [2, pdwave.analysis._BLOCK + 1, 3 * pdwave.analysis._BLOCK - 1])
+@pytest.mark.parametrize("sigma_re, sigma_im", [(2.0, 1.0), (0.0, 1.0), (2.0, 0.0)])
+def test_uncertainty_draws_are_rng_normal(n, sigma_re, sigma_im, tmp_path, monkeypatch):
+    # Bytes, not values: at sigma = 0, sigma*x alone would give -0.0 where normal gives +0.0.
+    samples = _uncertainty_samples(n, sigma_re, sigma_im, tmp_path, monkeypatch)
+    assert samples.tobytes() == _two_stream_normals(n, sigma_re, sigma_im).tobytes()
+
+
+def test_uncertainty_draws_do_not_depend_on_scheduling(tmp_path, monkeypatch):
+    # The worker's part is filled inline at start(), before the main thread's part.
+    monkeypatch.setattr(threading.Thread, "start", threading.Thread.run)
+    monkeypatch.setattr(threading.Thread, "join", lambda self, timeout=None: None)
+    n = 3 * pdwave.analysis._BLOCK - 1
+    samples = _uncertainty_samples(n, 2.0, 1.0, tmp_path, monkeypatch)
+    assert samples.tobytes() == _two_stream_normals(n, 2.0, 1.0).tobytes()
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -377,6 +403,8 @@ class TestExitCodes:
             ("uncertainty", "sigma_im = 1e160", "lower sigma_re = 2.0 or sigma_im = 1e+160"),
             # The draws themselves overflow here.
             ("uncertainty", "sigma_re = 1e308", "lower sigma_re = 1e+308 or sigma_im = 1.0"),
+            # Here they overflow in the thread that fills z.imag, under the copied errstate.
+            ("uncertainty", "sigma_im = 1e308", "lower sigma_re = 2.0 or sigma_im = 1e+308"),
             # core.dispersion_omega names the keys: (R/v)^2 with R = 1 overflows,
             # or R^2 (and k^2, with k = m*v/hbar) overflows.
             ("contour", "v = 1e-300", "v = 1e-300"),
@@ -388,8 +416,10 @@ class TestExitCodes:
     def test_overflow_or_nan_is_runtime_error(
         self, scenario, entries, message, tmp_path, capsys
     ):
+        threads = threading.active_count()
         assert _failed_run_code(scenario, entries, tmp_path) == 2
         assert message in capsys.readouterr().err
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize(
         "scenario, entries, named",
@@ -742,13 +772,16 @@ def test_scenarios_import_only_what_they_run(scenario, tmp_path):
     assert "scipy" not in imported
     assert _pdwave_modules(loaded) == {"pdwave", "pdwave.core", "pdwave.cli"} | {
         f"pdwave.{name}" for name in SCENARIO_MODULES[scenario]}
-    if scenario == "sturm-liouville":  # scipy.linalg brings numpy.ma and numpy.polynomial
+    # scipy.linalg brings numpy.ma, numpy.polynomial and concurrent.futures.
+    if scenario == "sturm-liouville":
         assert "scipy.linalg" in loaded and "scipy.interpolate" not in loaded
     else:
         assert "scipy" not in loaded
         assert "numpy.ma" not in loaded
         # Only the Gauss-Legendre quadratures need numpy.polynomial.
         assert ("numpy.polynomial" in loaded) == (scenario in ("free-wave", "contour"))
+        # The uncertainty runner starts its one thread with no pool.
+        assert not {"concurrent.futures", "queue"} & loaded
 
 
 def test_eigh_tridiagonal_is_a_module_function_for_the_tracer():
