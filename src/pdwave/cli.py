@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextvars
+import functools
 import json
 import math
 import shutil
@@ -79,13 +80,132 @@ class ScenarioConfig:
 # Output helpers
 
 
-def _csv_floats(a: np.ndarray) -> list:
-    """CSV cells of a float column: 12 decimals, scientific if 0 < |x| < 1e-12 or |x| >= 1e16."""
-    x = a.astype(float, copy=False)
-    cells = ("%.12f\n" * x.size % tuple(x.tolist())).splitlines()
-    for i in np.flatnonzero((x != 0.0) & ((np.abs(x) >= 1e16) | (np.abs(x) < 1e-12))):
-        cells[i] = f"{x[i]:.12e}"
+# A CSV cell is right-aligned in a slot of uint32 words whose first byte is left
+# for the separator before it.  With the cells' lengths, one boolean mask keeps
+# the bytes of a block of rows.  Cells are made word-major: row i of a (words,
+# cells) array holds word i of every cell.
+_CELLS_PER_BLOCK = 2**14  # keeps every temporary in cache
+_EXACT_BELOW = 2.0**52 / 1e12  # below it ulp(p) <= 1/2, so a tie shows as p - rint(p) = ±1/2
+_POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)
+_GROUP_SCALES = 10 ** np.arange(16, -1, -4, dtype=np.uint64)[:, None]  # 1e16, 1e12, 1e8, 1e4, 1
+
+
+def _tables() -> tuple:
+    """The words "0000" ... "9999"; and per sign and integer part 0..9999 the two
+    words that start its ``%.12f`` cell, such as ``"    -42."``, with that cell's length."""
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + np.uint8(48)
+    i = np.arange(10_000)
+    n_int = 1 + (i >= 10) + (i >= 100) + (i >= 1000)
+    heads = np.zeros((2, 10_000, 8), np.uint8)
+    heads[:, :, 3:7], heads[:, :, 7] = digits, ord(".")
+    heads[1, i, 6 - n_int] = ord("-")
+    return (np.ascontiguousarray(digits).view(np.uint32).ravel(),
+            heads.view(np.uint32).reshape(-1, 2).T.copy(),
+            (13 + n_int + np.array([[0], [1]])).ravel())
+
+
+_DIGITS, _HEADS, _HEAD_LENS = _tables()
+
+
+def _text_cells(text: list, words: int = 1) -> tuple:
+    """Cells of the byte strings ``text``, at least ``words`` words each, and their lengths."""
+    lens = np.array([len(t) for t in text], np.intp)
+    words = max(words, (int(lens.max(initial=0)) + 4) // 4)
+    cells = np.array([t.rjust(4 * words) for t in text], f"S{4 * words}").view(np.uint32)
+    return cells.reshape(-1, words).T, lens
+
+
+def _patch(cells: np.ndarray, lens: np.ndarray, rows: np.ndarray, text: list) -> np.ndarray:
+    """``cells`` with the byte strings ``text`` as its cells ``rows``, their lengths in ``lens``."""
+    if not text:
+        return cells
+    more, lens[rows] = _text_cells(text, len(cells))
+    cells = np.concatenate([np.empty((len(more) - len(cells), len(lens)), np.uint32), cells])
+    cells[:, rows] = more
     return cells
+
+
+def _float_cells(x: np.ndarray) -> tuple:
+    """Cells of ``%.12f``, or ``%.12e`` where 0 < |x| < 1e-12 or |x| >= 1e16, and their lengths.
+
+    For |x| < 2**52/1e12 the cell holds N = round-half-even(|x|*1e12), computed
+    exactly: Dekker's product splits |x|*1e12 into p + e, and rint(p) moves by one
+    where p is a tie and e points past it.  Python writes the other cells.
+    """
+    a = np.abs(x)
+    exact = (a < _EXACT_BELOW) & ((a >= 1e-12) | (a == 0.0))
+    a *= exact
+    p = a * 1e12
+    n = np.rint(p)
+    tie = (np.abs(p - n) == 0.5).nonzero()[0]
+    if tie.size:
+        a, p = a[tie], p[tie]
+        c = a * 134217729.0  # Veltkamp splits a by 2**27 + 1, and 1e12 as 999999995904 + 4096
+        hi = c - (c - a)
+        lo = a - hi
+        e = np.sign(hi * 999999995904.0 - p + hi * 4096.0 + lo * 999999995904.0 + lo * 4096.0)
+        n[tie] += np.where((p - n[tie]) * e == 0.5, e, 0.0)
+    # The integer part and three groups of four decimals; each floor is exact, as n < 2**52.
+    groups = np.floor(n / _GROUP_SCALES[1:])
+    groups[1:] -= 1e4 * groups[:-1]
+    groups[0] += 1e4 * np.signbit(x)  # the sign picks the head
+    groups = groups.astype(np.intp)
+    cells = np.concatenate([_HEADS.take(groups[0], axis=1), _DIGITS.take(groups[1:])])
+    lens = _HEAD_LENS.take(groups[0])
+    odd = (~exact).nonzero()[0]
+    text = [(f"{v:.12e}" if v and not 1e-12 <= abs(v) < 1e16 else f"{v:.12f}").encode()
+            for v in x[odd].tolist()]
+    return _patch(cells, lens, odd, text), lens
+
+
+def _int_cells(x: np.ndarray) -> tuple:
+    """Cells of integers and their lengths; Python writes those below 0 or from 2**63 up."""
+    u = x.astype(np.uint64)
+    cells = _DIGITS.take(u // _GROUP_SCALES % 10_000)
+    lens = 1 + np.searchsorted(_POWERS_OF_TEN, u, side="right")
+    odd = (u >= 2**63).nonzero()[0]  # as uint64, a negative int64 is at least 2**63
+    return _patch(cells, lens, odd, [b"%d" % v for v in x[odd].tolist()]), lens
+
+
+def _csv_rows(columns: list, n: int):
+    """The CSV bytes of ``n`` rows of ``columns``, block by block, each row after a newline.
+
+    In a block, each kind of column has its cells made by one call, a broadcast
+    column's from its one value, and one boolean mask keeps the bytes of every cell.
+    """
+    kinds = {}
+    for j, a in enumerate(columns):
+        kinds.setdefault(a.dtype.kind if a.dtype.kind in "fiu" else "", []).append(j)
+    step = max(1, _CELLS_PER_BLOCK // max(len(columns), 1))
+    for start in range(0, n if columns else 0, step):
+        slots = {}
+        for kind, js in kinds.items():
+            parts = [columns[j][:1] if columns[j].strides == (0,)
+                     else columns[j][start:start + step] for j in js]
+            if kind:
+                cells, lens = (_float_cells if kind == "f" else _int_cells)(
+                    np.concatenate(parts, dtype=float if kind == "f" else kind + "8"))
+            else:
+                cells, lens = _text_cells([str(v).encode() for a in parts for v in a.tolist()])
+            end = 0
+            for j, a in zip(js, parts):
+                end += len(a)
+                slots[j] = cells[:, end - len(a):end], lens[end - len(a):end]
+        words = max(len(cells) for cells, _ in slots.values())
+        buf = np.empty((words, len(columns), min(step, n - start)), np.uint32)
+        lens = np.empty(buf.shape[1:], np.intp)
+        for j, (cells, cell_lens) in slots.items():
+            buf[words - len(cells):, j], lens[j] = cells, cell_lens
+        buf = np.ascontiguousarray(buf.T).view(np.uint8)
+        buf[:, :, 0], buf[:, 0, 0] = ord(","), ord("\n")
+        yield buf[_slot_masks(words).take(lens.T, axis=0)]
+
+
+@functools.cache
+def _slot_masks(words: int) -> np.ndarray:
+    """Row l: the bytes of a ``words``-word slot that its separator and an l-byte cell fill."""
+    at = np.arange(4 * words)
+    return at >= (4 * words - at[:, None]) * (at > 0)
 
 
 def _require_finite(path: Path, rows) -> None:
@@ -103,6 +223,9 @@ def emit_output(table: dict, fmt: str, path) -> Path:
     CSV: UTF-8, comma separated, one header row, floats at 12 digits after
     the point, complex columns split into ``_re``/``_im`` column pairs; a
     column name or string cell holding ``,``, ``"``, CR or LF raises ValueError.
+    Float cells hold the bytes of ``%.12f`` (``%.12e`` where 0 < |x| < 1e-12 or
+    |x| >= 1e16): numpy makes them exactly for |x| < 2**52/1e12 ~ 4503.6, and
+    Python formats the cells outside that range.
     JSON: ``{"records": [...]}``, one object per row, in the bytes of ``json.dumps(...,
     sort_keys=True, indent=1)``: sorted keys, one-space indent and ``repr`` floats
     (round-trip bit-exactly).  NaN or inf raises FloatingPointError.
@@ -127,15 +250,16 @@ def emit_output(table: dict, fmt: str, path) -> Path:
             if not {",", '"', "\r", "\n"}.isdisjoint(text):
                 raise ValueError(f"{path.name}: column {name!r} holds a comma, quote or "
                                  "line break, which CSV cannot write unquoted")
-        cells = [_csv_floats(a) if a.dtype.kind == "f" else map(str, a.tolist())
-                 for a in columns.values()]
-        lines = [",".join(columns), *map(",".join, zip(*cells))]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        header = ",".join(columns).encode()
+        path.write_bytes(b"".join([header, *_csv_rows(list(columns.values()), n), b"\n"]))
     elif fmt == "json":
         reprs = {"f": float.__repr__, "i": int.__repr__, "u": int.__repr__}
         keys = sorted(columns)
-        cells = [map(reprs.get(columns[k].dtype.kind, json.dumps), columns[k].tolist())
-                 for k in keys]
+        cells = []
+        for a in map(columns.get, keys):  # a broadcast column's one value is written once
+            cell = reprs.get(a.dtype.kind, json.dumps)
+            cells.append([*map(cell, a[:1].tolist())] * n if a.strides == (0,)
+                         else map(cell, a.tolist()))
         fields = ",\n".join(f"   {json.dumps(k).replace('%', '%%')}: %s" for k in keys)
         records = ",\n".join(map(f"  {{\n{fields}\n  }}".__mod__, zip(*cells)))
         body = f"[\n{records}\n ]" if records else "[]"
@@ -602,7 +726,8 @@ def _run_field(cfg: ScenarioConfig, out: Path, report: Report) -> None:
     p = cfg.parameters
     state = freewave.normalize_state(make_free_state(p["v"], p["v"]))
     ss = np.linspace(0.0, p["s_max"], p["n"])
-    values = [spectral.probability_field(float(s), state) for s in ss]
+    spectral.probability_field(float(ss.min()), state)  # s >= 0 and a normalized state
+    values = np.fromiter(map(math.exp, (-ss).tolist()), float, ss.size)  # its e^{-s}, bit for bit
     emit_output({"s": ss, "field": values}, cfg.format, out / f"field.{cfg.format}")
     report.add_residual("field_at_zero_is_one", values[0] - 1.0, 0.0)
     report.add_residual(

@@ -973,3 +973,86 @@ def test_json_emit_never_reaches_the_pure_python_encoder(tmp_path, monkeypatch):
     last = table["psi"][-1]
     assert records[-1] == {"i": n - 1, "label": "ψ-wave", "psi_im": last.imag,
                            "psi_re": last.real, "x": 1.0}
+
+
+_EXACT_LIMIT = 2.0**52 / 1e12  # where the CSV writer's exact integer path ends
+
+
+def _hard_floats() -> np.ndarray:
+    """Floats where a %.12f or %.12e cell is easy to get wrong, each with both signs."""
+    points = [0.0, 1e-12, 1e16, _EXACT_LIMIT, 5e-324, 1e-310, 2.2250738585072014e-308,
+              1.7976931348623157e308, 1.7e308, 0.5e-12, 1.5e-12, 4503.5, 4503.6, 2.0**51 / 1e12,
+              *(10.0**k - 5e-13 for k in range(4)), *(10.0**k + 5e-13 for k in range(4))]
+    near = [y for x in points for y in (x, math.nextafter(x, 0.0), math.nextafter(x, math.inf))]
+    return np.array([v for x in near for v in (x, -x) if math.isfinite(v)])
+
+
+def _edge_table(rng: np.random.Generator, n: int) -> dict:
+    """``n`` rows of every column kind, their floats mixing hard cases into random ones."""
+    sign = lambda: rng.choice([-1.0, 1.0], n)
+    hard = _hard_floats()
+    floats = [
+        np.exp(rng.uniform(-745.0, 709.0, n)) * sign(),  # subnormals up to 8e307
+        rng.uniform(-2.0 * _EXACT_LIMIT, 2.0 * _EXACT_LIMIT, n),
+        (2 * rng.integers(0, 2**24, n) + 1) * 2.0**-13 * sign(),  # exact ties, N + 1/2
+        (2 * rng.integers(0, 2**40, n) + 1) * 2.0**-13 * sign(),  # ties past the exact range
+        (rng.integers(0, 2**52, n) + 0.5) / 1e12 * sign(),  # p rounded onto or near a tie
+    ]
+    for x in floats:
+        x[rng.integers(0, n, n // 10)] = rng.choice(hard, n // 10)
+    ints = rng.integers(-(2**63), 2**63 - 1, n, endpoint=True)
+    ints[:4] = [-(2**63), 2**63 - 1, 0, -1]
+    return {"a": floats[0], "b": floats[1], "tie": floats[2], "far": floats[3],
+            "z": floats[4] + 1j * rng.permutation(np.resize(hard, n)), "t": 0.125, "i": ints,
+            "u": rng.integers(0, 2**64 - 1, n, np.uint64, endpoint=True),
+            "flag": rng.random(n) < 0.5}
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2_000, 12_000))
+def test_csv_bytes_match_the_reference_writer_at_scale(seed, n):
+    # 20,000 to 120,000 cells, several blocks of rows, in run_scenario's errstate.
+    table = _edge_table(np.random.default_rng(seed), n)
+    with tempfile.TemporaryDirectory() as tmp, \
+            np.errstate(over="raise", invalid="raise", divide="raise"):
+        path = cli.emit_output(table, "csv", Path(tmp) / "t.csv")
+        assert path.read_bytes() == _old_emit_text(table, "csv").encode("utf-8")
+
+
+@pytest.mark.parametrize("disabled", ["AVX512_SPR AVX512_ICL X86_V4",
+                                      "AVX512_SPR AVX512_ICL X86_V4 X86_V3"])
+def test_csv_bytes_do_not_depend_on_simd_dispatch(disabled, tmp_path):
+    # The cells come from correctly rounded IEEE operations only, so numpy's
+    # choice of SIMD kernels must not move a byte.
+    table = {**_edge_table(np.random.default_rng(2026), 3000),
+             "hard": np.resize(_hard_floats(), 3000)}
+    np.savez(tmp_path / "table.npz", **table)
+    expected = cli.emit_output(table, "csv", tmp_path / "here.csv").read_bytes()
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": disabled,
+           "PYTHONPATH": os.pathsep.join(filter(None, [
+               str(Path(pdwave.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]))}
+    probe = subprocess.run([sys.executable, "-c", "import numpy"], env=env,
+                           capture_output=True, text=True)
+    if probe.returncode != 0:
+        pytest.skip(f"numpy does not load with {disabled} disabled: {probe.stderr[-300:]}")
+    script = ("import sys, numpy as np; from pdwave import cli; t = np.load(sys.argv[1]); "
+              "cli.emit_output({k: t[k] for k in t.files}, 'csv', sys.argv[2])")
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "table.npz"),
+                           str(tmp_path / "there.csv")], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "there.csv").read_bytes() == expected
+
+
+def test_broadcast_column_is_formatted_once(tmp_path, monkeypatch):
+    made = []
+    kernel = cli._float_cells
+    monkeypatch.setattr(cli, "_float_cells", lambda x: made.append(x.size) or kernel(x))
+    path = cli.emit_output({"x": np.arange(10.0), "t": 0.5}, "csv", tmp_path / "t.csv")
+    assert made == [11]
+    assert path.read_text().splitlines()[-1] == "9.000000000000,0.500000000000"
+
+
+@pytest.mark.parametrize("fmt, text", [("csv", "x,t\n"), ("json", '{\n "records": []\n}\n')])
+def test_scalar_column_of_an_empty_table(fmt, text, tmp_path):
+    path = cli.emit_output({"x": np.array([]), "t": 0.5}, fmt, tmp_path / f"t.{fmt}")
+    assert path.read_text() == text
