@@ -26,8 +26,12 @@ for j in range(6):
     print(f"{j:2d}   {shoot[j]:.10f}  {dense[j]:.10f}"
           f"  {exact[j]:.10f}  {rel:.1e}")
 
-# Eigenfunctions come out orthonormal under the trapezoid inner product.
-gram = sol.gram_matrix()
+# The fine matrix grid's eigenfunctions come out orthonormal under the
+# trapezoid inner product.
+_, funcs, x = pot.matrix_eigen(box, 4001)
+w = np.full(x.size, x[1] - x[0])
+w[0] = w[-1] = 0.5 * w[0]
+gram = np.einsum("ik,k,jk->ij", funcs, w, funcs)
 print("\northonormality defect:", np.max(np.abs(gram - np.eye(6))))
 
 # A constant local wave number k0 shifts the whole spectrum by k0^2/2.

@@ -1,16 +1,13 @@
-"""Uncertainty decompositions, contour integrals, and normalization checks.
+"""Uncertainty decompositions, contour integrals, and the quantum potential.
 
 Complex-valued observables split their sample variance between real and
 imaginary parts; the probability densities extend to entire functions of
 the complex position, so closed-contour integrals vanish and open paths
-depend only on their endpoints.  The distribution function of a traveling
-envelope normalizes to one by a change of variables, independent of the
-envelope's parameters.
+depend only on their endpoints.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,9 +17,7 @@ from .core import (
     DEFAULT_CONSTANTS,
     FreeWaveParams,
     PhysicalConstants,
-    RegionError,
     _gauss_segment,
-    _panel_quadrature,
 )
 
 __all__ = [
@@ -32,8 +27,6 @@ __all__ = [
     "uncertainty_decompose",
     "heisenberg_check",
     "contour_integral",
-    "negative_density_slope",
-    "distribution_normalize",
     "quantum_potential",
 ]
 
@@ -56,11 +49,6 @@ class ComplexSampleSet:
             raise ValueError("samples must be finite")
         z.setflags(write=False)
         object.__setattr__(self, "values", z)
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "ComplexSampleSet":
-        arr = np.asarray(pairs, dtype=float)
-        return cls(values=arr[:, 0] + 1j * arr[:, 1])
 
 
 @dataclass(frozen=True)
@@ -181,52 +169,6 @@ def contour_integral(params: FreeWaveParams, contour: Contour, tol: float = 1e-1
     return total
 
 
-def negative_density_slope(params: FreeWaveParams, x: float, t: float) -> float:
-    """Spatial slope of the incoming distribution: -(R/v) exp[R(t - x/v)].
-
-    Strictly negative while the system approaches the measurement point;
-    this signed derivative is the computable content of the negative
-    probability density.
-    """
-    if not x > params.v * t:
-        raise RegionError("slope is defined on the incoming side x > v*t")
-    return -(params.R / params.v) * math.exp(params.R * (t - x / params.v))
-
-
-def distribution_normalize(
-    params: FreeWaveParams,
-    t: float = 0.0,
-    x_max: float | None = None,
-) -> float:
-    """Total probability via the change of variables d(pi): always one.
-
-    The distribution function pi of the incoming wave decreases from 1 at
-    x = v*t toward 0, so -integral of d(pi) from pi=1 to pi=0 equals one
-    regardless of the envelope parameters.  In operator terms pi(x) is the
-    state's average of the position projectors accumulated up to x, and the
-    full total is the average of the identity.  A Gauss-Legendre quadrature
-    of -d(pi)/dx over the truncated domain cross-checks the value to 1e-8.
-    """
-    if params.R <= 0.0:
-        raise ValueError("distribution is non-monotone for R = 0 (plane-wave regime)")
-    start = params.v * t
-    if x_max is None:
-        x_max = start + 40.0 * params.v / params.R
-
-    def pi_of(x):
-        return np.exp(params.R * (t - x / params.v))
-
-    value = float(pi_of(start) - 0.0)
-
-    def slope(x):
-        return -(params.R / params.v) * pi_of(x)
-
-    quad = -_panel_quadrature(slope, start, x_max)
-    if abs(quad - value) > 1e-8:
-        raise ConvergenceError(f"quadrature cross-check deviates: {quad} vs {value}")
-    return value
-
-
 def quantum_potential(params: FreeWaveParams, x: float, t: float) -> float:
     """Quantum-potential term of the energy balance at (x, t).
 
@@ -235,10 +177,8 @@ def quantum_potential(params: FreeWaveParams, x: float, t: float) -> float:
     the plane-wave energy and the family's frequency.  It vanishes for the
     R = 0 plane wave left at a measurement point.
     """
-    R = params.R
     if params.v == 0.0:
         return 0.0
-    log_slope = -params.branch.sign * R / params.v
-    curvature = log_slope * log_slope  # P = exp(linear): P''/P = (P'/P)^2
+    r = params.R / params.v
     hbar, m = params.constants.hbar, params.constants.mass
-    return hbar * hbar / (4.0 * m) * (curvature - 0.5 * log_slope * log_slope)
+    return hbar * hbar / (4.0 * m) * (0.5 * r * r)

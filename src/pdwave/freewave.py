@@ -13,9 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
-    DEFAULT_CONSTANTS,
     FreeWaveParams,
-    PhysicalConstants,
     _panel_quadrature,
     dispersion_omega,
     envelope_lag,
@@ -24,7 +22,6 @@ from .core import (
 __all__ = [
     "Grid1D",
     "dispersion_omega",
-    "min_momentum",
     "psi_free",
     "prob_density_free",
     "total_probability",
@@ -51,16 +48,6 @@ class Grid1D:
 
     def xs(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.n)
-
-
-def min_momentum(
-    R: float, v: float, constants: PhysicalConstants = DEFAULT_CONSTANTS
-) -> tuple[float, float]:
-    """Least possible momentum pair +-hbar*R/(2v) of a zero-energy state."""
-    if v <= 0.0:
-        raise ValueError("v must be positive")
-    p = constants.hbar * R / (2.0 * v)
-    return (p, -p)
 
 
 def _lag(params: FreeWaveParams, t: float, x, guard_x: float = 0.0):

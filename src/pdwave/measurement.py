@@ -17,7 +17,6 @@ import numpy as np
 from .core import Branch, FreeWaveParams, MeasurementEvent, on_arrival
 from .evolution import DensityMatrix, SuperposedState
 from .freewave import Grid1D, psi_free
-from .spectral import apply_observable
 
 __all__ = [
     "MeasurementEvent",
@@ -28,7 +27,6 @@ __all__ = [
     "run_ensemble",
     "dirac_project",
     "tensor_compose",
-    "composite_eigenvalues",
     "composite_schrodinger_residual",
     "von_neumann_project",
     "mixture_density",
@@ -210,20 +208,6 @@ class CompositeState(SuperposedState):
 def tensor_compose(system_states, pointer_states, amplitudes) -> CompositeState:
     """Build the entangled composite sum_i a_i psi_i (x) phi_i."""
     return CompositeState(amplitudes, tuple(system_states), tuple(pointer_states))
-
-
-def composite_eigenvalues(
-    composite: CompositeState, system_eigs=None, pointer_eigs=None
-) -> np.ndarray:
-    """Eigenvalues of A (x) B on the product components: lambda_i * eta_i.
-
-    Defaults to the energy eigenvalues of each factor.
-    """
-    if system_eigs is None:
-        system_eigs = [apply_observable("H", w).value for w in composite.system_components]
-    if pointer_eigs is None:
-        pointer_eigs = [apply_observable("H", w).value for w in composite.pointer_components]
-    return np.asarray(system_eigs, dtype=complex) * np.asarray(pointer_eigs, dtype=complex)
 
 
 def composite_schrodinger_residual(

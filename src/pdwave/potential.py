@@ -33,6 +33,7 @@ __all__ = [
     "psi_potential",
     "prob_density_potential",
     "continuity_residual",
+    "matrix_eigen",
     "solve_sturm_liouville",
     "mp_limit_check",
     "mode_arrival_times",
@@ -334,34 +335,22 @@ class SLProblem:
 
 @dataclass(frozen=True, eq=False)
 class SLSolution:
-    """Lowest eigenvalues by shooting and by the Richardson-extrapolated matrix, and
-    the fine matrix grid's eigenfunctions, trapezoid-orthonormal on ``x``."""
+    """Lowest eigenvalues by shooting and by the Richardson-extrapolated matrix."""
 
     eigenvalues: np.ndarray
     matrix_eigenvalues: np.ndarray
-    eigenfunctions: np.ndarray
-    x: np.ndarray
 
     def __post_init__(self) -> None:
         for name in ("eigenvalues", "matrix_eigenvalues"):
             if np.any(np.diff(getattr(self, name)) <= 0):
                 raise ValueError(f"{name} must be strictly increasing")
-        gram = self.gram_matrix()
-        if np.max(np.abs(gram - np.eye(len(self.eigenvalues)))) > 1e-8:
-            raise ValueError("eigenfunctions are not orthonormal to 1e-8")
-
-    def gram_matrix(self) -> np.ndarray:
-        h = self.x[1] - self.x[0]
-        w = np.full(self.x.size, h)
-        w[0] = w[-1] = 0.5 * h
-        return np.einsum("ik,k,jk->ij", self.eigenfunctions, w, self.eigenfunctions)
 
 
-def _matrix_eigen(problem: SLProblem, n_grid: int, eigvals_only: bool = False):
+def matrix_eigen(problem: SLProblem, n_grid: int, eigvals_only: bool = False):
     """Dense (tridiagonal) second-order eigensolve with Neumann-left BC.
 
-    Returns eigenvalues and eigenfunction samples on the full grid
-    including the Dirichlet endpoint, or with ``eigvals_only`` the
+    Returns eigenvalues, eigenfunction samples on the full grid including
+    the Dirichlet endpoint, and that grid, or with ``eigvals_only`` the
     eigenvalues alone (LAPACK stebz either way, so the same bits).  The
     Neumann ghost row is folded to a symmetric matrix whose natural weight
     is the trapezoid rule, so the functions are trapezoid-orthonormal by
@@ -552,20 +541,20 @@ def _richardson(fine, coarse):
 
 
 def solve_sturm_liouville(problem: SLProblem, n_grid: int = 2001) -> SLSolution:
-    """Solve the radial eigenproblem for the lowest ``n_eigen`` pairs, two ways.
+    """Solve the radial eigenproblem for the lowest ``n_eigen`` eigenvalues, two ways.
 
     The matrix eigenvalues are second-order tridiagonal solves on ``n_grid``
     and ``2*n_grid - 1`` points, Richardson-extrapolated to fourth order.  The
     shooting eigenvalues are bracketed by node counts and converged by Illinois
     steps over fourth-order Numerov sweeps on ``n_grid`` points, seeded by the
     matrix values; node counts still decide every bracket, so on a grid that
-    resolves the modes the two stay independent.  Eigenfunctions come from the
-    fine matrix grid.  Fewer than ``n_eigen + 1`` points raise ConvergenceError.
+    resolves the modes the two stay independent.  ``matrix_eigen`` gives the
+    eigenfunctions.  Fewer than ``n_eigen + 1`` points raise ConvergenceError.
     """
-    vals_fine, funcs, x_fine = _matrix_eigen(problem, 2 * n_grid - 1)
-    matrix = _richardson(vals_fine, _matrix_eigen(problem, n_grid, eigvals_only=True))
+    matrix = _richardson(matrix_eigen(problem, 2 * n_grid - 1, eigvals_only=True),
+                         matrix_eigen(problem, n_grid, eigvals_only=True))
     eigenvalues, _ = _shooting_eigenvalues(problem, n_grid, seeds=matrix)
-    return SLSolution(eigenvalues, matrix, funcs, x_fine)
+    return SLSolution(eigenvalues, matrix)
 
 
 def mode_arrival_times(

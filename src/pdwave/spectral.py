@@ -9,59 +9,27 @@ plane wave on which the canonical commutators are checked numerically.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .core import (
-    DEFAULT_CONSTANTS,
     Branch,
     EigenRecord,
     FreeWaveParams,
     MeasurementEvent,
-    PhysicalConstants,
     envelope_lag,
     on_arrival,
 )
 
 __all__ = [
-    "ComplexCoordinate",
-    "GalileanPhase",
     "apply_observable",
     "hermitize_at_mp",
     "commutator_check",
-    "psi_complex",
     "complex_schrodinger_residual",
-    "galilean_phase",
     "probability_field",
 ]
-
-
-@dataclass(frozen=True)
-class ComplexCoordinate:
-    """A point (x_c, t_c) in complex space-time.
-
-    The canonical embedding has im(x_c) = re(x_c) and im(t_c) = re(t_c);
-    general points are allowed with ``canonical=False``.
-    """
-
-    x_c: complex
-    t_c: complex
-    canonical: bool = True
-
-    def __post_init__(self) -> None:
-        if self.canonical:
-            if not (
-                math.isclose(self.x_c.imag, self.x_c.real, rel_tol=0, abs_tol=1e-12)
-                and math.isclose(self.t_c.imag, self.t_c.real, rel_tol=0, abs_tol=1e-12)
-            ):
-                raise ValueError("canonical coordinates require im = re componentwise")
-
-    @classmethod
-    def canonical_point(cls, x: float, t: float) -> "ComplexCoordinate":
-        return cls(x_c=x * (1.0 + 1.0j), t_c=t * (1.0 + 1.0j))
 
 
 def apply_observable(
@@ -110,14 +78,6 @@ def hermitize_at_mp(record: EigenRecord, event: MeasurementEvent) -> EigenRecord
     if not isinstance(event, MeasurementEvent):
         raise ValueError(f"hermitization needs a MeasurementEvent, got {type(event).__name__}")
     return replace(record, value=complex(record.value.real, 0.0), at_mp=True)
-
-
-def psi_complex(state: FreeWaveParams, coord: ComplexCoordinate) -> complex:
-    """Free wave in complex space-time: exp[i k x_c - i omega t_c].
-
-    On the canonical line this equals exp[(1 - i)(omega t - k x)].
-    """
-    return cmath.exp(1j * state.k * coord.x_c - 1j * state.omega * coord.t_c)
 
 
 _CANONICAL_DIR = (1.0 + 1.0j) / math.sqrt(2.0)
@@ -208,42 +168,6 @@ def complex_schrodinger_residual(
         lambda u: _exp(1j * state.k * u - 1j * state.omega * t_c), z, h)
     rhs = 1j * hbar * _d1(lambda u: _exp(1j * state.k * z - 1j * state.omega * u), t_c, h)
     return float(np.max(np.abs(lhs - rhs)))
-
-
-@dataclass(frozen=True)
-class GalileanPhase:
-    """Linear phase f(x, t) = k x - omega t induced by a frame boost."""
-
-    k: float
-    omega: float
-
-    def __call__(self, x: float, t: float) -> float:
-        return self.k * x - self.omega * t
-
-
-def galilean_phase(
-    v: float, constants: PhysicalConstants = DEFAULT_CONSTANTS
-) -> GalileanPhase:
-    """Phase descriptor of the boost by speed v: k = m v/hbar, omega = k v/2."""
-    if v <= 0.0:
-        raise ValueError("v must be positive")
-    k = constants.mass * v / constants.hbar
-    return GalileanPhase(k=k, omega=0.5 * k * v)
-
-
-def galilean_conditions(
-    phase: GalileanPhase, v: float, constants: PhysicalConstants = DEFAULT_CONSTANTS
-) -> tuple[float, float]:
-    """Residuals of the first-order invariance conditions for a linear phase.
-
-    (hbar/m) f_x - v = 0  and  (hbar/2m) f_x^2 - v f_x - f_t = 0.  Both
-    vanish for the descriptor returned by ``galilean_phase``, whose phase is
-    linear, so its f_xx = 0 holds by construction.
-    """
-    hbar, m = constants.hbar, constants.mass
-    c1 = hbar * phase.k / m - v
-    c2 = hbar * phase.k**2 / (2.0 * m) - v * phase.k + phase.omega
-    return (c1, c2)
 
 
 def probability_field(s: float, params: FreeWaveParams) -> float:

@@ -1,13 +1,15 @@
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pdwave.core import (
-    Branch, ConvergenceError, PhysicalConstants, RegionError, make_free_state,
+    Branch, ConvergenceError, FreeWaveParams, PhysicalConstants, make_free_state,
 )
 from pdwave import analysis as an
 
@@ -100,10 +102,6 @@ class TestUncertainty:
         with pytest.raises(ValueError):
             an.ComplexSampleSet(values=np.array([1.0 + 0j]))
 
-    def test_from_pairs(self):
-        s = an.ComplexSampleSet.from_pairs([(1.0, 2.0), (3.0, 4.0)])
-        assert np.array_equal(s.values, np.array([1 + 2j, 3 + 4j]))
-
 
 class TestHeisenberg:
     def test_boundary_inclusive(self):
@@ -191,59 +189,6 @@ class TestContour:
         assert not an.Contour.from_csv(path).closed
 
 
-class TestNegativeSlope:
-    def test_value(self):
-        assert an.negative_density_slope(CANON, 3.0, 1.0) == pytest.approx(
-            -math.exp(-2.0), abs=1e-12
-        )
-
-    def test_tail_vanishes(self):
-        assert abs(an.negative_density_slope(CANON, 60.0, 1.0)) < 1e-20
-
-    def test_always_negative(self):
-        rng = np.random.default_rng(8)
-        for _ in range(100):
-            t = rng.uniform(0.0, 3.0)
-            x = CANON.v * t + rng.uniform(0.01, 5.0)
-            assert an.negative_density_slope(CANON, x, t) < 0.0
-
-    def test_region_enforced(self):
-        with pytest.raises(RegionError):
-            an.negative_density_slope(CANON, 1.0, 2.0)
-
-
-class TestDistributionNormalize:
-    def test_unit_total(self):
-        assert an.distribution_normalize(CANON) == pytest.approx(1.0, abs=1e-8)
-
-    def test_unnormalized_rate_still_one(self):
-        state = make_free_state(1.0, 3.0)
-        assert an.distribution_normalize(state) == pytest.approx(1.0, abs=1e-8)
-
-    def test_truncated_domain(self):
-        state = make_free_state(2.0, 0.5)
-        x_max = state.v * 0.0 + 40.0 * state.v / state.R
-        assert an.distribution_normalize(state, x_max=x_max) == pytest.approx(
-            1.0, abs=1e-8
-        )
-
-    def test_reparameterization_invariance(self):
-        # x -> v*t + lam*(x - v*t) rescales the domain but not the total.
-        state, t, lam = CANON, 0.5, 2.7
-        start = state.v * t
-
-        def reparam_slope(x):
-            u = start + lam * (x - start)
-            return -lam * (state.R / state.v) * math.exp(state.R * (t - u / state.v))
-
-        total, _ = quad(reparam_slope, start, start + 60.0 / lam)
-        assert -total == pytest.approx(an.distribution_normalize(state, t=t), abs=1e-8)
-
-    def test_plane_wave_rejected(self):
-        with pytest.raises(ValueError):
-            an.distribution_normalize(make_free_state(1.0, 0.0))
-
-
 class TestClassicalPoint:
     def test_quantum_potential_vanishes_at_mp(self):
         # The wave left at the measurement point has envelope rate R = 0.
@@ -256,3 +201,25 @@ class TestClassicalPoint:
         state = make_free_state(2.0, 3.0)
         expected = 1.0 * 9.0 / (8.0 * 1.0 * 4.0)
         assert an.quantum_potential(state, 5.0, 1.0) == pytest.approx(expected, abs=1e-12)
+
+    @given(R=st.floats(min_value=0.0, allow_infinity=False),
+           v=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+           branch=st.sampled_from(Branch))
+    @example(R=5e-162, v=1.0, branch=Branch.OUTGOING)  # detour 0.0, closed form 5e-324
+    def test_closed_form_equals_the_curvature_detour(self, R, v, branch):
+        state = FreeWaveParams(k=1.0, omega=0.0, R=R, v=v, branch=branch)
+        hbar, m = state.constants.hbar, state.constants.mass
+        # The former evaluation, kept as the reference.
+        log_slope = -branch.sign * R / v
+        curvature = log_slope * log_slope
+        detour = hbar * hbar / (4.0 * m) * (curvature - 0.5 * log_slope * log_slope)
+        value = an.quantum_potential(state, 0.0, 0.0)
+        if curvature == 0.0 or 2.0 * sys.float_info.min <= curvature < math.inf:
+            # Halving is exact and a - a/2 is exact (Sterbenz): the same bits.
+            assert value == detour
+        elif curvature == math.inf:
+            # inf - inf made the detour nan; the closed form overflows to inf.
+            assert math.isnan(detour) and value == math.inf
+        else:
+            # A subnormal curvature/2 rounds in the detour: one ulp apart at most.
+            assert abs(value - detour) <= math.ulp(0.0)

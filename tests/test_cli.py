@@ -752,7 +752,7 @@ print(json.dumps([imported, sorted(sys.modules)]))
 SCENARIO_MODULES = {
     "free-wave": {"freewave"},
     "potential-wave": {"freewave", "potential"},
-    "ensemble": {"evolution", "freewave", "measurement", "spectral"},
+    "ensemble": {"evolution", "freewave", "measurement"},
     "decoherence": {"evolution", "spectral"},
     "entropy": {"evolution"},
     "sturm-liouville": {"freewave", "potential"},

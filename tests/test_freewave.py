@@ -23,12 +23,6 @@ def test_dispersion_omega_examples():
     assert fw.dispersion_omega(2.0, 2.0, 2.0) == pytest.approx(1.875, abs=1e-15)
 
 
-def test_min_momentum():
-    assert fw.min_momentum(1.0, 1.0) == pytest.approx((0.5, -0.5))
-    assert fw.min_momentum(0.0, 1.0) == (0.0, 0.0)
-    assert fw.min_momentum(2.0, 1.0) == pytest.approx((1.0, -1.0))
-
-
 def test_psi_on_seam_is_plane_wave():
     val = fw.psi_free(CANON, 2.0, 2.0)
     assert val == pytest.approx(cmath.exp(1.25j), abs=1e-15)

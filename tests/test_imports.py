@@ -3,7 +3,8 @@
 A name counts as used when the module reads it (an ``ast.Name`` anywhere in
 the tree) or exports it in ``__all__``.  ``from __future__`` imports are
 exempt.  Every name in a module's ``__all__`` must resolve on the imported
-module.
+module.  Every public function and class is reached by the package, a demo
+or the acceptance suite.
 """
 
 import ast
@@ -12,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "pdwave").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "pdwave").glob("*.py"))
+CALLERS = SOURCES + sorted((ROOT / "demos").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
 
 
 def _exported(tree: ast.Module) -> set[str]:
@@ -62,3 +65,26 @@ def test_every_exported_name_resolves(path):
     name = "pdwave" if path.name == "__init__.py" else f"pdwave.{path.stem}"
     module = importlib.import_module(name)
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def unreferenced_definitions(sources, callers) -> list[str]:
+    """Top-level public functions and classes of ``sources`` that no ``ast.Name`` or
+    ``ast.Attribute`` in ``callers`` names; a string in ``__all__`` does not count."""
+    defined = []
+    for path in sources:
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                defined.append(f"{path.stem}.{node.name}")
+    named = set()
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    return [name for name in defined if name.split(".")[1] not in named]
+
+
+def test_every_public_definition_is_reached():
+    assert unreferenced_definitions(SOURCES, CALLERS) == []

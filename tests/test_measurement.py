@@ -271,22 +271,6 @@ class TestComposite:
         pointers = tuple(make_free_state(v, v) for v in (3.0, 4.0))
         return ms.tensor_compose(systems, pointers, np.sqrt(weights).astype(complex))
 
-    def test_product_eigenvalue(self):
-        comp = self.composite()
-        vals = ms.composite_eigenvalues(comp, system_eigs=[2.0, 1.0], pointer_eigs=[3.0, 1.0])
-        assert vals[0] == 6.0
-
-    def test_default_energy_products(self):
-        comp = self.composite()
-        vals = ms.composite_eigenvalues(comp)
-        expected = np.array(
-            [
-                apply_observable("H", s).value * apply_observable("H", q).value
-                for s, q in zip(comp.system_components, comp.pointer_components)
-            ]
-        )
-        assert np.array_equal(vals, expected)
-
     def test_pure_product_limit(self):
         comp = self.composite(weights=(1.0, 0.0))
         assert comp.amplitudes[0] == 1.0 + 0j

@@ -330,21 +330,24 @@ class TestSturmLiouville:
         assert seeded_sweeps == unseeded_sweeps
         np.testing.assert_array_equal(seeded, unseeded)
 
-    def test_coarse_eigenvalues_alone_are_bit_identical(self):
+    @pytest.mark.parametrize("n_grid", [2001, 4001])  # the coarse and the fine grid
+    def test_eigenvalues_alone_are_bit_identical(self, n_grid):
         problem = self.box()
-        vals, _, _ = pot._matrix_eigen(problem, 2001)
-        np.testing.assert_array_equal(pot._matrix_eigen(problem, 2001, eigvals_only=True), vals)
+        vals, _, _ = pot.matrix_eigen(problem, n_grid)
+        np.testing.assert_array_equal(pot.matrix_eigen(problem, n_grid, eigvals_only=True), vals)
 
     def test_backends_share_one_fine_grid_solve(self, monkeypatch):
-        eigh, sizes = pot.eigh_tridiagonal, []
+        eigh, sizes, values_only = pot.eigh_tridiagonal, [], []
 
         def counted(d, e, **kwargs):
             sizes.append(d.size)
+            values_only.append(kwargs.get("eigvals_only", False))
             return eigh(d, e, **kwargs)
 
         monkeypatch.setattr(pot, "eigh_tridiagonal", counted)
         pot.solve_sturm_liouville(self.box(), n_grid=2001)
         assert sorted(sizes) == [2000, 4000]  # unknowns of the coarse and the fine grid
+        assert values_only == [True, True]  # no eigenvectors: nothing reports them
 
     def test_backends_agree(self):
         sol = pot.solve_sturm_liouville(self.box())
@@ -368,14 +371,14 @@ class TestSturmLiouville:
         assert np.max(np.abs(sol.eigenvalues - sol.matrix_eigenvalues)) < 1e-6
 
     def test_eigenfunctions_orthonormal(self):
-        sol = pot.solve_sturm_liouville(self.box())
-        gram = sol.gram_matrix()
+        _, funcs, x = pot.matrix_eigen(self.box(), 4001)
+        gram = np.array([[np.trapezoid(f * g, x) for g in funcs] for f in funcs])
         assert np.max(np.abs(gram - np.eye(6))) < 1e-8
 
     def test_box_eigenfunction_shape(self):
-        sol = pot.solve_sturm_liouville(self.box(n_eigen=1))
-        exact = np.sqrt(2.0) * np.cos(0.5 * np.pi * sol.x)
-        overlap = np.trapezoid(sol.eigenfunctions[0] * exact, sol.x)
+        _, funcs, x = pot.matrix_eigen(self.box(n_eigen=1), 4001)
+        exact = np.sqrt(2.0) * np.cos(0.5 * np.pi * x)
+        overlap = np.trapezoid(funcs[0] * exact, x)
         assert abs(abs(overlap) - 1.0) < 1e-6
 
     def test_domain_growth_monotonicity(self):
@@ -400,6 +403,7 @@ class TestSturmLiouville:
 
     def test_solution_validation(self):
         fields = vars(pot.solve_sturm_liouville(self.box(n_eigen=2)))
+        assert list(fields) == ["eigenvalues", "matrix_eigenvalues"]
         flipped = {name: fields[name][::-1] for name in ("eigenvalues", "matrix_eigenvalues")}
         # Either array out of order is rejected; with both, the shooting one is named.
         for names in (["eigenvalues"], ["matrix_eigenvalues"], list(flipped)):

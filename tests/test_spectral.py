@@ -182,32 +182,6 @@ class TestCommutators:
             sp.commutator_check("TcHc", CANON, [0.5, -800.0])
 
 
-class TestPsiComplex:
-    def test_origin(self):
-        coord = sp.ComplexCoordinate.canonical_point(0.0, 0.0)
-        assert sp.psi_complex(CANON, coord) == 1.0 + 0.0j
-
-    def test_canonical_decay(self):
-        coord = sp.ComplexCoordinate.canonical_point(1.0, 0.0)
-        val = sp.psi_complex(CANON, coord)
-        assert abs(val) == pytest.approx(math.exp(-1.0), abs=1e-12)
-        assert val == pytest.approx(cmath.exp(1j * (1.0 + 1.0j)), abs=1e-15)
-
-    def test_matches_intermediate_form(self):
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            x, t = rng.uniform(-1.0, 1.0, 2)
-            coord = sp.ComplexCoordinate.canonical_point(x, t)
-            direct = sp.psi_complex(CANON, coord)
-            folded = cmath.exp((1.0 - 1.0j) * (CANON.omega * t - CANON.k * x))
-            assert abs(direct - folded) < 1e-12
-
-    def test_canonical_validation(self):
-        with pytest.raises(ValueError):
-            sp.ComplexCoordinate(x_c=1.0 + 2.0j, t_c=0.0j)
-        sp.ComplexCoordinate(x_c=1.0 + 2.0j, t_c=0.0j, canonical=False)
-
-
 class TestComplexResidual:
     def test_vanishes_for_plane_dispersion(self):
         state = dataclasses.replace(CANON, omega=0.5)
@@ -245,36 +219,6 @@ class TestComplexResidual:
         res = sp.complex_schrodinger_residual(doubled, [0.3])
         expected = 1.0 * abs(cmath.exp(1j * complex(0.3, 0.3)))
         assert res == pytest.approx(expected, abs=1e-8)
-
-
-class TestGalilean:
-    def test_descriptor(self):
-        g = sp.galilean_phase(1.0)
-        assert (g.k, g.omega) == (1.0, 0.5)
-        assert g(2.0, 1.0) == pytest.approx(1.5)
-        assert g(0.0, 0.0) == 0.0
-
-    def test_invariance_conditions(self):
-        g = sp.galilean_phase(1.7)
-        assert sp.galilean_conditions(g, 1.7) == pytest.approx((0.0, 0.0), abs=1e-14)
-
-    def test_conditions_via_finite_differences(self):
-        v = 1.3
-        g = sp.galilean_phase(v)
-        rng = np.random.default_rng(11)
-        h = 1e-5
-        for _ in range(50):
-            x, t = rng.uniform(-2.0, 2.0, 2)
-            f_x = (g(x + h, t) - g(x - h, t)) / (2 * h)
-            f_xx = (g(x + h, t) - 2 * g(x, t) + g(x - h, t)) / h**2
-            f_t = (g(x, t + h) - g(x, t - h)) / (2 * h)
-            assert f_x - v == pytest.approx(0.0, abs=1e-9)
-            assert f_xx == pytest.approx(0.0, abs=1e-5)
-            assert 0.5 * f_x**2 - v * f_x - f_t == pytest.approx(0.0, abs=1e-8)
-
-    def test_rejects_nonpositive_speed(self):
-        with pytest.raises(ValueError):
-            sp.galilean_phase(0.0)
 
 
 class TestProbabilityField:
