@@ -331,7 +331,7 @@ class TestSturmLiouville:
         np.testing.assert_array_equal(seeded, unseeded)
 
     @pytest.mark.parametrize("n_grid", [2001, 4001])  # the coarse and the fine grid
-    def test_eigenvalues_alone_are_bit_identical(self, n_grid):
+    def test_coarse_eigenvalues_alone_are_bit_identical(self, n_grid):
         problem = self.box()
         vals, _, _ = pot.matrix_eigen(problem, n_grid)
         np.testing.assert_array_equal(pot.matrix_eigen(problem, n_grid, eigvals_only=True), vals)
