@@ -223,3 +223,21 @@ class TestClassicalPoint:
         else:
             # A subnormal curvature/2 rounds in the detour: one ulp apart at most.
             assert abs(value - detour) <= math.ulp(0.0)
+
+    @pytest.mark.parametrize("R", [0.0, 2.0])
+    def test_wave_at_rest_has_none(self, R):
+        # v = 0 is the absorbed wave left by a recorded projection; no division by v.
+        state = FreeWaveParams(k=0.0, omega=0.0, R=R, v=0.0, branch=Branch.INCOMING)
+        assert an.quantum_potential(state, 1.0, 1.0) == 0.0
+
+    def test_same_on_both_branches_everywhere(self):
+        values = {
+            an.quantum_potential(replace(CANON, R=1.5, v=0.75, branch=branch), x, t)
+            for branch in Branch for x, t in ((0.0, 0.0), (3.0, 1.0), (-2.0, 5.0))
+        }
+        assert values == {0.5}  # (R/v)^2 / 8
+
+    def test_scales_as_hbar_squared_over_mass(self):
+        constants = PhysicalConstants(hbar=2.0, mass=3.0)
+        state = replace(CANON, R=3.0, v=1.5, constants=constants)
+        assert an.quantum_potential(state, 0.0, 0.0) == pytest.approx(4.0 * 4.0 / (8.0 * 3.0))

@@ -88,3 +88,22 @@ def unreferenced_definitions(sources, callers) -> list[str]:
 
 def test_every_public_definition_is_reached():
     assert unreferenced_definitions(SOURCES, CALLERS) == []
+
+
+@pytest.mark.parametrize("source, caller, flagged", [
+    ("def lonely():\n    pass\n", "", ["mod.lonely"]),
+    ("class Lonely:\n    pass\n", "", ["mod.Lonely"]),
+    ('__all__ = ["lonely"]\n\n\ndef lonely():\n    pass\n', 'NAMES = ["lonely"]\n',
+     ["mod.lonely"]),
+    ("def lonely():\n    pass\n", "run(lonely=1)\n", ["mod.lonely"]),
+    ("def used():\n    pass\n", "import mod\n\nmod.used()\n", []),
+    ("def used():\n    pass\n", "from mod import used\n\nused()\n", []),
+    ("def _private():\n    pass\n\n\nclass Kept:\n    def method(self):\n        pass\n",
+     "Kept\n", []),
+], ids=["function", "class", "all-strings", "keyword", "attribute", "name", "private-nested"])
+def test_reach_rule(tmp_path, source, caller, flagged):
+    # A name counts only as code that reads it; strings and keywords do not.
+    module, user = tmp_path / "mod.py", tmp_path / "user.py"
+    module.write_text(source)
+    user.write_text(caller)
+    assert unreferenced_definitions([module], [module, user]) == flagged

@@ -381,6 +381,56 @@ class TestSturmLiouville:
         overlap = np.trapezoid(funcs[0] * exact, x)
         assert abs(abs(overlap) - 1.0) < 1e-6
 
+    def harmonic(self, n_eigen=4):
+        xs = np.linspace(0.0, 8.0, 128)
+        return pot.SLProblem(x0=0.0, x_end=8.0, kx=np.zeros(128), V=0.5 * xs**2,
+                             n_eigen=n_eigen)
+
+    @pytest.mark.parametrize("n_eigen", [1, 6])
+    def test_matrix_eigen_shapes(self, n_eigen):
+        problem = self.box(n_eigen=n_eigen)
+        vals, funcs, x = pot.matrix_eigen(problem, 501)
+        assert vals.shape == (n_eigen,) and funcs.shape == (n_eigen, 501)
+        np.testing.assert_array_equal(x, np.linspace(0.0, 1.0, 501))
+        assert pot.matrix_eigen(problem, 501, eigvals_only=True).shape == (n_eigen,)
+
+    @pytest.mark.parametrize("problem", ["box", "harmonic"])
+    def test_matrix_eigen_solves_its_difference_equation(self, problem):
+        # -c (f[i-1] - 2 f[i] + f[i+1]) / h^2 + W f[i] = E f[i], ghost f[-1] = f[1], f[-1] = 0.
+        problem = getattr(self, problem)()
+        vals, funcs, x = pot.matrix_eigen(problem, 2001)
+        h, c = x[1] - x[0], 0.5
+        W = problem.effective_potential(x)
+        for E, f in zip(vals, funcs):
+            left = np.concatenate(([f[1]], f[:-2]))
+            lhs = -c * (left - 2.0 * f[:-1] + f[1:]) / h**2 + W[:-1] * f[:-1]
+            scale = (4.0 * c / h**2 + np.max(np.abs(W))) * np.max(np.abs(f))
+            assert np.max(np.abs(lhs - E * f[:-1])) < 1e-12 * scale
+
+    def test_matrix_eigen_boundary_values(self):
+        _, funcs, _ = pot.matrix_eigen(self.box(), 2001)
+        assert np.all(funcs[:, -1] == 0.0)  # Dirichlet at x_end
+        assert np.all(funcs[:, 0] > 0.0)  # sign convention at the Neumann edge
+
+    @pytest.mark.parametrize("problem", ["box", "harmonic"])
+    def test_matrix_eigen_nodes_follow_sturm_oscillation(self, problem):
+        _, funcs, _ = pot.matrix_eigen(getattr(self, problem)(), 2001)
+        nodes = [int(np.sum(f[:-2] * f[1:-1] < 0.0)) for f in funcs]
+        assert nodes == list(range(len(funcs)))
+
+    @pytest.mark.parametrize("eigvals_only", [True, False])
+    def test_matrix_eigen_too_many_eigenvalues(self, eigvals_only):
+        with pytest.raises(ConvergenceError, match="only 25 eigenvalues exist"):
+            pot.matrix_eigen(self.box(n_eigen=26), 26, eigvals_only=eigvals_only)
+
+    def test_richardson_beats_both_grids(self):
+        problem = self.box()
+        exact = ((np.arange(6) + 0.5) * np.pi) ** 2 / 2.0
+        fine = pot.matrix_eigen(problem, 4001, eigvals_only=True)
+        error = np.abs(pot.solve_sturm_liouville(problem).matrix_eigenvalues - exact)
+        # Fourth order down to the bisection floor eps*|T| ~ 2e-9, from 1.6e-8..2.3e-4.
+        assert np.all(error < 0.1 * np.abs(fine - exact)) and np.max(error) < 1e-8
+
     def test_domain_growth_monotonicity(self):
         sols = [pot.solve_sturm_liouville(self.box(n_eigen=4, x1=x1), n_grid=1001)
                 for x1 in (1.0, 1.5, 2.0)]
@@ -409,6 +459,10 @@ class TestSturmLiouville:
         for names in (["eigenvalues"], ["matrix_eigenvalues"], list(flipped)):
             with pytest.raises(ValueError, match=f"^{names[0]} must be strictly increasing"):
                 pot.SLSolution(**{**fields, **{n: flipped[n] for n in names}})
+
+    def test_solution_rejects_a_repeated_eigenvalue(self):
+        with pytest.raises(ValueError, match="^matrix_eigenvalues must be strictly increasing"):
+            pot.SLSolution(np.array([1.0, 2.0]), np.array([1.5, 1.5]))
 
     def test_mode_arrival_times_distinct(self):
         sol = pot.solve_sturm_liouville(self.box())
