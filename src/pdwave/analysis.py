@@ -104,10 +104,7 @@ def heisenberg_check(
 
 @dataclass(frozen=True, eq=False)
 class Contour:
-    """Polyline of complex positions at a fixed complex time.
-
-    The contour is closed when its last vertex returns to its first.
-    """
+    """Polyline of complex positions at a fixed complex time."""
 
     vertices: np.ndarray
     t_c: complex = 0.0
@@ -118,11 +115,6 @@ class Contour:
             raise ValueError("need at least two vertices")
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
-
-    @property
-    def closed(self) -> bool:
-        v = self.vertices
-        return bool(abs(v[0] - v[-1]) < 1e-15 * max(1.0, abs(v[0])))
 
     @classmethod
     def from_csv(cls, path, t_c: complex = 0.0) -> "Contour":

@@ -9,6 +9,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,25 +66,53 @@ class Branch(enum.Enum):
         return 1 if self is Branch.INCOMING else -1
 
 
-def envelope_lag(branch: Branch, t: float, tau, guard: float = 0.0):
+def envelope_lag(branch: Branch, t: float, tau):
     """Signed lag sign*(t - tau) of probes with arrival times tau at time t.
 
     The lag is at most 0 on the branch's side of the arrival line.  Raises
-    RegionError when any lag exceeds 1e-9*max(1, |t|, max|tau|) - guard, so
-    a positive guard keeps every probe that far clear of the line.
+    RegionError when any lag exceeds 1e-9*max(1, |t|, max|tau|).
     """
     tau = np.asarray(tau, dtype=float)
     lag = branch.sign * (t - tau)
     slack = 1e-9 * max(1.0, abs(t), float(np.max(np.abs(tau))))
-    if np.any(lag > slack - guard):
+    if np.any(lag > slack):
         raise RegionError(f"{branch.value} probe at t = {t} lags {float(np.max(lag))} "
-                          f"past its arrival line t = tau(x), margin {guard}")
+                          f"past its arrival line t = tau(x)")
     return lag
 
 
 def on_arrival(t: float, tau: float, tol: float = 1e-9) -> bool:
     """|t - tau| <= tol*max(1, |t|, |tau|): at tol = 1e-9, both envelope_lag branches accept t."""
     return abs(t - tau) <= tol * max(1.0, abs(t), abs(tau))
+
+
+def stencil_step(step: float, room: float) -> float:
+    """``step`` capped at a quarter of ``room``, the probes' distance to the arrival line.
+
+    Raises RegionError when no stencil fits: the room is empty, or so narrow
+    that the square of half the step underflows.
+    """
+    h = min(step, 0.25 * room)
+    if not (h > 0.0 and (0.5 * h) ** 2 >= sys.float_info.min):
+        raise RegionError(f"no finite-difference step fits in room {room} to the arrival line")
+    return h
+
+
+def central_difference(f, z, h, order: int = 1):
+    """Derivative of f at z of order 1 or 2, Richardson-extrapolated (Richardson 1911).
+
+    D(s) is the second-order central difference over the step s, and
+    (4*D(h/2) - D(h))/3 cancels its h^2 error term.  A complex h steps
+    along its own direction in the complex plane.
+    """
+    twice = 2.0 * f(z) if order == 2 else None
+
+    def central(s):
+        if order == 1:
+            return (f(z + s) - f(z - s)) / (2.0 * s)
+        return (f(z + s) - twice + f(z - s)) / (s * s)
+
+    return (4.0 * central(0.5 * h) - central(h)) / 3.0
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,8 +15,10 @@ import numpy as np
 from .core import (
     FreeWaveParams,
     _panel_quadrature,
+    central_difference,
     dispersion_omega,
     envelope_lag,
+    stencil_step,
 )
 
 __all__ = [
@@ -50,12 +52,23 @@ class Grid1D:
         return np.linspace(self.x_min, self.x_max, self.n)
 
 
-def _lag(params: FreeWaveParams, t: float, x, guard_x: float = 0.0):
-    """``envelope_lag`` at tau = x/v, with the guard in x units; at v = 0 nothing arrives."""
+def _lag(params: FreeWaveParams, t: float, x):
+    """``envelope_lag`` at tau = x/v; at v = 0 nothing arrives."""
     if params.v == 0.0:
         raise ValueError("free wave needs v > 0: at v = 0 there is no arrival line x = v*t")
-    tau = np.asarray(x, dtype=float) / params.v
-    return envelope_lag(params.branch, t, tau, guard_x / params.v)
+    return envelope_lag(params.branch, t, np.asarray(x, dtype=float) / params.v)
+
+
+def _fd_steps(params: FreeWaveParams, grid: Grid1D) -> tuple[float, float]:
+    """Steps (h_x, h_t) of the state's finite differences on the grid.
+
+    Each is 1e-2 over the state's fastest rate along its axis, capped by
+    ``stencil_step`` at a quarter of the room to the arrival line.
+    """
+    room_t = -float(np.max(_lag(params, grid.t, grid.xs())))
+    rate_x = max(1.0, abs(params.k), params.R / (2.0 * params.v))
+    rate_t = max(1.0, abs(params.omega), 0.5 * params.R)
+    return stencil_step(1e-2 / rate_x, params.v * room_t), stencil_step(1e-2 / rate_t, room_t)
 
 
 def psi_free(params: FreeWaveParams, x, t: float):
@@ -117,23 +130,14 @@ def _analytic_rates(params: FreeWaveParams) -> tuple[complex, complex]:
     return beta, alpha
 
 
-def schrodinger_residual(
-    params: FreeWaveParams,
-    grid: Grid1D,
-    method: str = "analytic",
-    h_x: float = 1e-3,
-    h_t: float = 1e-3,
-    relative: bool = False,
-) -> float:
+def schrodinger_residual(params: FreeWaveParams, grid: Grid1D, method: str = "analytic") -> float:
     """Max norm of i*hbar*psi_t + (hbar^2/2m)*psi_xx over the grid.
 
     ``method="analytic"`` uses the exact derivatives of the family, whose
     residual vanishes iff the dispersion relation and v = hbar*k/m hold.
-    ``method="fd"`` uses second-order central differences with steps
-    (h_x, h_t); the grid (widened by the stencil) must stay at least three
-    steps away from the envelope kink at x = v*t.  ``relative=True``
-    normalizes each pointwise residual by the larger of its two terms,
-    which measures pure finite-difference truncation.
+    ``method="fd"`` takes ``core.central_difference`` with steps scaled to
+    the state (``_fd_steps``) and normalizes each pointwise residual by the
+    larger of its two terms, which measures pure finite-difference truncation.
     """
     xs = grid.xs()
     t = grid.t
@@ -141,33 +145,14 @@ def schrodinger_residual(
     c = hbar * hbar / (2.0 * m)
 
     if method == "analytic":
-        psi = psi_free(params, xs, t)
+        psi = psi_free(params, xs, t)  # first, so that v = 0 is rejected by name
         beta, alpha = _analytic_rates(params)
-        res = np.abs((1j * hbar * beta + c * alpha * alpha) * psi)
-        if relative:
-            scale = np.maximum(
-                np.maximum(hbar * np.abs(beta), c * np.abs(alpha) ** 2) * np.abs(psi),
-                1e-300,
-            )
-            res = res / scale
-        return float(res.max())
-
+        return float(np.max(np.abs((1j * hbar * beta + c * alpha * alpha) * psi)))
     if method != "fd":
         raise ValueError(f"unknown method {method!r}")
 
-    # Guard band: the stencil corner nearest the kink stays three x-steps clear.
-    sign = params.branch.sign
-    _lag(params, t + sign * h_t, xs - sign * h_x, guard_x=3.0 * h_x)
-
-    d_t = (psi_free(params, xs, t + h_t) - psi_free(params, xs, t - h_t)) / (2.0 * h_t)
-    psi0 = psi_free(params, xs, t)
-    d_xx = (
-        psi_free(params, xs + h_x, t) - 2.0 * psi0 + psi_free(params, xs - h_x, t)
-    ) / (h_x * h_x)
-    term_t = 1j * hbar * d_t
-    term_x = c * d_xx
-    res = np.abs(term_t + term_x)
-    if relative:
-        scale = np.maximum(np.maximum(np.abs(term_t), np.abs(term_x)), 1e-300)
-        res = res / scale
-    return float(res.max())
+    h_x, h_t = _fd_steps(params, grid)
+    term_t = 1j * hbar * central_difference(lambda tt: psi_free(params, xs, tt), t, h_t)
+    term_x = c * central_difference(lambda x: psi_free(params, x, t), xs, h_x, order=2)
+    scale = np.maximum(np.maximum(np.abs(term_t), np.abs(term_x)), 1e-300)
+    return float(np.max(np.abs(term_t + term_x) / scale))

@@ -21,7 +21,9 @@ from .core import (
     Branch,
     ConvergenceError,
     PhysicalConstants,
+    central_difference,
     envelope_lag,
+    stencil_step,
 )
 from .freewave import Grid1D
 
@@ -238,39 +240,28 @@ def prob_density_potential(spec: PotentialSpec, branch: Branch, x, t: float, x_m
     return float(out) if np.isscalar(x) else out
 
 
-def continuity_residual(
-    spec: PotentialSpec,
-    branch: Branch,
-    grid: Grid1D,
-    h_x: float = 1e-3,
-    h_t: float = 1e-3,
-    x_mp=None,
-    density=None,
-) -> float:
-    """Max |dP/dt + d(P*v)/dx| over the grid, by central differences.
+def continuity_residual(spec: PotentialSpec, branch: Branch, grid: Grid1D, density=None) -> float:
+    """Max |dP/dt + d(P*v)/dx| over the grid, by ``core.central_difference``.
 
     The identity holds exactly for the family's density, so the returned
     value measures finite-difference truncation.  ``density`` may override
     the density function (used to verify the check catches injected
-    defects).  The whole stencil must stay inside one branch region.
+    defects).  The steps are 1e-2 over the density's rates R/v_min in x and
+    R in t, each capped by ``stencil_step`` at a quarter of the room to the
+    arrival line, so the whole stencil stays inside one branch region.
     """
     xs = grid.xs()
     t = grid.t
-    if x_mp is None:
-        x_mp = spec.x_start
     if density is None:
         def density(x_, t_):
-            return prob_density_potential(spec, branch, x_, t_, x_mp=x_mp)
+            return prob_density_potential(spec, branch, x_, t_, x_mp=spec.x_start)
 
-    # Guard band: the stencil corner nearest the arrival line stays clear of it.
+    room_t = -float(np.max(envelope_lag(branch, t, arrival_time(spec, xs))))
     v_min = float(np.min(spec.v_at(np.linspace(spec.x_start, spec.x_end, 256))))
-    envelope_lag(branch, t + branch.sign * h_t, arrival_time(spec, xs - branch.sign * h_x),
-                 guard=3.0 * max(h_t, h_x / v_min))
-
-    dP_dt = (density(xs, t + h_t) - density(xs, t - h_t)) / (2.0 * h_t)
-    flux_plus = density(xs + h_x, t) * spec.v_at(xs + h_x)
-    flux_minus = density(xs - h_x, t) * spec.v_at(xs - h_x)
-    d_flux = (flux_plus - flux_minus) / (2.0 * h_x)
+    h_x = stencil_step(1e-2 / max(1.0, spec.R / v_min), v_min * room_t)
+    h_t = stencil_step(1e-2 / max(1.0, spec.R), room_t)
+    dP_dt = central_difference(lambda tt: density(xs, tt), t, h_t)
+    d_flux = central_difference(lambda x: density(x, t) * spec.v_at(x), xs, h_x)
     return float(np.max(np.abs(dP_dt + d_flux)))
 
 

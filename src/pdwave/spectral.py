@@ -19,6 +19,7 @@ from .core import (
     EigenRecord,
     FreeWaveParams,
     MeasurementEvent,
+    central_difference,
     envelope_lag,
     on_arrival,
 )
@@ -80,7 +81,8 @@ def hermitize_at_mp(record: EigenRecord, event: MeasurementEvent) -> EigenRecord
     return replace(record, value=complex(record.value.real, 0.0), at_mp=True)
 
 
-_CANONICAL_DIR = (1.0 + 1.0j) / math.sqrt(2.0)
+# The step of every derivative along the canonical line x_c = x(1 + i).
+_STEP = 5e-3 * ((1.0 + 1.0j) / math.sqrt(2.0))
 
 
 def _exp(u):
@@ -92,32 +94,7 @@ def _exp(u):
     return out
 
 
-def _d1(f, z: complex, h: float) -> complex:
-    """Richardson-extrapolated central first derivative along the canonical line."""
-    step = h * _CANONICAL_DIR
-
-    def central(s):
-        return (f(z + s) - f(z - s)) / (2.0 * s)
-
-    return (4.0 * central(0.5 * step) - central(step)) / 3.0
-
-
-def _d2(f, z: complex, h: float) -> complex:
-    """Richardson-extrapolated central second derivative along the canonical line."""
-    step = h * _CANONICAL_DIR
-
-    def central(s):
-        return (f(z + s) - 2.0 * f(z) + f(z - s)) / (s * s)
-
-    return (4.0 * central(0.5 * step) - central(step)) / 3.0
-
-
-def commutator_check(
-    pair: str,
-    state: FreeWaveParams,
-    probe_grid,
-    h: float = 5e-3,
-) -> complex:
+def commutator_check(pair: str, state: FreeWaveParams, probe_grid) -> complex:
     """Mean of ((AB - BA) psi) / psi over canonical probe points.
 
     ``pair="XcPc"`` checks the position-momentum commutator with
@@ -138,20 +115,18 @@ def commutator_check(
     if np.any(underflow):
         raise ValueError(f"|psi| underflows at probe point {z[np.argmax(underflow)]}")
     if pair == "XcPc":
-        ab = z * (-1j * hbar) * _d1(psi, z, h)
-        ba = -1j * hbar * _d1(lambda u: u * psi(u), z, h)
+        ab = z * (-1j * hbar) * central_difference(psi, z, _STEP)
+        ba = -1j * hbar * central_difference(lambda u: u * psi(u), z, _STEP)
     elif pair == "TcHc":
         c = -hbar * hbar / (2.0 * m)
-        ab = (z / state.v) * c * _d2(psi, z, h)
-        ba = c * _d2(lambda u: (u / state.v) * psi(u), z, h)
+        ab = (z / state.v) * c * central_difference(psi, z, _STEP, order=2)
+        ba = c * central_difference(lambda u: (u / state.v) * psi(u), z, _STEP, order=2)
     else:
         raise ValueError(f"unknown commutator pair {pair!r}")
     return complex(np.mean((ab - ba) / psi_z))
 
 
-def complex_schrodinger_residual(
-    state: FreeWaveParams, probe_grid, t: float = 0.0, h: float = 5e-3
-) -> float:
+def complex_schrodinger_residual(state: FreeWaveParams, probe_grid, t: float = 0.0) -> float:
     """Max residual of -(hbar^2/2m) psi_xx = i hbar psi_t in complex space-time.
 
     Derivatives are taken numerically along the canonical directions at
@@ -164,9 +139,10 @@ def complex_schrodinger_residual(
     if z.size == 0:
         raise ValueError("probe grid is empty")
     t_c = t * (1.0 + 1.0j)
-    lhs = -(hbar * hbar / (2.0 * m)) * _d2(
-        lambda u: _exp(1j * state.k * u - 1j * state.omega * t_c), z, h)
-    rhs = 1j * hbar * _d1(lambda u: _exp(1j * state.k * z - 1j * state.omega * u), t_c, h)
+    lhs = -(hbar * hbar / (2.0 * m)) * central_difference(
+        lambda u: _exp(1j * state.k * u - 1j * state.omega * t_c), z, _STEP, order=2)
+    rhs = 1j * hbar * central_difference(
+        lambda u: _exp(1j * state.k * z - 1j * state.omega * u), t_c, _STEP)
     return float(np.max(np.abs(lhs - rhs)))
 
 

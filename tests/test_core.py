@@ -1,5 +1,7 @@
 import math
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,9 +12,11 @@ from pdwave.core import (
     FreeWaveParams,
     PhysicalConstants,
     RegionError,
+    central_difference,
     dispersion_omega,
     envelope_lag,
     make_free_state,
+    stencil_step,
 )
 
 
@@ -124,14 +128,35 @@ def test_envelope_lag_sides():
         envelope_lag(Branch.OUTGOING, 2.0, [1.0, 3.0])
 
 
-def test_envelope_lag_slack_and_guard():
-    # Slack 1e-9*max(1, |t|, max|tau|) forgives rounding; a guard keeps probes clear.
+def test_envelope_lag_slack():
+    # Slack 1e-9*max(1, |t|, max|tau|) forgives rounding, and no more.
     assert envelope_lag(Branch.INCOMING, 1.0 + 9e-10, 1.0) > 0.0
-    with pytest.raises(RegionError):
+    with pytest.raises(RegionError, match="incoming"):
         envelope_lag(Branch.INCOMING, 1.0 + 2e-9, 1.0)
     assert envelope_lag(Branch.INCOMING, 100.0 + 9e-8, 100.0) > 0.0
-    assert envelope_lag(Branch.INCOMING, 1.0, [1.5, 2.0], guard=0.5).tolist() == [-0.5, -1.0]
-    with pytest.raises(RegionError, match="incoming"):
-        envelope_lag(Branch.INCOMING, 1.0, [1.4, 2.0], guard=0.5)
     with pytest.raises(RegionError, match="outgoing"):
-        envelope_lag(Branch.OUTGOING, 2.0, [1.6, 0.0], guard=0.5)
+        envelope_lag(Branch.OUTGOING, 2.0 - 3e-9, 2.0)
+
+
+def test_stencil_step_is_capped_at_a_quarter_of_the_room():
+    assert stencil_step(1e-2, 1.0) == 1e-2
+    assert stencil_step(1e-2, 0.02) == 0.005
+    # No room, a probe past the line, or a step whose half squares below the
+    # smallest normal float leaves no stencil that fits.
+    edge = 8.0 * math.sqrt(sys.float_info.min)  # room / 4 = h, (h / 2)^2 = min
+    for room in (0.0, -1e-12, 1e-300, 0.99 * edge):
+        with pytest.raises(RegionError, match="no finite-difference step fits"):
+            stencil_step(1e-2, room)
+    assert stencil_step(1e-2, 1.01 * edge) == 0.25 * 1.01 * edge
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("direction", [1.0, (1.0 + 1.0j) / math.sqrt(2.0)])
+def test_central_difference_is_fourth_order(order, direction):
+    # d^n/dz^n exp(iz) = i^n exp(iz).  Halving h cuts the O(h^4) error 16-fold.
+    z = np.array([0.3, 0.7])
+    exact = 1j**order * np.exp(1j * z)
+    errors = [np.max(np.abs(central_difference(lambda u: np.exp(1j * u), z, h * direction, order)
+                            - exact)) for h in (0.2, 0.1)]
+    assert errors[0] / errors[1] == pytest.approx(16.0, rel=0.1)
+    assert errors[1] < 1e-5

@@ -138,13 +138,6 @@ def test_residual_iff_dispersion(v, R):
     assert fw.schrodinger_residual(bad, grid) > 1e-6
 
 
-def test_residual_fd_scales_quadratically():
-    grid = fw.Grid1D(2.0, 4.0, 21, 1.0)
-    r1 = fw.schrodinger_residual(CANON, grid, method="fd", h_x=2e-3, h_t=2e-3)
-    r2 = fw.schrodinger_residual(CANON, grid, method="fd", h_x=1e-3, h_t=1e-3)
-    assert r1 / r2 == pytest.approx(4.0, rel=0.15)
-
-
 def test_residual_grid_must_avoid_seam():
     grid = fw.Grid1D(2.0, 4.0, 21, 2.0)  # left edge on x = v*t
     with pytest.raises(RegionError):

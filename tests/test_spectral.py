@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from pdwave.core import EigenRecord, PhysicalConstants, make_free_state
+from pdwave.core import EigenRecord, PhysicalConstants, central_difference, make_free_state
 from pdwave.measurement import MeasurementEvent, detect_mp
 from pdwave import spectral as sp
 
@@ -16,11 +16,15 @@ GRID_A = np.linspace(0.1, 1.0, 7)
 GRID_B = np.linspace(1.3, 2.0, 7)
 
 
-def _commutator_loop(pair, state, probe_grid, h=5e-3):
+# Every spectral derivative steps 5e-3 along the canonical line x_c = x(1 + i).
+STEP = 5e-3 * ((1.0 + 1.0j) / math.sqrt(2.0))
+
+
+def _commutator_loop(pair, state, probe_grid):
     """Reference: ``commutator_check`` one probe point at a time, with cmath.
 
     np.exp and cmath.exp may differ in the last bit, which the second
-    difference over h = 5e-3 magnifies by about 1/h^2 = 4e4; comparisons with
+    difference over |h| = 5e-3 magnifies by about 1/h^2 = 4e4; comparisons with
     this loop therefore allow 1e-9.
     """
     hbar, m = state.constants.hbar, state.constants.mass
@@ -32,29 +36,84 @@ def _commutator_loop(pair, state, probe_grid, h=5e-3):
             return cmath.exp(1j * state.k * u)
 
         if pair == "XcPc":
-            ab = z * (-1j * hbar) * sp._d1(psi, z, h)
-            ba = -1j * hbar * sp._d1(lambda u: u * psi(u), z, h)
+            ab = z * (-1j * hbar) * central_difference(psi, z, STEP)
+            ba = -1j * hbar * central_difference(lambda u: u * psi(u), z, STEP)
         else:
             c = -hbar * hbar / (2.0 * m)
-            ab = (z / state.v) * c * sp._d2(psi, z, h)
-            ba = c * sp._d2(lambda u: (u / state.v) * psi(u), z, h)
+            ab = (z / state.v) * c * central_difference(psi, z, STEP, order=2)
+            ba = c * central_difference(lambda u: (u / state.v) * psi(u), z, STEP, order=2)
         values.append((ab - ba) / psi(z))
     return complex(np.mean(values))
 
 
-def _residual_loop(state, probe_grid, t, h=5e-3):
+def _residual_loop(state, probe_grid, t):
     """Reference: ``complex_schrodinger_residual`` one probe point at a time, with cmath."""
     hbar, m = state.constants.hbar, state.constants.mass
     t_c = t * (1.0 + 1.0j)
     worst = 0.0
     for x in probe_grid:
         z = complex(x, x)
-        lhs = -(hbar * hbar / (2.0 * m)) * sp._d2(
-            lambda u: cmath.exp(1j * state.k * u - 1j * state.omega * t_c), z, h)
-        rhs = 1j * hbar * sp._d1(
-            lambda u: cmath.exp(1j * state.k * z - 1j * state.omega * u), t_c, h)
+        lhs = -(hbar * hbar / (2.0 * m)) * central_difference(
+            lambda u: cmath.exp(1j * state.k * u - 1j * state.omega * t_c), z, STEP, order=2)
+        rhs = 1j * hbar * central_difference(
+            lambda u: cmath.exp(1j * state.k * z - 1j * state.omega * u), t_c, STEP)
         worst = max(worst, abs(lhs - rhs))
     return worst
+
+
+def _parent_derivative(f, z, order):
+    """``spectral._d1`` (order 1) or ``_d2`` (order 2) at h = 5e-3, as they were
+    before ``core.central_difference`` replaced them."""
+    step = 5e-3 * ((1.0 + 1.0j) / math.sqrt(2.0))
+
+    def central(s):
+        if order == 1:
+            return (f(z + s) - f(z - s)) / (2.0 * s)
+        return (f(z + s) - 2.0 * f(z) + f(z - s)) / (s * s)
+
+    return (4.0 * central(0.5 * step) - central(step)) / 3.0
+
+
+def _parent_commutator(pair, state, probe_grid):
+    """``commutator_check`` as it was, on the parent's own stencils."""
+    hbar, m = state.constants.hbar, state.constants.mass
+    z = np.asarray(probe_grid, dtype=float) * (1.0 + 1.0j)
+
+    def psi(u):
+        return sp._exp(1j * state.k * u)
+
+    if pair == "XcPc":
+        ab = z * (-1j * hbar) * _parent_derivative(psi, z, 1)
+        ba = -1j * hbar * _parent_derivative(lambda u: u * psi(u), z, 1)
+    else:
+        c = -hbar * hbar / (2.0 * m)
+        ab = (z / state.v) * c * _parent_derivative(psi, z, 2)
+        ba = c * _parent_derivative(lambda u: (u / state.v) * psi(u), z, 2)
+    return complex(np.mean((ab - ba) / psi(z)))
+
+
+def _parent_residual(state, probe_grid, t):
+    """``complex_schrodinger_residual`` as it was, on the parent's own stencils."""
+    hbar, m = state.constants.hbar, state.constants.mass
+    z = np.asarray(probe_grid, dtype=float) * (1.0 + 1.0j)
+    t_c = t * (1.0 + 1.0j)
+    lhs = -(hbar * hbar / (2.0 * m)) * _parent_derivative(
+        lambda u: sp._exp(1j * state.k * u - 1j * state.omega * t_c), z, 2)
+    rhs = 1j * hbar * _parent_derivative(
+        lambda u: sp._exp(1j * state.k * z - 1j * state.omega * u), t_c, 1)
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+@pytest.mark.parametrize("state", [CANON, make_free_state(1.7, 0.4, PhysicalConstants(0.8, 1.3))])
+@pytest.mark.parametrize("grid", [GRID_A, GRID_B])
+def test_values_are_bit_identical_to_the_parent_stencils(state, grid):
+    # The shared stencil takes the same steps in the same order, so every bit
+    # stays; the parent's values are recomputed here because they move in
+    # their last bits with numpy's SIMD dispatch of the complex exp.
+    for pair in ("XcPc", "TcHc"):
+        assert sp.commutator_check(pair, state, grid) == _parent_commutator(pair, state, grid)
+    for t in (0.0, 0.4):
+        assert sp.complex_schrodinger_residual(state, grid, t) == _parent_residual(state, grid, t)
 
 
 class TestApplyObservable:
