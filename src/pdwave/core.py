@@ -77,7 +77,7 @@ def envelope_lag(branch: Branch, t: float, tau):
     slack = 1e-9 * max(1.0, abs(t), float(np.max(np.abs(tau))))
     if np.any(lag > slack):
         raise RegionError(f"{branch.value} probe at t = {t} lags {float(np.max(lag))} "
-                          f"past its arrival line t = tau(x)")
+                          "past its arrival line t = tau(x)")
     return lag
 
 
