@@ -80,14 +80,16 @@ class ScenarioConfig:
 # Output helpers
 
 
-# A CSV cell is right-aligned in a slot of uint32 words whose first byte is left
-# for the separator before it.  With the cells' lengths, one boolean mask keeps
-# the bytes of a block of rows.  Cells are made word-major: row i of a (words,
-# cells) array holds word i of every cell.
+# A record is its cells between fixed byte strings.  For a block of cells, each
+# kind of cell makes one or more slots: word-major cells (row i of a (words,
+# cells) array holds word i of every cell), a code per cell, and a table whose
+# column for a code holds the bytes of the slot to keep, as words of booleans.
+# A block of records stacks its slots word by word; one transpose and one
+# boolean mask give its bytes.  Words are little-endian.
 _CELLS_PER_BLOCK = 2**14  # keeps every temporary in cache
 _EXACT_BELOW = 2.0**52 / 1e12  # below it ulp(p) <= 1/2, so a tie shows as p - rint(p) = ±1/2
 _POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)
-_GROUP_SCALES = 10 ** np.arange(16, -1, -4, dtype=np.uint64)[:, None]  # 1e16, 1e12, 1e8, 1e4, 1
+_GROUP_SCALES = 10.0 ** np.arange(12, -1, -4)[:, None]  # 1e12, 1e8, 1e4, 1
 
 
 def _tables() -> tuple:
@@ -146,7 +148,7 @@ def _float_cells(x: np.ndarray) -> tuple:
         e = np.sign(hi * 999999995904.0 - p + hi * 4096.0 + lo * 999999995904.0 + lo * 4096.0)
         n[tie] += np.where((p - n[tie]) * e == 0.5, e, 0.0)
     # The integer part and three groups of four decimals; each floor is exact, as n < 2**52.
-    groups = np.floor(n / _GROUP_SCALES[1:])
+    groups = np.floor(n / _GROUP_SCALES)
     groups[1:] -= 1e4 * groups[:-1]
     groups[0] += 1e4 * np.signbit(x)  # the sign picks the head
     groups = groups.astype(np.intp)
@@ -158,54 +160,207 @@ def _float_cells(x: np.ndarray) -> tuple:
     return _patch(cells, lens, odd, text), lens
 
 
+def _digit_groups(u: np.ndarray, groups: int) -> np.ndarray:
+    """The last ``groups`` groups of four decimal digits of ``u``, most significant first.
+
+    numpy divides by a constant fast, but takes a remainder, or divides by an
+    array of divisors, slowly.
+    """
+    out = np.empty((groups, len(u)), np.int64)
+    for j in range(groups - 1, 0, -1):
+        high = u // 10_000
+        out[j], u = u - high * 10_000, high
+    out[0] = u
+    return out
+
+
 def _int_cells(x: np.ndarray) -> tuple:
     """Cells of integers and their lengths; Python writes those below 0 or from 2**63 up."""
     u = x.astype(np.uint64)
-    cells = _DIGITS.take(u // _GROUP_SCALES % 10_000)
+    cells = _DIGITS.take(_digit_groups(u, 5))
     lens = 1 + np.searchsorted(_POWERS_OF_TEN, u, side="right")
     odd = (u >= 2**63).nonzero()[0]  # as uint64, a negative int64 is at least 2**63
     return _patch(cells, lens, odd, [b"%d" % v for v in x[odd].tolist()]), lens
 
 
-def _csv_rows(columns: list, n: int):
-    """The CSV bytes of ``n`` rows of ``columns``, block by block, each row after a newline.
+@functools.cache
+def _repr_tables() -> tuple:
+    """The tables of ``_repr_cells``, made on its first call.
+
+    Schubfach's g for k in [-324, 292]: 10**-k scaled into [2**125, 2**126), plus
+    one, floored, as the 32-bit limbs of its 63-bit halves g1 and g0; the cells of
+    the exponents e-324 ... e+308 and of none; in column p + 25*neg the words that
+    move the bytes before p - 1 one byte left, put '.' at p - 1 (and '-' before
+    the first digit), and keep the bytes from p on; in column 25a + b the window
+    [a, b) of 24 bytes; and the trailing zeros of 0..9999, where 0 counts 4.
+    """
+    limbs = []
+    for k in range(-324, 293):
+        p = 10 ** abs(k)
+        if k <= 0:  # 10**-k = p, and floor(log2(p)) = p.bit_length() - 1
+            g = p << 126 - p.bit_length() if p.bit_length() <= 126 else p >> p.bit_length() - 126
+        else:  # 10**-k = 1/p, and floor(log2(1/p)) = -p.bit_length()
+            g = (1 << 125 + p.bit_length()) // p
+        g += 1
+        limbs.append([g >> 95, g >> 63 & 0xFFFFFFFF, g >> 32 & 0x7FFFFFFF, g & 0xFFFFFFFF])
+    at = np.arange(24)
+    p, neg = np.arange(50)[:, None] % 25, np.arange(50)[:, None] >= 25
+    minus = (at == np.where(p >= 8, 5, p - 3)) & neg
+    words = lambda m: np.ascontiguousarray(m, np.uint8).view(np.uint32).T.copy()
+    i = np.arange(10_000)
+    return (np.array(limbs, np.uint64).T.copy(),
+            _text_cells([b"e%+03d" % e for e in range(-324, 309)] + [b""]),
+            [words(((at < p - 1) & ~minus) * 255), words((at == p - 1) * ord(".") + minus * ord("-")),
+             words((at >= p) * 255)],
+            ((at >= i[:25, None, None]) & (at < i[None, :25, None])).reshape(625, 24).view(np.uint32).T.copy(),
+            np.sum([i % 10**j == 0 for j in (1, 2, 3, 4)], axis=0))
+
+
+def _rop(g: np.ndarray, cp: np.ndarray) -> np.ndarray:
+    """Schubfach's g * cp / 2**127 rounded to odd, from 32-bit limbs as Java's DoubleToDecimal does."""
+    g1h, g1l, g0h, g0l = g
+    c1, c0 = cp >> 32, cp & 0xFFFFFFFF
+    lo = g0l * c0
+    x1 = g0h * c1 + ((g0h * c0 + g0l * c1 + (lo >> 32)) >> 32)  # the high word of g0 * cp
+    lo = g1l * c0
+    mid = g1h * c0 + g1l * c1 + (lo >> 32)
+    z = (((mid << 32) | (lo & 0xFFFFFFFF)) >> 1) + x1  # every product fits: no wrap but the shifts
+    return (g1h * c1 + (mid >> 32) + (z >> 63)) | (z << 1 != 0)
+
+
+def _shortest_digits(bits: np.ndarray, e2: np.ndarray) -> tuple:
+    """Digits d and exponents k with d * 10**k the shortest decimal that rounds to each normal
+    double, the nearest one if there are two (Giulietti's Schubfach).  d has 16 or 17 digits."""
+    frac = bits & 2**52 - 1
+    c = frac | 2**52
+    q = e2.astype(np.int64) - 1075
+    irregular = (frac == 0) & (e2 > 1)  # a power of two has its lower neighbour twice as close
+    k = (q * 661971961083 - irregular * 274743187321) >> 41  # floor(log10(2**q)), or of 3/4 of it
+    h = (q + (-k * 913124641741 >> 38) + 2).astype(np.uint64)  # 2 + q + floor(log2(10**-k))
+    g = _repr_tables()[0].take(k + 324, axis=1)
+    cb, odd = c << 2, c & 1
+    vb = _rop(g, cb << h)
+    lower = _rop(g, (cb - 2 + irregular) << h) + odd  # an odd c rounds its interval's ends away
+    upper = _rop(g, (cb + 2) << h) - odd
+    s = vb >> 2
+    sp = s // 10 * 10
+    wp = (sp << 2) + 40 <= upper
+    win = (s << 2) + 4 <= upper
+    rest = vb & 3
+    up = win & ((lower > s << 2) | (rest > 2) | ((rest == 2) & (s & 1).astype(bool)))
+    digits = s + up
+    digits += ((lower <= sp << 2) != wp) * (sp + np.uint64(10) * wp - digits)  # one digit fewer fits
+    return digits, k
+
+
+def _repr_cells(x: np.ndarray) -> list:
+    """The slots of ``float.__repr__`` cells: the digits, and where needed the exponents.
+
+    repr writes ddd.ddd or 0.000ddd for 1e-4 <= |x| < 1e16, with a digit after the
+    point, and d.ddde-XX elsewhere.  The shortest digits, zero-filled to 17, are
+    word lookups after seven pad zeros: the dot goes in by moving the bytes before
+    its place one byte left, onto the pads, and the pad before the first digit
+    turns '-'.  A window of these 24 bytes is the cell up to its exponent.  Python
+    writes the subnormal cells, into the exponent slot.
+    """
+    bits = x.view(np.uint64)
+    _, (exp_cells, exp_lens), (moved, put, kept), windows, zeros = _repr_tables()
+    e2 = bits >> 52 & 0x7FF
+    digits, k = _shortest_digits(bits, e2)
+    longer = digits >= 10**16
+    digits += 9 * digits * ~longer
+    point = k + 16 + longer  # the value is 0.ddd... * 10**point
+    zero = (bits << 1 == 0).nonzero()[0]
+    digits[zero], point[zero] = 0, 1
+    groups = _digit_groups(digits, 6)  # "0000" first
+    z = _DIGITS.take(groups)
+    trailing = zeros.take(groups[5])
+    for j in range(4, 0, -1):
+        trailing += (trailing == 20 - 4 * j) * zeros.take(groups[j])
+    sci = (point < -3) | (point > 16)
+    e = point + sci * (1 - point)  # digits before the dot
+    p = 7 + e
+    neg = (bits >> 63).astype(np.intp)
+    row = p + 25 * neg
+    shifted = z >> 8
+    shifted[:5] |= z[1:] << 24
+    cells = (shifted & moved.take(row, axis=1)) | (z & kept.take(row, axis=1)) | put.take(row, axis=1)
+    sig = 17 - trailing
+    dot = ~sci | (sig > 1)
+    codes = (p - 1 - np.maximum(e, 1) - neg) * 25 + p - 1 + dot * (1 + np.maximum(sig - e, 1))
+    subnormal = ((e2 == 0) & (bits << 1 != 0)).nonzero()[0]
+    if not (subnormal.size or sci.any()):
+        return [(cells, codes, windows)]
+    at = np.where(sci, point + 323, 633)  # e+XX for 10**(point - 1), or none
+    exp_cells, exp_lens = exp_cells.take(at, axis=1), exp_lens.take(at)
+    codes[subnormal] = 0
+    text = [float.__repr__(v).encode() for v in x[subnormal].tolist()]
+    return [(cells, codes, windows), _right(_patch(exp_cells, exp_lens, subnormal, text), exp_lens)]
+
+
+def _right(cells: np.ndarray, lens: np.ndarray) -> tuple:
+    """The slot of right-aligned cells: length l keeps the last l bytes."""
+    return cells, lens, _slot_masks(4 * len(cells))
+
+
+@functools.cache
+def _slot_masks(size: int) -> np.ndarray:
+    """Column l: the last l of ``size`` bytes, as uint32 words of booleans."""
+    at = np.arange(size)
+    return (at >= size - np.arange(size + 1)[:, None]).view(np.uint32).T.copy()
+
+
+def _slots(fmt: str, kind: str, values) -> list:
+    """The slots of a block of cells: "f" floats, "i" or "u" integers, "" anything else."""
+    if kind == "f":
+        return _repr_cells(values) if fmt == "json" else [_right(*_float_cells(values))]
+    if kind:
+        return [_right(*_int_cells(values))]
+    text = json.dumps if fmt == "json" else str
+    return [_right(*_text_cells([text(v).encode() for v in values]))]
+
+
+def _records(columns: list, n: int, seps: list, fmt: str):
+    """The bytes of ``n`` records, block by block: seps[0], a cell of columns[0], seps[1],
+    ..., a cell of the last column, seps[-1].
 
     In a block, each kind of column has its cells made by one call, a broadcast
-    column's from its one value, and one boolean mask keeps the bytes of every cell.
+    column's from its one value.  A one-byte separator takes the first byte of
+    the cell after it, which every cell leaves spare; a longer one is a cell.
     """
+    fixed = {sep: _right(*_text_cells([sep])) for sep in seps if len(sep) > 1}
     kinds = {}
     for j, a in enumerate(columns):
         kinds.setdefault(a.dtype.kind if a.dtype.kind in "fiu" else "", []).append(j)
     step = max(1, _CELLS_PER_BLOCK // max(len(columns), 1))
     for start in range(0, n if columns else 0, step):
-        slots = {}
+        made = [[] for _ in columns]
         for kind, js in kinds.items():
             parts = [columns[j][:1] if columns[j].strides == (0,)
                      else columns[j][start:start + step] for j in js]
-            if kind:
-                cells, lens = (_float_cells if kind == "f" else _int_cells)(
-                    np.concatenate(parts, dtype=float if kind == "f" else kind + "8"))
-            else:
-                cells, lens = _text_cells([str(v).encode() for a in parts for v in a.tolist()])
-            end = 0
+            values = (np.concatenate(parts, dtype=float if kind == "f" else kind + "8") if kind
+                      else [v for a in parts for v in a.tolist()])
+            kind_slots, end = _slots(fmt, kind, values), 0
             for j, a in zip(js, parts):
+                made[j] = [(cells[:, end:end + len(a)], codes[end:end + len(a)], masks)
+                           for cells, codes, masks in kind_slots]
                 end += len(a)
-                slots[j] = cells[:, end - len(a):end], lens[end - len(a):end]
-        words = max(len(cells) for cells, _ in slots.values())
-        buf = np.empty((words, len(columns), min(step, n - start)), np.uint32)
-        lens = np.empty(buf.shape[1:], np.intp)
-        for j, (cells, cell_lens) in slots.items():
-            buf[words - len(cells):, j], lens[j] = cells, cell_lens
-        buf = np.ascontiguousarray(buf.T).view(np.uint8)
-        buf[:, :, 0], buf[:, 0, 0] = ord(","), ord("\n")
-        yield buf[_slot_masks(words).take(lens.T, axis=0)]
-
-
-@functools.cache
-def _slot_masks(words: int) -> np.ndarray:
-    """Row l: the bytes of a ``words``-word slot that its separator and an l-byte cell fill."""
-    at = np.arange(4 * words)
-    return at >= (4 * words - at[:, None]) * (at > 0)
+        slots, leads = [], []
+        for sep, column in zip(seps, [*made, []]):
+            if len(sep) == 1 and column:
+                leads.append((len(slots), sep[0]))
+            elif sep:
+                slots.append(fixed[sep])
+            slots += column
+        at = np.cumsum([0] + [len(cells) for cells, _, _ in slots])
+        buf = np.empty((at[-1], min(step, n - start)), np.uint32)
+        keep = np.empty(buf.shape, np.uint32)
+        for (cells, codes, masks), a, b in zip(slots, at, at[1:]):
+            buf[a:b], keep[a:b] = cells, masks.take(codes, axis=1)
+        for i, byte in leads:  # byte 0 of a little-endian word
+            buf[at[i]] = buf[at[i]] & 0xFFFFFF00 | byte
+            keep[at[i]] |= 1
+        yield np.ascontiguousarray(buf.T).view(np.uint8)[np.ascontiguousarray(keep.T).view(bool)]
 
 
 def _require_finite(path: Path, rows) -> None:
@@ -228,7 +383,10 @@ def emit_output(table: dict, fmt: str, path) -> Path:
     Python formats the cells outside that range.
     JSON: ``{"records": [...]}``, one object per row, in the bytes of ``json.dumps(...,
     sort_keys=True, indent=1)``: sorted keys, one-space indent and ``repr`` floats
-    (round-trip bit-exactly).  NaN or inf raises FloatingPointError.
+    (round-trip bit-exactly).  numpy makes the float cells: the shortest digits by
+    Schubfach, in integer arithmetic only, so no byte depends on SIMD dispatch.
+    Python formats the subnormal floats and the text cells.  NaN or inf raises
+    FloatingPointError.
     """
     path = Path(path)
     lengths = {np.size(c) for c in table.values() if np.ndim(c)}
@@ -250,20 +408,17 @@ def emit_output(table: dict, fmt: str, path) -> Path:
             if not {",", '"', "\r", "\n"}.isdisjoint(text):
                 raise ValueError(f"{path.name}: column {name!r} holds a comma, quote or "
                                  "line break, which CSV cannot write unquoted")
-        header = ",".join(columns).encode()
-        path.write_bytes(b"".join([header, *_csv_rows(list(columns.values()), n), b"\n"]))
+        seps = [b"\n", *[b","] * (len(columns) - 1), b""]
+        rows = _records(list(columns.values()), n, seps, fmt)
+        path.write_bytes(b"".join([",".join(columns).encode(), *rows, b"\n"]))
     elif fmt == "json":
-        reprs = {"f": float.__repr__, "i": int.__repr__, "u": int.__repr__}
         keys = sorted(columns)
-        cells = []
-        for a in map(columns.get, keys):  # a broadcast column's one value is written once
-            cell = reprs.get(a.dtype.kind, json.dumps)
-            cells.append([*map(cell, a[:1].tolist())] * n if a.strides == (0,)
-                         else map(cell, a.tolist()))
-        fields = ",\n".join(f"   {json.dumps(k).replace('%', '%%')}: %s" for k in keys)
-        records = ",\n".join(map(f"  {{\n{fields}\n  }}".__mod__, zip(*cells)))
-        body = f"[\n{records}\n ]" if records else "[]"
-        path.write_text(f'{{\n "records": {body}\n}}\n', encoding="utf-8")
+        seps = [b",\n   %s: " % json.dumps(k).encode() for k in keys] + [b"\n  }"]
+        seps[0] = b",\n  {" + seps[0][1:]
+        rows = list(_records([columns[k] for k in keys], n, seps, fmt))
+        # Every record starts with the "," that follows the one before; the first drops it.
+        body = [b"[", rows[0][1:], *rows[1:], b"\n ]"] if rows else [b"[]"]
+        path.write_bytes(b"".join([b'{\n "records": ', *body, b"\n}\n"]))
     else:
         raise ConfigError(f"unknown output format {fmt!r}")
     return path
@@ -358,6 +513,12 @@ def _sorted_unique(x: np.ndarray) -> np.ndarray:
     return x[np.append(True, x[1:] != x[:-1])]
 
 
+def _falls_strictly(values: np.ndarray) -> bool:
+    """Whether ``values`` fall strictly up to a run of exact zeros at the end, where they underflowed."""
+    head = values[:np.count_nonzero(values)]
+    return bool(np.all(np.diff(head) < 0) and not values[head.size:].any())
+
+
 def _run_free_wave(cfg: ScenarioConfig, out: Path, report: Report) -> None:
     from . import freewave
     p = cfg.parameters
@@ -378,8 +539,8 @@ def _run_free_wave(cfg: ScenarioConfig, out: Path, report: Report) -> None:
         emit_output({"x": xs, "t": t, "P": dens, "psi": psi}, cfg.format,
                     out / f"free_wave_t{idx}.{cfg.format}")
         report.add_residual(f"peak_density_one_t{idx}", float(np.max(dens)) - 1.0, 1e-12)
-        monotone = np.all(branch_state.branch.sign * np.diff(dens) < 0)
-        report.add(f"envelope_monotone_t{idx}", bool(monotone), float(np.max(np.abs(np.diff(dens)))))
+        report.add(f"envelope_monotone_t{idx}", _falls_strictly(dens[::branch_state.branch.sign]),
+                   float(np.max(np.abs(np.diff(dens)))))
 
     seam = freewave.psi_free(state, state.v * 5.0, 5.0) - freewave.psi_free(
         replace(state, branch=Branch.OUTGOING), state.v * 5.0, 5.0
@@ -733,8 +894,7 @@ def _run_field(cfg: ScenarioConfig, out: Path, report: Report) -> None:
         spectral.probability_field(float(np.log(2.0)), state) - 0.5,
         1e-15,
     )
-    report.add("field_monotone_decreasing", bool(np.all(np.diff(values) < 0)),
-               float(np.max(np.diff(values))))
+    report.add("field_monotone_decreasing", _falls_strictly(values), float(np.max(np.diff(values))))
 
 
 # Every scenario's runner and, per config key, its default (which sets the key's type)

@@ -445,20 +445,36 @@ class TestExitCodes:
                          "--out", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize(
-        "scenario, entries, check",
+        "scenario, entries",
         [
-            # exp(-s) underflows to 0.0 past s ~ 745, so the field stops decreasing.
-            ("field", "s_max = 1e308", "field_monotone_decreasing"),
+            # exp underflows to 0.0 in the tail (exp(-3000) here, exp(-s) past s ~ 745):
+            # the zeros end the strictly falling values, so the monotone checks hold.
+            ("free-wave", "v = 1e-3"),
+            ("field", "s_max = 800"),
+            ("field", "s_max = 1e300"),
+            ("field", "s_max = 1e308"),
         ],
     )
-    def test_extreme_in_domain_value_fails_a_named_check(
-        self, scenario, entries, check, tmp_path, capsys
-    ):
+    def test_underflowed_tail_passes_the_monotone_checks(self, scenario, entries, tmp_path):
         cfg = tmp_path / "run.ini"
         cfg.write_text(f"[{scenario}]\n{entries}\n")
         assert cli.main(["--scenario", scenario, "--config", str(cfg),
+                         "--out", str(tmp_path / "out"), "--check"]) == 0
+
+    @pytest.mark.parametrize("entries", ["v = 1", "v = 1e-3"])
+    def test_flipped_envelope_fails_the_monotone_check(self, entries, tmp_path, capsys,
+                                                       monkeypatch):
+        # Reversed, the envelope rises towards its arrival line, and an underflowed
+        # tail's zeros come first.
+        density = pdwave.freewave.prob_density_free
+        monkeypatch.setattr(pdwave.freewave, "prob_density_free", lambda *a: density(*a)[::-1])
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[free-wave]\n{entries}\n")
+        assert cli.main(["--scenario", "free-wave", "--config", str(cfg),
                          "--out", str(tmp_path / "out"), "--check"]) == 3
-        assert check in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert all(f"envelope_monotone_t{i}" in err for i in range(3))
+        assert "peak_density_one" not in err
         assert (tmp_path / "out" / "report.json").is_file()
 
     @pytest.mark.parametrize(
@@ -929,10 +945,11 @@ def _old_emit_text(table: dict, fmt: str) -> str:
 
 
 # Subnormals, signed zeros, the ends of the float range and both sides of the
-# two thresholds where the CSV writer switches to scientific notation.
+# thresholds where the writers switch to scientific notation: 1e-12 and 1e16 in
+# CSV, 1e-4 and 1e16 in JSON.
 _EDGE_FLOATS = [
     v for x in (5e-324, 2.2250738585072014e-308, 1e-310, 0.0, 1e-300, 1e300,
-                1.7976931348623157e308, 1e-12, 1e16, 0.1, 1.0 / 3.0)
+                1.7976931348623157e308, 1e-12, 1e-4, 1e16, 0.1, 1.0 / 3.0)
     for y in (x, math.nextafter(x, 0.0), math.nextafter(x, math.inf))
     for v in (y, -y) if math.isfinite(v)
 ]
@@ -1004,10 +1021,18 @@ _EXACT_LIMIT = 2.0**52 / 1e12  # where the CSV writer's exact integer path ends
 
 
 def _hard_floats() -> np.ndarray:
-    """Floats where a %.12f or %.12e cell is easy to get wrong, each with both signs."""
+    """Floats where a %.12f, %.12e or repr cell is easy to get wrong, each with both signs.
+
+    For repr: both sides of 1e-4; the subnormals 1e-323 and 8e-323; every power
+    of 10 and of 2; integers from 2**53 to 2**63; and 1e23, whose shortest form
+    has a choice of last digit.
+    """
     points = [0.0, 1e-12, 1e16, _EXACT_LIMIT, 5e-324, 1e-310, 2.2250738585072014e-308,
               1.7976931348623157e308, 1.7e308, 0.5e-12, 1.5e-12, 4503.5, 4503.6, 2.0**51 / 1e12,
-              *(10.0**k - 5e-13 for k in range(4)), *(10.0**k + 5e-13 for k in range(4))]
+              *(10.0**k - 5e-13 for k in range(4)), *(10.0**k + 5e-13 for k in range(4)),
+              1e-4, 1e-323, 8e-323, 1e23, *(10.0**k for k in range(-323, 309)),
+              *(2.0**k for k in range(-1074, 1024)),
+              *(float(2**k + 2**j) for k in range(53, 64) for j in range(k - 53, k + 1, 3))]
     near = [y for x in points for y in (x, math.nextafter(x, 0.0), math.nextafter(x, math.inf))]
     return np.array([v for x in near for v in (x, -x) if math.isfinite(v)])
 
@@ -1033,26 +1058,29 @@ def _edge_table(rng: np.random.Generator, n: int) -> dict:
             "flag": rng.random(n) < 0.5}
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2_000, 12_000))
-def test_csv_bytes_match_the_reference_writer_at_scale(seed, n):
+def test_csv_bytes_match_the_reference_writer_at_scale(fmt, seed, n):
     # 20,000 to 120,000 cells, several blocks of rows, in run_scenario's errstate.
     table = _edge_table(np.random.default_rng(seed), n)
     with tempfile.TemporaryDirectory() as tmp, \
             np.errstate(over="raise", invalid="raise", divide="raise"):
-        path = cli.emit_output(table, "csv", Path(tmp) / "t.csv")
-        assert path.read_bytes() == _old_emit_text(table, "csv").encode("utf-8")
+        path = cli.emit_output(table, fmt, Path(tmp) / f"t.{fmt}")
+        assert path.read_bytes() == _old_emit_text(table, fmt).encode("utf-8")
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("disabled", ["AVX512_SPR AVX512_ICL X86_V4",
                                       "AVX512_SPR AVX512_ICL X86_V4 X86_V3"])
-def test_csv_bytes_do_not_depend_on_simd_dispatch(disabled, tmp_path):
-    # The cells come from correctly rounded IEEE operations only, so numpy's
-    # choice of SIMD kernels must not move a byte.
-    table = {**_edge_table(np.random.default_rng(2026), 3000),
-             "hard": np.resize(_hard_floats(), 3000)}
+def test_csv_bytes_do_not_depend_on_simd_dispatch(disabled, fmt, tmp_path):
+    # The CSV cells come from correctly rounded IEEE operations only, and the
+    # JSON float cells from integer arithmetic only, so numpy's choice of SIMD
+    # kernels must not move a byte.
+    hard = _hard_floats()
+    table = {**_edge_table(np.random.default_rng(2026), hard.size), "hard": hard}
     np.savez(tmp_path / "table.npz", **table)
-    expected = cli.emit_output(table, "csv", tmp_path / "here.csv").read_bytes()
+    expected = cli.emit_output(table, fmt, tmp_path / f"here.{fmt}").read_bytes()
     env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": disabled,
            "PYTHONPATH": os.pathsep.join(filter(None, [
                str(Path(pdwave.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]))}
@@ -1061,20 +1089,25 @@ def test_csv_bytes_do_not_depend_on_simd_dispatch(disabled, tmp_path):
     if probe.returncode != 0:
         pytest.skip(f"numpy does not load with {disabled} disabled: {probe.stderr[-300:]}")
     script = ("import sys, numpy as np; from pdwave import cli; t = np.load(sys.argv[1]); "
-              "cli.emit_output({k: t[k] for k in t.files}, 'csv', sys.argv[2])")
+              "cli.emit_output({k: t[k] for k in t.files}, sys.argv[3], sys.argv[2])")
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "table.npz"),
-                           str(tmp_path / "there.csv")], env=env, capture_output=True, text=True)
+                           str(tmp_path / f"there.{fmt}"), fmt],
+                          env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "there.csv").read_bytes() == expected
+    assert (tmp_path / f"there.{fmt}").read_bytes() == expected
 
 
-def test_broadcast_column_is_formatted_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize("fmt, kernel, tail", [
+    ("csv", "_float_cells", "\n9.000000000000,0.500000000000\n"),
+    ("json", "_repr_cells", '  {\n   "t": 0.5,\n   "x": 9.0\n  }\n ]\n}\n'),
+])
+def test_broadcast_column_is_formatted_once(fmt, kernel, tail, tmp_path, monkeypatch):
     made = []
-    kernel = cli._float_cells
-    monkeypatch.setattr(cli, "_float_cells", lambda x: made.append(x.size) or kernel(x))
-    path = cli.emit_output({"x": np.arange(10.0), "t": 0.5}, "csv", tmp_path / "t.csv")
-    assert made == [11]
-    assert path.read_text().splitlines()[-1] == "9.000000000000,0.500000000000"
+    cells = getattr(cli, kernel)
+    monkeypatch.setattr(cli, kernel, lambda x: made.append(x.size) or cells(x))
+    path = cli.emit_output({"x": np.arange(10.0), "t": 0.5}, fmt, tmp_path / f"t.{fmt}")
+    assert made == [11]  # one kernel call: ten x cells and the one t cell
+    assert path.read_text().endswith(tail)
 
 
 @pytest.mark.parametrize("fmt, text", [("csv", "x,t\n"), ("json", '{\n "records": []\n}\n')])
