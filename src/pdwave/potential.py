@@ -7,6 +7,10 @@ radial amplitude R(x) of the bound problem satisfies a Sturm-Liouville
 equation solved here by Numerov shooting with a dense-matrix cross-check.
 Shooting brackets each eigenvalue by node counts and converges it by
 Illinois steps on the end value of a summed-difference Numerov recurrence.
+Each sweep of that recurrence is one banded lower-triangular BLAS solve in
+four unknowns per grid step, laid out so that the solve rounds as the
+point-by-point loop does, whether or not the BLAS kernel fuses multiply
+and add; the loop itself runs only where the solution must be rescaled.
 """
 
 from __future__ import annotations
@@ -373,8 +377,23 @@ def matrix_eigen(problem: SLProblem, n_grid: int, eigvals_only: bool = False):
     return vals, funcs, x
 
 
+def _numerov_band(n_grid: int) -> np.ndarray:
+    """The parts of ``_numerov_sweep``'s banded matrix that do not depend on E.
+
+    Row r of the Fortran-ordered 5 x 4(n_grid - 2) band holds the r-th
+    subdiagonal, so entry [r, j] multiplies unknown j in the equation of
+    unknown j + r.  A sweep overwrites the w entries of row 0 and the
+    -h^2 f entries of row 1; every other entry is 1, -1 or 0.
+    """
+    band = np.zeros((5, 4 * (n_grid - 2)), order="F")
+    band[0] = 1.0
+    band[1] = -1.0
+    band[4, 1::4] = band[4, 2::4] = -1.0  # D_i - D_(i-1), z_(i+1) - z_i
+    return band
+
+
 def _numerov_sweep(
-    E: float, x: np.ndarray, W: np.ndarray, constants: PhysicalConstants
+    E: float, x: np.ndarray, W: np.ndarray, constants: PhysicalConstants, band=None
 ) -> tuple[int, float, int]:
     """Numerov integration of R'' = f(x) R from a Neumann start.
 
@@ -388,6 +407,17 @@ def _numerov_sweep(
     D += h^2 f_i R_i, z += D, R = z/w.  E enters through h^2 f at full
     precision.  The three-term form rounds w, which is 1 +- 5e-8 at 2001
     points, and so resolves E only in steps of about 12 eps/(h^2 2m/hbar^2).
+
+    A sweep is one banded lower-triangular solve (BLAS dtbsv) in four
+    unknowns per step, q_i = h^2 f_i R_i, D_i = D_(i-1) + q_i,
+    z_(i+1) = z_i + D_i and w_(i+1) R_(i+1) = z_(i+1).  ``band`` is
+    ``_numerov_band(x.size)``, built once per solve; the sweep writes its w
+    and h^2 f entries.  Four unknowns, not three, make the solve round as
+    the loop does: a BLAS kernel may fuse each multiply with its add, and
+    here every product is either exact (a coefficient of +-1) or added to
+    the 0 of q's own row.  The recurrence in Python floats takes over where
+    the solve gives a non-finite R or |R| > 1e250, the first point the loop
+    would rescale, so ``(nodes, y_end, rescales)`` are the loop's bits.
     """
     h = x[1] - x[0]
     two_m = 2.0 * constants.mass / constants.hbar**2
@@ -399,11 +429,30 @@ def _numerov_sweep(
     dy = float(0.5 * h**2 * f0 + h**3 * fp0 / 6.0 + h**4 * (fpp0 + f0 * f0) / 24.0)
 
     h2f = h**2 * f
-    w = (1.0 - h2f / 12.0).tolist()
-    h2f = h2f.tolist()
-    y_prev, y = 1.0, 1.0 + dy
-    z = w[1] * y
-    d = dy - (h2f[1] * y - h2f[0]) / 12.0  # z1 - z0, without the rounding of w
+    w = 1.0 - h2f / 12.0
+    # Python floats from here, as the loop: their products overflow to inf, not raise.
+    y = 1.0 + dy
+    w1, h2f0, h2f1 = float(w[1]), float(h2f[0]), float(h2f[1])
+    z = w1 * y
+    d = dy - (h2f1 * y - h2f0) / 12.0  # z1 - z0, without the rounding of w
+    from scipy.linalg.blas import dtbsv
+
+    if band is None:
+        band = _numerov_band(x.size)
+    band[0, 3::4] = w[2:]
+    band[1, 3::4] = -h2f[2:]  # the last entry lies outside the matrix
+    rhs = np.zeros(band.shape[1])
+    rhs[:3] = h2f1 * y, d, z  # q_1, D_0 and z_1 come from the known R_1
+    R = dtbsv(4, band, rhs, lower=1, overwrite_x=1)[3::4]
+    if np.max(np.abs(R)) <= 1e250:  # False for inf and nan too
+        with np.errstate(over="ignore", under="ignore"):  # a Python float's product
+            nodes = (y * R[0] < 0.0) + np.count_nonzero(R[1:] * R[:-1] < 0.0)
+        return int(nodes), float(R[-1]), 0
+    return _numerov_loop(h2f.tolist(), w.tolist(), y, z, d)
+
+
+def _numerov_loop(h2f: list, w: list, y: float, z: float, d: float) -> tuple[int, float, int]:
+    """``_numerov_sweep``'s recurrence point by point, scaling past |R| = 1e250."""
     nodes = rescales = 0
     for h2f_i, w_next in zip(h2f[1:-1], w[2:]):
         d += h2f_i * y
@@ -443,6 +492,7 @@ def _shooting_eigenvalues(problem: SLProblem, n_grid: int, seeds=()) -> tuple[np
     n_eigen, constants = problem.n_eigen, problem.constants
     x = np.linspace(problem.x0, problem.x_end, n_grid)
     W = problem.effective_potential(x)
+    band = _numerov_band(n_grid)
     L = problem.x_end - problem.x0
     c = constants.hbar**2 / (2.0 * constants.mass)
     # The tightest (E, nodes, y_end, rescales) swept below and above each eigenvalue.
@@ -453,7 +503,7 @@ def _shooting_eigenvalues(problem: SLProblem, n_grid: int, seeds=()) -> tuple[np
     def shoot(E: float) -> int:
         nonlocal sweeps
         sweeps += 1
-        nodes, y_end, rescales = _numerov_sweep(E, x, W, constants)
+        nodes, y_end, rescales = _numerov_sweep(E, x, W, constants, band)
         point = (E, nodes, y_end, rescales)
         for j in range(nodes, n_eigen):
             if E > lo[j][0]:

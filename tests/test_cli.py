@@ -32,8 +32,8 @@ GOLDEN_RUNS = {s: (s, "csv") for s in ALL_SCENARIOS} | {
 }
 
 
-def run_golden(golden_name, out, config_dir) -> int:
-    """Exit code of the run that golden directory ``golden_name`` holds, written to ``out``.
+def golden_argv(golden_name, out, config_dir) -> list[str]:
+    """CLI arguments of the run that golden directory ``golden_name`` holds, written to ``out``.
 
     The run has seed 42 and ``--check``; its config file, if any, goes to ``config_dir``.
     """
@@ -43,10 +43,28 @@ def run_golden(golden_name, out, config_dir) -> int:
         ini = Path(config_dir) / "golden.ini"
         ini.write_text(f"[{scenario}]\n{entries[0]}\n")
         config = ["--config", str(ini)]
-    return cli.main(
-        ["--scenario", scenario, "--out", str(out), "--seed", "42", "--check",
-         "--format", fmt, *config]
-    )
+    return ["--scenario", scenario, "--out", str(out), "--seed", "42", "--check",
+            "--format", fmt, *config]
+
+
+def run_golden(golden_name, out, config_dir) -> int:
+    """Exit code of ``golden_argv``'s run, in this process."""
+    return cli.main(golden_argv(golden_name, out, config_dir))
+
+
+def assert_matches_golden(out, golden_name) -> None:
+    """Every file in ``out``, report.json included, matches the committed golden output."""
+    golden = GOLDEN / golden_name
+    written = sorted(f.name for f in out.iterdir())
+    assert written == sorted(f.name for f in golden.iterdir())
+    for name in written:
+        assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+
+
+def child_env(**variables) -> dict:
+    """This process's environment for a child that imports this pdwave, plus ``variables``."""
+    return {**os.environ, **variables, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(pdwave.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]))}
 
 
 @pytest.mark.parametrize("golden_name", list(GOLDEN_RUNS))
@@ -58,20 +76,17 @@ def test_scenario_runs_clean_with_check(golden_name, tmp_path, tmp_path_factory)
     for check in report["checks"]:
         assert set(check) >= {"name", "passed", "value"}
 
-    # Every file, report.json included, matches the committed golden output.
-    golden = GOLDEN / golden_name
-    written = sorted(f.name for f in tmp_path.iterdir())
-    assert written == sorted(f.name for f in golden.iterdir())
-    for name in written:
-        assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
+    assert_matches_golden(tmp_path, golden_name)
 
 
 @pytest.mark.parametrize(
     "entries",
     [
         "n_eigen = 1",
-        # Deep forbidden region: the Numerov recurrence grows by ~1e250.
+        # Deep forbidden regions: the Numerov recurrence passes 1e250 and is rescaled.
         "preset = harmonic\nx1 = 40\nn_eigen = 3",
+        "preset = harmonic\nx1 = 40",
+        "preset = harmonic\nx1 = 60",
     ],
 )
 def test_sturm_liouville_edge_config_passes_check(entries, tmp_path):
@@ -385,6 +400,8 @@ class TestExitCodes:
             ("n_grid = 7", "could not bracket"),
             # Grid step 500: the Numerov weight turns negative below min(W).
             ("x1 = 1e6", "counts 1999 nodes below min(W)"),
+            # Grid step 0.05 on a harmonic well: the Numerov weight turns negative past x = 69.
+            ("preset = harmonic\nx1 = 100", "Numerov sweep counts 615 nodes below min(W)"),
             # W ~ 5e15: bisection resolves ~50, about the level spacing.
             ("k0 = 1e8", "eigenvalues 0 and 1 coincide"),
         ],
@@ -1081,9 +1098,7 @@ def test_csv_bytes_do_not_depend_on_simd_dispatch(disabled, fmt, tmp_path):
     table = {**_edge_table(np.random.default_rng(2026), hard.size), "hard": hard}
     np.savez(tmp_path / "table.npz", **table)
     expected = cli.emit_output(table, fmt, tmp_path / f"here.{fmt}").read_bytes()
-    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": disabled,
-           "PYTHONPATH": os.pathsep.join(filter(None, [
-               str(Path(pdwave.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]))}
+    env = child_env(NPY_DISABLE_CPU_FEATURES=disabled)
     probe = subprocess.run([sys.executable, "-c", "import numpy"], env=env,
                            capture_output=True, text=True)
     if probe.returncode != 0:
@@ -1095,6 +1110,28 @@ def test_csv_bytes_do_not_depend_on_simd_dispatch(disabled, fmt, tmp_path):
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / f"there.{fmt}").read_bytes() == expected
+
+
+@pytest.mark.parametrize("coretype", ["SkylakeX", "Haswell", "Nehalem"])
+@pytest.mark.parametrize("golden_name", [g for g in GOLDEN_RUNS if g.startswith("sturm-liouville")])
+def test_sturm_liouville_goldens_do_not_depend_on_the_blas_kernel(golden_name, coretype,
+                                                                   tmp_path):
+    # Each Numerov sweep is a BLAS banded solve, and OpenBLAS picks its kernels by CPU:
+    # SkylakeX's fuse multiply and add where Haswell's and Nehalem's did not here.  A
+    # layout of the solve that rounds as the loop does holds the goldens under each.
+    env = child_env(OPENBLAS_CORETYPE=coretype)
+    probe = subprocess.run(
+        [sys.executable, "-c", "import numpy as np; from scipy.linalg.blas import dtbsv; "
+         "dtbsv(1, np.ones((2, 2), order='F'), np.ones(2), lower=1)"],
+        env=env, capture_output=True, text=True)
+    if probe.returncode != 0:
+        pytest.skip(f"scipy's BLAS does not run kernel {coretype}: {probe.stderr[-300:]}")
+    script = "import sys; from pdwave import cli; sys.exit(cli.main(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", script,
+                           *golden_argv(golden_name, tmp_path / "out", tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert_matches_golden(tmp_path / "out", golden_name)
 
 
 @pytest.mark.parametrize("fmt, kernel, tail", [

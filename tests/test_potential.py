@@ -238,11 +238,74 @@ class TestMpLimit:
         assert pot.mp_limit_check(linear_spec(), 1.0) < 1e-10
 
 
+def _loop_sweep(E, x, W, constants):
+    """The Numerov sweep as a point-by-point loop in Python floats: the banded solve's oracle."""
+    h = x[1] - x[0]
+    f = 2.0 * constants.mass / constants.hbar**2 * (W - E)
+    f0 = f[0]
+    fp0 = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
+    fpp0 = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / h**2
+    dy = float(0.5 * h**2 * f0 + h**3 * fp0 / 6.0 + h**4 * (fpp0 + f0 * f0) / 24.0)
+    h2f = h**2 * f
+    w, h2f = (1.0 - h2f / 12.0).tolist(), h2f.tolist()
+    y = 1.0 + dy
+    z, d = w[1] * y, dy - (h2f[1] * y - h2f[0]) / 12.0
+    nodes = rescales = 0
+    for h2f_i, w_next in zip(h2f[1:-1], w[2:]):
+        d += h2f_i * y
+        z += d
+        y_prev, y = y, z / w_next
+        nodes += y * y_prev < 0.0
+        if abs(y) > 1e250:
+            y_prev, y, z, d = y_prev * 1e-200, y * 1e-200, z * 1e-200, d * 1e-200
+            rescales += 1
+    return nodes, y, rescales
+
+
 class TestSturmLiouville:
     def box(self, n_eigen=6, x1=1.0, k0=0.0, n=64):
         return pot.SLProblem(
             x0=0.0, x_end=x1, kx=np.full(n, k0), V=np.zeros(n), n_eigen=n_eigen
         )
+
+    @pytest.mark.parametrize("preset, x1, n_grid, rescales", [
+        ("box", 1.0, 1001, 0), ("box", 1.0, 1501, 0), ("box", 1.0, 2001, 0),
+        ("harmonic", 5.0, 1001, 0), ("harmonic", 5.0, 1501, 0), ("harmonic", 5.0, 2001, 0),
+        ("harmonic", 40.0, 2001, 1), ("harmonic", 60.0, 2001, 3),  # deep forbidden regions
+    ])
+    def test_banded_sweep_is_the_loop_bit_for_bit(self, preset, x1, n_grid, rescales,
+                                                   monkeypatch):
+        xs = np.linspace(0.0, x1, 64)
+        V = np.zeros(64) if preset == "box" else 0.5 * xs**2
+        problem = pot.SLProblem(x0=0.0, x_end=x1, kx=np.zeros(64), V=V, n_eigen=1)
+        x = np.linspace(0.0, x1, n_grid)
+        W, band = problem.effective_potential(x), pot._numerov_band(n_grid)
+        loop, fallbacks = pot._numerov_loop, []
+        monkeypatch.setattr(pot, "_numerov_loop", lambda *a: fallbacks.append(a) or loop(*a))
+
+        def outcome(sweep, E, *band):
+            try:
+                nodes, y_end, scaled = sweep(E, x, W, problem.constants, *band)
+            except FloatingPointError as exc:
+                return str(exc)
+            assert type(nodes) is int and type(y_end) is float
+            return nodes, y_end.hex(), scaled
+
+        # In run_scenario's errstate.  At 1e150 the solve overflows to inf and the
+        # loop takes over; at 1e200 both overflow already in the Taylor start.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for E in (-1.0, 0.5, 3.0, 20.0, 60.0, 200.0, 1e3, 5e3, 1e150, 1e200):
+                expected, taken = outcome(_loop_sweep, E), len(fallbacks)
+                assert outcome(pot._numerov_sweep, E, band) == expected, E
+                assert outcome(pot._numerov_sweep, E) == expected, E  # a band of its own
+                if E == 1e200:
+                    assert expected == "overflow encountered in scalar multiply"
+                    continue
+                _, y_end, scaled = expected
+                rescaled = scaled > 0 or not math.isfinite(float.fromhex(y_end))
+                assert len(fallbacks) - taken == 2 * rescaled, E  # both sweeps, or neither
+                if E == -1.0:
+                    assert scaled == rescales
 
     def test_sweep_counts_eigenvalues_below_energy(self):
         problem = self.box()
