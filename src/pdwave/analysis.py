@@ -104,10 +104,9 @@ def heisenberg_check(
 
 @dataclass(frozen=True, eq=False)
 class Contour:
-    """Polyline of complex positions at a fixed complex time."""
+    """Polyline of complex positions, at time 0."""
 
     vertices: np.ndarray
-    t_c: complex = 0.0
 
     def __post_init__(self) -> None:
         v = np.asarray(self.vertices, dtype=complex)
@@ -117,12 +116,12 @@ class Contour:
         object.__setattr__(self, "vertices", v)
 
     @classmethod
-    def from_csv(cls, path, t_c: complex = 0.0) -> "Contour":
+    def from_csv(cls, path) -> "Contour":
         """Read vertices from a CSV with header columns re_x, im_x."""
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         if data.shape[1] != 2:
             raise ValueError("contour CSV must have columns re_x, im_x")
-        return cls(vertices=data[:, 0] + 1j * data[:, 1], t_c=t_c)
+        return cls(vertices=data[:, 0] + 1j * data[:, 1])
 
 
 def _adaptive_segment(f, a: complex, b: complex, tol: float, depth: int = 0) -> complex:
@@ -139,7 +138,7 @@ def _adaptive_segment(f, a: complex, b: complex, tol: float, depth: int = 0) -> 
 
 
 def contour_integral(params: FreeWaveParams, contour: Contour, tol: float = 1e-10) -> complex:
-    """Integrate the branch density exp[sign*R*(t_c - z/v)] along a polyline.
+    """Integrate the branch density exp[-sign*R*z/v] along a polyline.
 
     The sign is the state's ``branch.sign``: +1 incoming, -1 outgoing.  The
     density is entire in the complex position z, so a closed contour
@@ -153,7 +152,7 @@ def contour_integral(params: FreeWaveParams, contour: Contour, tol: float = 1e-1
     rate = params.R * params.branch.sign
 
     def density(z):
-        return np.exp(rate * (contour.t_c - z / params.v))
+        return np.exp(rate * (0.0 - z / params.v))  # not -z/v: 0.0 - 0.0 gives +0.0, not -0.0
 
     total = 0.0 + 0.0j
     for a, b in zip(v[:-1], v[1:]):

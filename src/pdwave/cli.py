@@ -4,12 +4,13 @@ Usage: pdwave --scenario NAME [--config PATH] [--out DIR] [--seed N]
               [--format csv|json] [--check]
 
 Config files are flat INI text with one section per scenario and
-``key = value`` entries; command-line flags override config keys.  Every
-run writes the scenario's data files plus a ``report.json`` listing each
-invariant check with its residual and pass/fail.  Exit codes: 0 success,
-1 a value outside its key's domain or rejected by the runner or library,
-2 numerical non-convergence, overflow, non-finite output or I/O failure,
-3 a check failed in ``--check`` mode.
+``key = value`` entries.  Every section also takes the keys ``seed``,
+``format`` and ``output``, which ``--seed``, ``--format`` and ``--out``
+override.  Every run writes the scenario's data files plus a
+``report.json`` listing each invariant check with its residual and
+pass/fail.  Exit codes: 0 success, 1 a value outside its key's domain or
+rejected by the runner or library, 2 numerical non-convergence, overflow,
+non-finite output or I/O failure, 3 a check failed in ``--check`` mode.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import shutil
 import sys
 import tempfile
 import threading
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -35,11 +37,11 @@ from .core import (
     make_free_state,
 )
 
-__all__ = ["ScenarioConfig", "run_scenario", "emit_output", "main"]
+__all__ = ["run_scenario", "emit_output", "main"]
 
 
 class ConfigError(ValueError):
-    """Malformed configuration (unknown scenario, bad key, bad value)."""
+    """Malformed configuration (unknown key, bad value)."""
 
 
 # A config key's domain is a (description, test) pair.  A tuple value must be
@@ -54,26 +56,6 @@ def _within(values: range | tuple) -> tuple:
     text = (f"an integer from {values[0]} to {values[-1]}" if isinstance(values, range)
             else "one of " + ", ".join(values))
     return text, values.__contains__
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """A fully resolved scenario run request."""
-
-    scenario: str
-    parameters: dict
-    seed: int = 0
-    output: str = "."
-    format: str = "csv"
-    check: bool = False
-
-    def __post_init__(self) -> None:
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(f"unknown scenario {self.scenario!r}")
-        if self.format not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.format!r}")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must fit in an unsigned 64-bit integer")
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +462,7 @@ def _parse_value(scenario: str, key: str, raw: str, default, domain: tuple):
 
 
 def _resolve_parameters(scenario: str, overrides: dict) -> dict:
-    keys = _TABLE[scenario][1]
+    keys = {**_TABLE[scenario][1], **_RUN_KEYS}
     parameters = {key: default for key, (default, _) in keys.items()}
     for key, raw in overrides.items():
         if key not in keys:
@@ -519,9 +501,8 @@ def _falls_strictly(values: np.ndarray) -> bool:
     return bool(np.all(np.diff(head) < 0) and not values[head.size:].any())
 
 
-def _run_free_wave(cfg: ScenarioConfig, out: Path, report: Report) -> None:
+def _run_free_wave(p: dict, report: Report) -> Iterator[tuple]:
     from . import freewave
-    p = cfg.parameters
     state = make_free_state(p["v"], p["R"])
     for idx, t in enumerate(p["times"]):
         peak = state.v * t
@@ -536,8 +517,7 @@ def _run_free_wave(cfg: ScenarioConfig, out: Path, report: Report) -> None:
             xs = _sorted_unique(np.append(xs, p["mp_x"]))
         psi = freewave.psi_free(branch_state, xs, t)
         dens = freewave.prob_density_free(branch_state, xs, t)
-        emit_output({"x": xs, "t": t, "P": dens, "psi": psi}, cfg.format,
-                    out / f"free_wave_t{idx}.{cfg.format}")
+        yield f"free_wave_t{idx}", {"x": xs, "t": t, "P": dens, "psi": psi}
         report.add_residual(f"peak_density_one_t{idx}", float(np.max(dens)) - 1.0, 1e-12)
         report.add(f"envelope_monotone_t{idx}", _falls_strictly(dens[::branch_state.branch.sign]),
                    float(np.max(np.abs(np.diff(dens)))))
@@ -577,9 +557,8 @@ def _make_potential_spec(p: dict) -> potential.PotentialSpec:
     )
 
 
-def _run_potential_wave(cfg: ScenarioConfig, out: Path, report: Report) -> None:
+def _run_potential_wave(p: dict, report: Report) -> Iterator[tuple]:
     from . import freewave, potential
-    p = cfg.parameters
     spec = _make_potential_spec(p)
     xs = np.linspace(spec.x_start, spec.x_end, p["n"])
     t = p["t"]
@@ -589,8 +568,7 @@ def _run_potential_wave(cfg: ScenarioConfig, out: Path, report: Report) -> None:
         raise ConfigError(f"t = {t} is past the arrival time of all n = {p['n']} probes")
     psi = potential.psi_potential(spec, Branch.INCOMING, inside, t, x_mp=p["x_mp"])
     dens = potential.prob_density_potential(spec, Branch.INCOMING, inside, t, x_mp=p["x_mp"])
-    emit_output({"x": inside, "t": t, "P": dens, "psi": psi}, cfg.format,
-                out / f"potential_wave.{cfg.format}")
+    yield "potential_wave", {"x": inside, "t": t, "P": dens, "psi": psi}
 
     report.add_residual("mp_plane_wave_residual",
                         potential.mp_limit_check(spec, p["x_mp"]), 1e-10)
@@ -659,26 +637,24 @@ def _chi_square_sf(x: float, df: int) -> float:
     return min(1.0, math.fsum(terms))
 
 
-def _run_ensemble(cfg: ScenarioConfig, out: Path, report: Report) -> None:
+def _run_ensemble(p: dict, report: Report) -> Iterator[tuple]:
     from . import evolution, measurement
-    p = cfg.parameters
     waves = tuple(make_free_state(float(i + 1), float(i + 1)) for i in range(len(p["weights"])))
     amplitudes = np.sqrt(_normalized_weights(p["weights"])).astype(complex)
     state = _sampled_state(evolution.SuperposedState(amplitudes, waves), p["n_trials"])
-    rep = measurement.run_ensemble(state, p["n_trials"], seed=cfg.seed, workers=p["workers"])
-    emit_output(rep.table(), cfg.format, out / f"ensemble.{cfg.format}")
+    rep = measurement.run_ensemble(state, p["n_trials"], seed=p["seed"], workers=p["workers"])
+    yield "ensemble", rep.table()
     p_value = _chi_square_sf(rep.chi_square, rep.counts.size - 1)
     _add_three_sigma_checks(report, rep)
     report.add("chi_square_p_above_0.001", p_value > 0.001, p_value, 0.001)
 
     # Arrival order is reported, not used for probabilities.
     arrivals = {"outcome": np.arange(state.n), "arrival_time": [1.0 / w.v for w in state.waves]}
-    emit_output(arrivals, cfg.format, out / f"ensemble_arrivals.{cfg.format}")
+    yield "ensemble_arrivals", arrivals
 
 
-def _run_decoherence(cfg: ScenarioConfig, out: Path, report: Report) -> None:
+def _run_decoherence(p: dict, report: Report) -> Iterator[tuple]:
     from . import evolution, spectral
-    p = cfg.parameters
     weights = _normalized_weights(p["weights"])
     if len(p["speeds"]) != weights.size:
         raise ConfigError("speeds and weights must pair up")
@@ -706,14 +682,12 @@ def _run_decoherence(cfg: ScenarioConfig, out: Path, report: Report) -> None:
         float(np.max(np.abs(r_ab.entries - r_b.entries))),
         1e-10,
     )
-    (out / f"density_matrix.json").write_text(mixed.to_json() + "\n", "utf-8")
-    emit_output({"t": p["t"], "norm_sq": evolved.norm_sq, "purity": mix_purity}, cfg.format,
-                out / f"decoherence.{cfg.format}")
+    yield "density_matrix.json", mixed.to_json() + "\n"
+    yield "decoherence", {"t": p["t"], "norm_sq": evolved.norm_sq, "purity": mix_purity}
 
 
-def _run_entropy(cfg: ScenarioConfig, out: Path, report: Report) -> None:
+def _run_entropy(p: dict, report: Report) -> Iterator[tuple]:
     from . import evolution
-    p = cfg.parameters
     state = evolution.SuperposedState(
         np.array([1.0 + 0j]), (make_free_state(p["v"], p["v"]),)
     )
@@ -722,7 +696,7 @@ def _run_entropy(cfg: ScenarioConfig, out: Path, report: Report) -> None:
     table = {"t": np.concatenate([traj.times, traj.measurement_times]),
              "S": np.concatenate([traj.S, traj.post_measurement_S]),
              "is_post_measurement": np.repeat([0, 1], [traj.S.size, traj.post_measurement_S.size])}
-    emit_output(table, cfg.format, out / f"entropy.{cfg.format}")
+    yield "entropy", table
 
     report.add_residual("entropy_zero_at_start", float(traj.S[0]), 0.0)
     slopes = np.diff(traj.S) / np.diff(traj.times)
@@ -735,14 +709,13 @@ def _run_entropy(cfg: ScenarioConfig, out: Path, report: Report) -> None:
                         float(np.max(np.abs(traj.post_measurement_S), initial=0.0)), 0.0)
 
 
-def _run_sturm_liouville(cfg: ScenarioConfig, out: Path, report: Report) -> None:
+def _run_sturm_liouville(p: dict, report: Report) -> Iterator[tuple]:
     from . import potential
-    p = cfg.parameters
     if not p["x0"] < p["x1"]:
         raise ConfigError(f"x0 must be < x1, got {p['x0']}, {p['x1']}")
-    if p["n_eigen"] > p["n_grid"] - 1:  # the coarse matrix's n_grid - 1 unknowns
-        raise ConfigError(f"n_grid = {p['n_grid']} holds at most {p['n_grid'] - 1} levels, "
-                          f"fewer than n_eigen = {p['n_eigen']}")
+    if p["n_grid"] < 2 * p["n_eigen"]:  # under 2 points a level, Numerov's levels are spurious
+        raise ConfigError(f"n_grid = {p['n_grid']} has fewer than 2 points per level of "
+                          f"n_eigen = {p['n_eigen']}: it must be at least {2 * p['n_eigen']}")
     n_samples = 201
     xs = np.linspace(p["x0"], p["x1"], n_samples)
     V = np.zeros_like(xs) if p["preset"] == "box" else 0.5 * xs**2
@@ -754,7 +727,7 @@ def _run_sturm_liouville(cfg: ScenarioConfig, out: Path, report: Report) -> None
     shoot, dense = solution.eigenvalues, solution.matrix_eigenvalues
     table = {"n": np.arange(p["n_eigen"]), "energy_shooting": shoot, "energy_matrix": dense,
              "backend_gap": shoot - dense}
-    emit_output(table, cfg.format, out / f"sturm_liouville.{cfg.format}")
+    yield "sturm_liouville", table
 
     report.add_residual("backends_agree", float(np.max(np.abs(shoot - dense) / np.abs(dense))),
                         1e-6)
@@ -765,14 +738,14 @@ def _run_sturm_liouville(cfg: ScenarioConfig, out: Path, report: Report) -> None
         report.add_residual("closed_form_match", rel, 1e-6)
 
 
-def _run_uncertainty(cfg: ScenarioConfig, out: Path, report: Report) -> None:
+def _run_uncertainty(p: dict, report: Report) -> Iterator[tuple]:
     """Fill z by blocks with normal(0.0, sigma, n)'s bytes, 0.0 + sigma*x, from two streams.
 
     Part i draws from SeedSequence(seed).spawn(2)[i]: z.real here and z.imag on one more
     thread, in a copy of the context that holds np.errstate. No scheduling moves a byte.
     """
     from . import analysis
-    p, seeds, failed = cfg.parameters, np.random.SeedSequence(cfg.seed).spawn(2), [None, None]
+    seeds, failed = np.random.SeedSequence(p["seed"]).spawn(2), [None, None]
     n, block = p["n_samples"], analysis._BLOCK
     z = np.empty(n, dtype=complex)
     def fill(i: int, part: np.ndarray, sigma: float) -> None:
@@ -796,7 +769,7 @@ def _run_uncertainty(cfg: ScenarioConfig, out: Path, report: Report) -> None:
         raise FloatingPointError(
             f"the samples' second moment overflows the float range ({exc}); lower "
             f"sigma_re = {p['sigma_re']!r} or sigma_im = {p['sigma_im']!r}") from exc
-    emit_output(asdict(rep), cfg.format, out / f"uncertainty.{cfg.format}")
+    yield "uncertainty", asdict(rep)
 
     report.add_residual(
         "variance_identity_exact",
@@ -814,9 +787,8 @@ def _run_uncertainty(cfg: ScenarioConfig, out: Path, report: Report) -> None:
         )
 
 
-def _run_contour(cfg: ScenarioConfig, out: Path, report: Report) -> None:
+def _run_contour(p: dict, report: Report) -> Iterator[tuple]:
     from . import analysis
-    p = cfg.parameters
     state = make_free_state(p["v"], p["R"])
     square = analysis.Contour(vertices=np.array([0, 1, 1 + 1j, 1j, 0], dtype=complex))
     path_a = analysis.Contour(vertices=np.array([0, 1, 1 + 1j], dtype=complex))
@@ -833,8 +805,7 @@ def _run_contour(cfg: ScenarioConfig, out: Path, report: Report) -> None:
     if p["contour_csv"]:
         user = analysis.Contour.from_csv(p["contour_csv"])
         values["user_contour"] = analysis.contour_integral(state, user)
-    emit_output({"name": list(values), "value": list(values.values())}, cfg.format,
-                out / f"contour.{cfg.format}")
+    yield "contour", {"name": list(values), "value": list(values.values())}
 
     report.add_residual("closed_contour_zero", abs(closed_val), 1e-9)
     report.add_residual("path_independence", abs(val_a - val_b), 1e-9)
@@ -842,9 +813,8 @@ def _run_contour(cfg: ScenarioConfig, out: Path, report: Report) -> None:
     report.add_residual("segment_closed_form", abs(seg_val - expected), 1e-9)
 
 
-def _run_composite(cfg: ScenarioConfig, out: Path, report: Report) -> None:
+def _run_composite(p: dict, report: Report) -> Iterator[tuple]:
     from . import freewave, measurement, spectral
-    p = cfg.parameters
     weights = _normalized_weights(p["weights"])
     if not (len(p["system_speeds"]) == len(p["pointer_speeds"]) == weights.size):
         raise ConfigError("weights, system_speeds, pointer_speeds must pair up")
@@ -863,7 +833,7 @@ def _run_composite(cfg: ScenarioConfig, out: Path, report: Report) -> None:
     )
 
     # Outcome statistics over the pointer basis.
-    rep = measurement.run_ensemble(composite, p["n_trials"], seed=cfg.seed)
+    rep = measurement.run_ensemble(composite, p["n_trials"], seed=p["seed"])
     _add_three_sigma_checks(report, rep)
 
     event = measurement.detect_mp(systems[0], systems[0].v * 1.0, 1.0)
@@ -877,17 +847,16 @@ def _run_composite(cfg: ScenarioConfig, out: Path, report: Report) -> None:
     report.add_residual("entangled_imag_part",
                         avgs.entangled_avg.imag - expected_imag, 1e-12)
 
-    emit_output({**rep.table(), **asdict(avgs)}, cfg.format, out / f"composite.{cfg.format}")
+    yield "composite", {**rep.table(), **asdict(avgs)}
 
 
-def _run_field(cfg: ScenarioConfig, out: Path, report: Report) -> None:
+def _run_field(p: dict, report: Report) -> Iterator[tuple]:
     from . import freewave, spectral
-    p = cfg.parameters
     state = freewave.normalize_state(make_free_state(p["v"], p["v"]))
     ss = np.linspace(0.0, p["s_max"], p["n"])
     spectral.probability_field(float(ss.min()), state)  # s >= 0 and a normalized state
     values = np.fromiter(map(math.exp, (-ss).tolist()), float, ss.size)  # its e^{-s}, bit for bit
-    emit_output({"s": ss, "field": values}, cfg.format, out / f"field.{cfg.format}")
+    yield "field", {"s": ss, "field": values}
     report.add_residual("field_at_zero_is_one", values[0] - 1.0, 0.0)
     report.add_residual(
         "field_at_ln2_is_half",
@@ -937,27 +906,34 @@ _TABLE: dict[str, tuple] = {
 }
 
 SCENARIOS = tuple(_TABLE)
+_RUN_KEYS = {"seed": (0, _within(range(2**64))), "format": ("csv", _within(("csv", "json"))),
+             "output": (".", _TEXT)}  # every section's: the run's seed, file format and directory
 
 
-def run_scenario(config: ScenarioConfig) -> int:
-    """Execute a scenario, write its data files and report.json.
+def run_scenario(scenario: str, p: dict, check: bool = False) -> int:
+    """Run ``scenario`` on its resolved keys ``p``: write each ``(stem, table)`` it yields.
 
-    Returns the process exit code (0 success; 1 a value the scenario or
-    the library rejects; 2 numerical/I-O failure, overflow, NaN and memory
+    A table goes to ``stem.<format>``, a string as is to the file ``stem``; then report.json.
+    Returns the process exit code (0 success; 1 a value the scenario or the
+    library rejects; 2 numerical/I-O failure, overflow, NaN and memory
     exhaustion included; 3 when ``check`` is set and some check failed).
-    Files are staged inside ``--out`` and renamed into it once report.json
-    is written, so a run that returns 1 or 2 leaves ``--out`` as it was.
+    Files are staged inside ``output`` and renamed into it once report.json
+    is written, so a run that returns 1 or 2 leaves ``output`` as it was.
     """
-    out = Path(config.output)
+    out, fmt = Path(p["output"]), p["format"]
     created = next((d for d in reversed((out, *out.parents)) if not d.exists()), None)
     try:
         out.mkdir(parents=True, exist_ok=True)
         with tempfile.TemporaryDirectory(prefix=".pdwave-", dir=out) as staging:
             stage = Path(staging)
-            report = Report(scenario=config.scenario, seed=config.seed)
+            report = Report(scenario=scenario, seed=p["seed"])
             # Overflow or NaN fails the run instead of reaching the output files.
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                _TABLE[config.scenario][0](config, stage, report)
+                for stem, table in _TABLE[scenario][0](p, report):
+                    if isinstance(table, str):
+                        (stage / stem).write_text(table, "utf-8")
+                    else:
+                        emit_output(table, fmt, stage / f"{stem}.{fmt}")
             report.write(stage)
             for path in stage.iterdir():
                 path.replace(out / path.name)
@@ -966,7 +942,7 @@ def run_scenario(config: ScenarioConfig) -> int:
     except (ConvergenceError, OSError, ArithmeticError, MemoryError) as exc:
         message, code = str(exc), 2
     else:
-        if config.check and not report.all_passed:
+        if check and not report.all_passed:
             failed = [c["name"] for c in report.checks if not c["passed"]]
             print(f"pdwave: checks failed: {', '.join(failed)}", file=sys.stderr)
             return 3
@@ -988,32 +964,20 @@ def main(argv=None) -> int:
     parser = _Parser(prog="pdwave", description=__doc__.splitlines()[0])
     parser.add_argument("--scenario", required=True, choices=SCENARIOS)
     parser.add_argument("--config", default=None, help="INI config file")
-    parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="unsigned 64-bit seed")
-    parser.add_argument("--format", choices=("csv", "json"), default=None)
+    parser.add_argument("--out", dest="output", help="output directory (default .)")
+    parser.add_argument("--seed", help="unsigned 64-bit seed (default 0)")
+    parser.add_argument("--format", help="csv or json (default csv)")
     parser.add_argument("--check", action="store_true",
                         help="exit 3 if any invariant check fails")
     args = parser.parse_args(argv)
-
+    flags = {key: getattr(args, key) for key in _RUN_KEYS if getattr(args, key) is not None}
     try:
-        overrides = load_config(args.config, args.scenario) if args.config else {}
-        seed = _parse_value(args.scenario, "seed", overrides.pop("seed", "0"), 0,
-                            _within(range(2**64)))
-        fmt = overrides.pop("format", "csv")
-        out_dir = overrides.pop("output", ".")
-        config = ScenarioConfig(
-            scenario=args.scenario,
-            parameters=_resolve_parameters(args.scenario, overrides),
-            seed=seed if args.seed is None else args.seed,
-            output=out_dir if args.out == "." else args.out,
-            format=args.format or fmt,
-            check=args.check,
-        )
+        settings = load_config(args.config, args.scenario) if args.config else {}
+        p = _resolve_parameters(args.scenario, {**settings, **flags})
     except ValueError as exc:
         print(f"pdwave: config error: {exc}", file=sys.stderr)
         return 1
-
-    return run_scenario(config)
+    return run_scenario(args.scenario, p, args.check)
 
 
 if __name__ == "__main__":

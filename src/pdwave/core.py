@@ -190,35 +190,15 @@ class FreeWaveParams:
         """True when R = v, i.e. total probability v/R equals one."""
         return math.isclose(self.R, self.v, rel_tol=1e-12, abs_tol=1e-15)
 
-    def satisfies_dispersion(self, tol: float = 1e-12) -> bool:
-        """Check hbar*omega + hbar^2 R^2/(8 m v^2) - hbar^2 k^2/(2 m) = 0."""
-        if self.v == 0.0:
-            return self.omega == 0.0 and self.R == 0.0
-        hbar, m = self.constants.hbar, self.constants.mass
-        gap = (
-            hbar * self.omega
-            + hbar * hbar * self.R * self.R / (8.0 * m * self.v * self.v)
-            - hbar * hbar * self.k * self.k / (2.0 * m)
-        )
-        scale = max(1.0, abs(hbar * self.omega), hbar * hbar * self.k * self.k / (2.0 * m))
-        return abs(gap) <= tol * scale
-
-
-ObservableTag = str
-OBSERVABLE_TAGS = ("H", "Hdagger", "P", "S")
-
 
 @dataclass(frozen=True)
 class EigenRecord:
     """A (possibly complex) measurement-rule value for one observable."""
 
-    observable: ObservableTag
     value: complex
     at_mp: bool = False
 
     def __post_init__(self) -> None:
-        if self.observable not in OBSERVABLE_TAGS:
-            raise ValueError(f"unknown observable {self.observable!r}")
         if not (math.isfinite(self.value.real) and math.isfinite(self.value.imag)):
             raise ValueError("eigenvalue components must be finite")
         if self.at_mp and self.value.imag != 0.0:

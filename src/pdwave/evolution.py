@@ -10,7 +10,6 @@ unmeasured entropy of a normalized state falls linearly at rate k_B*v.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,11 +71,6 @@ class EvolvedState:
     @property
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
-
-    def normalized(self) -> SuperposedState:
-        return SuperposedState(
-            amplitudes=self.amplitudes / math.sqrt(self.norm_sq), waves=self.waves
-        )
 
 
 def evolve_state(state: SuperposedState, t: float) -> EvolvedState:

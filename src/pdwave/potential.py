@@ -351,6 +351,8 @@ def matrix_eigen(problem: SLProblem, n_grid: int, eigvals_only: bool = False):
     is the trapezoid rule, so the functions are trapezoid-orthonormal by
     construction.
     """
+    if n_grid < 3:  # the Neumann ghost row needs an off-diagonal entry
+        raise ValueError(f"matrix_eigen needs at least 3 grid points, got n_grid = {n_grid}")
     if problem.n_eigen > n_grid - 1:
         raise ConvergenceError(
             f"only {n_grid - 1} eigenvalues exist below the discretization ceiling"
@@ -590,8 +592,12 @@ def solve_sturm_liouville(problem: SLProblem, n_grid: int = 2001) -> SLSolution:
     steps over fourth-order Numerov sweeps on ``n_grid`` points, seeded by the
     matrix values; node counts still decide every bracket, so on a grid that
     resolves the modes the two stay independent.  ``matrix_eigen`` gives the
-    eigenfunctions.  Fewer than ``n_eigen + 1`` points raise ConvergenceError.
+    eigenfunctions.  Fewer than 4 points raise ValueError, and fewer than
+    ``n_eigen + 1`` ConvergenceError.
     """
+    if n_grid < 4:  # the Numerov start takes f''(x0) from 4 points
+        raise ValueError("solve_sturm_liouville needs at least 4 grid points, "
+                         f"got n_grid = {n_grid}")
     matrix = _richardson(matrix_eigen(problem, 2 * n_grid - 1, eigvals_only=True),
                          matrix_eigen(problem, n_grid, eigvals_only=True))
     eigenvalues, _ = _shooting_eigenvalues(problem, n_grid, seeds=matrix)

@@ -66,8 +66,8 @@ def apply_observable(
         raise ValueError(f"unknown observable {obs!r}")
 
     if at is not None and state.v > 0.0 and on_arrival(at[1], at[0] / state.v):
-        return EigenRecord(observable=obs, value=complex(value.real, 0.0), at_mp=True)
-    return EigenRecord(observable=obs, value=value, at_mp=False)
+        return EigenRecord(value=complex(value.real, 0.0), at_mp=True)
+    return EigenRecord(value=value, at_mp=False)
 
 
 def hermitize_at_mp(record: EigenRecord, event: MeasurementEvent) -> EigenRecord:

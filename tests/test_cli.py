@@ -1,3 +1,4 @@
+import ast
 import inspect
 import json
 import math
@@ -96,6 +97,24 @@ def test_sturm_liouville_edge_config_passes_check(entries, tmp_path):
         ["--scenario", "sturm-liouville", "--config", str(cfg),
          "--out", str(tmp_path / "out"), "--check"]
     ) == 0
+
+
+@pytest.mark.parametrize("preset", ["box", "harmonic"])
+def test_two_points_per_level_reads_coarse_levels(preset, tmp_path):
+    # At exactly 2 points a level, n_grid = 2*n_eigen, the runner's seeded shooting gives
+    # coarse levels, not the spurious ones its node counts give unseeded (box level 2:
+    # 30.30 seeded, 56.10 unseeded, 30.72 by the matrix): only the 1e-6 checks fail.
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[sturm-liouville]\npreset = {preset}\nn_grid = 6\nn_eigen = 3\n")
+    out = tmp_path / "out"
+    assert cli.main(["--scenario", "sturm-liouville", "--config", str(cfg), "--out", str(out),
+                     "--check"]) == 3
+    report = json.loads((out / "report.json").read_text())
+    assert {c["name"] for c in report["checks"] if not c["passed"]} <= {
+        "backends_agree", "closed_form_match"}
+    rows = [line.split(",") for line in (out / "sturm_liouville.csv").read_text().split()[1:]]
+    shooting, matrix = (np.array([float(row[i]) for row in rows]) for i in (1, 2))
+    assert np.all(np.abs(shooting - matrix) < 0.023 * matrix)
 
 
 def test_backends_agree_catches_a_wrong_richardson_step(tmp_path, monkeypatch, capsys):
@@ -241,26 +260,35 @@ def test_uncertainty_draws_do_not_depend_on_scheduling(tmp_path, monkeypatch):
     assert samples.tobytes() == _two_stream_normals(n, 2.0, 1.0).tobytes()
 
 
-def test_config_file_and_flag_precedence(tmp_path):
+def test_config_file_and_flag_precedence(tmp_path, monkeypatch):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[ensemble]\nweights = 0.6,0.4\nn_trials = 2000\nseed = 5\n"
-                   f"output = {tmp_path / 'unused'}\n")
+                   f"output = {tmp_path / 'keyed'}\nformat = json\n")
+    args = ["--scenario", "ensemble", "--config", str(cfg)]
     out = tmp_path / "out"
-    assert cli.main(
-        ["--scenario", "ensemble", "--config", str(cfg), "--out", str(out)]
-    ) == 0
-    assert not (tmp_path / "unused").exists()  # --out overrides the output entry
-    rows = (out / "ensemble.csv").read_text().splitlines()
-    assert len(rows) == 3  # two outcomes
+    assert cli.main([*args, "--out", str(out)]) == 0
+    assert not (tmp_path / "keyed").exists()  # --out overrides the output key
+    records = json.loads((out / "ensemble.json").read_text())["records"]
+    assert len(records) == 2  # two outcomes, in the format key's format
     report = json.loads((out / "report.json").read_text())
     assert report["seed"] == 5
 
     out2 = tmp_path / "out2"
-    cli.main(
-        ["--scenario", "ensemble", "--config", str(cfg), "--seed", "9",
-         "--out", str(out2)]
-    )
+    assert cli.main([*args, "--seed", "9", "--format", "csv", "--out", str(out2)]) == 0
     assert json.loads((out2 / "report.json").read_text())["seed"] == 9
+    assert sorted(p.name for p in out2.iterdir()) == [
+        "ensemble.csv", "ensemble_arrivals.csv", "report.json"]
+
+    # "." is the default's value, but given as a flag it still wins.
+    here = tmp_path / "here"
+    here.mkdir()
+    monkeypatch.chdir(here)
+    assert cli.main([*args, "--out", "."]) == 0
+    assert not (tmp_path / "keyed").exists()
+    assert (here / "ensemble.json").is_file()
+
+    assert cli.main(args) == 0  # with no flag, the output key decides
+    assert (tmp_path / "keyed" / "report.json").is_file()
 
 
 def test_json_format(tmp_path):
@@ -346,6 +374,16 @@ class TestExitCodes:
             ["--scenario", "ensemble", "--config", str(cfg), "--out", str(tmp_path)]
         ) == 1
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "abc", "[contour] seed = abc: must be an integer from 0 to 18446744073709551615"),
+        ("--seed", "18446744073709551616", "[contour] seed = 18446744073709551616: must be"),
+        ("--format", "xml", "[contour] format = xml: must be one of csv, json"),
+    ])
+    def test_bad_flag_gets_its_key_message(self, flag, value, message, tmp_path, capsys):
+        assert cli.main(["--scenario", "contour", "--out", str(tmp_path / "out"), flag, value]) == 1
+        assert capsys.readouterr().err.startswith(f"pdwave: config error: {message}")
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_key_is_config_error(self, tmp_path):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[ensemble]\nflux_capacitance = 1.21\n")
@@ -396,8 +434,6 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "entries, message",
         [
-            # 6 levels fit under the coarse matrix's ceiling but not Numerov's node counts.
-            ("n_grid = 7", "could not bracket"),
             # Grid step 500: the Numerov weight turns negative below min(W).
             ("x1 = 1e6", "counts 1999 nodes below min(W)"),
             # Grid step 0.05 on a harmonic well: the Numerov weight turns negative past x = 69.
@@ -442,6 +478,10 @@ class TestExitCodes:
         "scenario, entries, named",
         [
             ("sturm-liouville", "n_grid = 4", ("n_grid = 4", "n_eigen = 6")),
+            # Under 2 points a level, Numerov's node counts stop rising with E, and
+            # shooting cannot bracket the levels of these two.
+            ("sturm-liouville", "n_grid = 7", ("n_grid = 7", "n_eigen = 6", "at least 12")),
+            ("sturm-liouville", "n_grid = 5\nn_eigen = 3", ("n_grid = 5", "n_eigen = 3")),
             # max(speeds) = 3: 3*236.6 = 709.8 passes ln(max float) = 709.78.
             ("decoherence", "t = 236.6", ("t = 236.6", "speeds up to 3.0")),
             ("decoherence", "speeds = 1,2,710\nt = 0.5", ("t = 0.5", "speeds up to 710.0")),
@@ -521,8 +561,8 @@ class TestExitCodes:
         assert report["all_passed"]
 
     def test_failed_run_leaves_existing_out_unchanged(self, tmp_path, monkeypatch):
-        def fails_after_writing(cfg, out, report):
-            cli.emit_output({"s": [0.0]}, cfg.format, out / "field.csv")
+        def fails_after_writing(p, report):
+            yield "field", {"s": [0.0]}
             raise cli.ConvergenceError("solver gave up")
 
         monkeypatch.setitem(cli._TABLE, "field", (fails_after_writing, cli._TABLE["field"][1]))
@@ -531,8 +571,9 @@ class TestExitCodes:
         assert [p.name for p in tmp_path.iterdir()] == ["sentinel.txt"]
 
     def test_failed_check_exits_three(self, tmp_path, monkeypatch):
-        def broken(cfg, out, report):
+        def broken(p, report):
             report.add("always_fails", False, 1.0)
+            return ()
 
         monkeypatch.setitem(cli._TABLE, "field", (broken, cli._TABLE["field"][1]))
         assert cli.main(
@@ -564,7 +605,7 @@ class TestExitCodes:
             ("sturm-liouville", "x1 = nan"),
             ("sturm-liouville", "k0 = nan"),
             ("sturm-liouville", "n_grid = 3"),
-            # n_eigen = 6 needs n_grid - 1 >= 6 coarse matrix levels.
+            # n_eigen = 6 needs n_grid >= 12, 2 points per level.
             ("sturm-liouville", "n_grid = 4"),
             # exp(R*t) with R = v past the largest float: max(speeds)*max(t, 1) > 709.78,
             # through the norm law or the semigroup check's step to t = 1.
@@ -634,10 +675,42 @@ def _raw(value) -> str:
 
 
 def test_every_default_lies_in_its_domain():
+    run_defaults = {key: default for key, (default, _) in cli._RUN_KEYS.items()}
     for scenario, (_, keys) in cli._TABLE.items():
-        defaults = {key: default for key, (default, _) in keys.items()}
+        defaults = {key: default for key, (default, _) in keys.items()} | run_defaults
         raw = {key: _raw(default) for key, default in defaults.items()}
         assert cli._resolve_parameters(scenario, raw) == defaults
+        assert cli._resolve_parameters(scenario, {}) == defaults
+
+
+def _runner_file_access(source: str) -> list[str]:
+    """Each place where a ``_run_*`` function of ``source`` writes a file or reads the format."""
+    found = []
+    for fn in ast.parse(source).body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_run_")):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in {"emit_output", "write_text", "write_bytes", "open"}:
+                    found.append(f"{fn.name} calls {name}")
+            elif (isinstance(node, ast.Attribute) and node.attr == "format"
+                  or isinstance(node, ast.Constant) and node.value == "format"):
+                found.append(f"{fn.name} reads format")
+    return found
+
+
+def test_runners_leave_files_to_run_scenario():
+    # A runner yields (stem, table) pairs; run_scenario alone names and writes the files.
+    source = Path(cli.__file__).read_text()
+    assert _runner_file_access(source) == []
+    assert {fn.__name__ for fn, _ in cli._TABLE.values()} <= {
+        node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+    offender = ('def _run_x(p, report):\n    emit_output({}, p["format"], "x.csv")\n'
+                '    open("y").write("z")\n    Path("w").write_text(cfg.format)\n')
+    assert sorted(_runner_file_access(offender)) == [
+        "_run_x calls emit_output", "_run_x calls open", "_run_x calls write_text",
+        "_run_x reads format", "_run_x reads format"]
 
 
 # Values every key is also drawn from, whatever its domain: its edges and beyond.

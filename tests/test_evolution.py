@@ -62,11 +62,6 @@ class TestEvolveState:
             ratio = ev.evolve_state(state, t).norm_sq
             assert abs(ratio - math.exp(R * t)) <= 1e-10 * math.exp(R * t)
 
-    def test_normalized_returns_unit_state(self):
-        out = ev.evolve_state(three_state(), 1.3)
-        renorm = out.normalized()
-        assert np.sum(np.abs(renorm.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-12)
-
 
 class TestDensityMatrix:
     def test_hermiticity_enforced(self):

@@ -4,10 +4,12 @@ A name counts as used when the module reads it (an ``ast.Name`` anywhere in
 the tree) or exports it in ``__all__``.  ``from __future__`` imports are
 exempt.  Every name in a module's ``__all__`` must resolve on the imported
 module.  Every public function and class is reached by the package, a demo
-or the acceptance suite.
+or the acceptance suite, and so is every public method and property of a
+public class, unless it overrides a method of a base class.
 """
 
 import ast
+import builtins
 import importlib
 from pathlib import Path
 
@@ -67,15 +69,32 @@ def test_every_exported_name_resolves(path):
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
 
 
+def _inherited(base: str, classes: dict) -> set[str]:
+    """Attribute names class ``base`` defines: a class of the sources, with those of its
+    own bases, or else the builtin of that name (``object`` for any other class)."""
+    if base in classes:
+        methods, bases = classes[base]
+        return methods.union(*(_inherited(b, classes) for b in bases))
+    return set(dir(getattr(builtins, base, object)))
+
+
 def unreferenced_definitions(sources, callers) -> list[str]:
-    """Top-level public functions and classes of ``sources`` that no ``ast.Name`` or
-    ``ast.Attribute`` in ``callers`` names; a string in ``__all__`` does not count."""
-    defined = []
+    """Top-level public functions and classes of ``sources``, and public methods and
+    properties of those classes, that no ``ast.Name`` or ``ast.Attribute`` in ``callers``
+    names; a string in ``__all__`` does not count.  A method that overrides one of a
+    base class counts as reached."""
+    defined, classes = [], {}
     for path in sources:
         for node in ast.parse(path.read_text()).body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                defined.append(f"{path.stem}.{node.name}")
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            defined.append((f"{path.stem}.{node.name}", node.name, ()))
+            if isinstance(node, ast.ClassDef):
+                methods = {m.name for m in node.body if isinstance(m, ast.FunctionDef)}
+                bases = [ast.unparse(b).rsplit(".", 1)[-1] for b in node.bases]
+                classes[node.name] = methods, bases
+                defined += [(f"{path.stem}.{node.name}.{m}", m, bases)
+                            for m in sorted(methods) if not m.startswith("_")]
     named = set()
     for path in callers:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -83,7 +102,8 @@ def unreferenced_definitions(sources, callers) -> list[str]:
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
-    return [name for name in defined if name.split(".")[1] not in named]
+    return [full for full, name, bases in defined
+            if name not in named and not any(name in _inherited(b, classes) for b in bases)]
 
 
 def test_every_public_definition_is_reached():
@@ -98,9 +118,16 @@ def test_every_public_definition_is_reached():
     ("def lonely():\n    pass\n", "run(lonely=1)\n", ["mod.lonely"]),
     ("def used():\n    pass\n", "import mod\n\nmod.used()\n", []),
     ("def used():\n    pass\n", "from mod import used\n\nused()\n", []),
-    ("def _private():\n    pass\n\n\nclass Kept:\n    def method(self):\n        pass\n",
+    ("def _private():\n    pass\n\n\nclass Kept:\n    def _helper(self):\n        pass\n",
      "Kept\n", []),
-], ids=["function", "class", "all-strings", "keyword", "attribute", "name", "private-nested"])
+    ("class Kept:\n    def method(self):\n        pass\n", "Kept\n", ["mod.Kept.method"]),
+    ("class Kept:\n    @property\n    def size(self):\n        pass\n", "Kept().size\n", []),
+    ("class Text(str):\n    def upper(self):\n        pass\n", "Text\n", []),
+    ("class Base:\n    def run(self):\n        pass\n\n\nclass Child(Base):\n"
+     "    def run(self):\n        pass\n\n    def stop(self):\n        pass\n",
+     "Child\nBase\n", ["mod.Base.run", "mod.Child.stop"]),
+], ids=["function", "class", "all-strings", "keyword", "attribute", "name", "private-nested",
+        "method", "property", "builtin-override", "source-override"])
 def test_reach_rule(tmp_path, source, caller, flagged):
     # A name counts only as code that reads it; strings and keywords do not.
     module, user = tmp_path / "mod.py", tmp_path / "user.py"

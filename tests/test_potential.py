@@ -514,6 +514,17 @@ class TestSturmLiouville:
         with pytest.raises(ConvergenceError, match="only 25 eigenvalues exist"):
             pot.solve_sturm_liouville(self.box(n_eigen=50), n_grid=26)
 
+    @pytest.mark.parametrize("n_grid", [0, 1, 2, 3])
+    def test_tiny_grid_names_its_point_count(self, n_grid):
+        # Below 4 points the Numerov start, and below 3 the matrix, would index past the grid.
+        with pytest.raises(ValueError, match=f"at least 4 grid points, got n_grid = {n_grid}$"):
+            pot.solve_sturm_liouville(self.box(n_eigen=1), n_grid=n_grid)
+        if n_grid < 3:
+            with pytest.raises(ValueError, match=f"at least 3 grid points, got n_grid = {n_grid}$"):
+                pot.matrix_eigen(self.box(n_eigen=1), n_grid)
+        else:
+            assert pot.matrix_eigen(self.box(n_eigen=1), n_grid, eigvals_only=True).shape == (1,)
+
     def test_solution_validation(self):
         fields = vars(pot.solve_sturm_liouville(self.box(n_eigen=2)))
         assert list(fields) == ["eigenvalues", "matrix_eigenvalues"]

@@ -174,17 +174,17 @@ class TestHermitize:
         return detect_mp(CANON, 2.0, 2.0)
 
     def test_energy(self):
-        rec = EigenRecord("H", 0.375 + 0.5j)
+        rec = EigenRecord(0.375 + 0.5j)
         out = sp.hermitize_at_mp(rec, self.event())
         assert out.value == 0.375 + 0j
         assert out.at_mp
 
     def test_momentum(self):
-        rec = EigenRecord("P", 1.0 + 0.5j)
+        rec = EigenRecord(1.0 + 0.5j)
         assert sp.hermitize_at_mp(rec, self.event()).value == 1.0 + 0j
 
     def test_idempotent(self):
-        rec = EigenRecord("H", 0.375 + 0.0j, at_mp=True)
+        rec = EigenRecord(0.375 + 0.0j, at_mp=True)
         assert sp.hermitize_at_mp(rec, self.event()) == rec
 
     def test_rejects_off_mp_event(self):
@@ -192,7 +192,7 @@ class TestHermitize:
             x, t, speed = 2.0, 1.0, 1.0
 
         with pytest.raises(ValueError):
-            sp.hermitize_at_mp(EigenRecord("H", 0.375 + 0.5j), Probe())
+            sp.hermitize_at_mp(EigenRecord(0.375 + 0.5j), Probe())
 
 
 class TestCommutators:
