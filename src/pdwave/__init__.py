@@ -12,10 +12,8 @@ import importlib
 from .core import (
     Branch,
     ConvergenceError,
-    DEFAULT_CONSTANTS,
     EigenRecord,
     FreeWaveParams,
-    PhysicalConstants,
     RegionError,
     dispersion_omega,
     make_free_state,
@@ -24,10 +22,8 @@ from .core import (
 __all__ = [
     "Branch",
     "ConvergenceError",
-    "DEFAULT_CONSTANTS",
     "EigenRecord",
     "FreeWaveParams",
-    "PhysicalConstants",
     "RegionError",
     "dispersion_omega",
     "make_free_state",

@@ -12,13 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    ConvergenceError,
-    DEFAULT_CONSTANTS,
-    FreeWaveParams,
-    PhysicalConstants,
-    _gauss_segment,
-)
+from .core import ConvergenceError, FreeWaveParams, _gauss_segment
 
 __all__ = [
     "ComplexSampleSet",
@@ -93,13 +87,11 @@ def uncertainty_decompose(samples: ComplexSampleSet) -> UncertaintyReport:
     )
 
 
-def heisenberg_check(
-    dx_imag: float, dp_imag: float, constants: PhysicalConstants = DEFAULT_CONSTANTS
-) -> bool:
+def heisenberg_check(dx_imag: float, dp_imag: float) -> bool:
     """Imaginary-part uncertainty product against the floor hbar/2."""
     if dx_imag < 0.0 or dp_imag < 0.0:
         raise ValueError("uncertainties must be nonnegative")
-    return dx_imag * dp_imag >= 0.5 * constants.hbar
+    return dx_imag * dp_imag >= 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,14 +129,14 @@ def _adaptive_segment(f, a: complex, b: complex, tol: float, depth: int = 0) -> 
     )
 
 
-def contour_integral(params: FreeWaveParams, contour: Contour, tol: float = 1e-10) -> complex:
+def contour_integral(params: FreeWaveParams, contour: Contour) -> complex:
     """Integrate the branch density exp[-sign*R*z/v] along a polyline.
 
     The sign is the state's ``branch.sign``: +1 incoming, -1 outgoing.  The
     density is entire in the complex position z, so a closed contour
     integrates to zero (Cauchy) and open paths with the same endpoints
     agree.  Each segment uses order-16 Gauss-Legendre with adaptive
-    bisection, at most 12 halvings deep, until the split disagreement is below ``tol``.
+    bisection, at most 12 halvings deep, until the split disagreement is below 1e-10.
     """
     v = contour.vertices
     if np.any(v[1:] == v[:-1]):
@@ -156,7 +148,7 @@ def contour_integral(params: FreeWaveParams, contour: Contour, tol: float = 1e-1
 
     total = 0.0 + 0.0j
     for a, b in zip(v[:-1], v[1:]):
-        total += _adaptive_segment(density, complex(a), complex(b), tol)
+        total += _adaptive_segment(density, complex(a), complex(b), 1e-10)
     return total
 
 
@@ -168,8 +160,5 @@ def quantum_potential(params: FreeWaveParams, x: float, t: float) -> float:
     the plane-wave energy and the family's frequency.  It vanishes for the
     R = 0 plane wave left at a measurement point.
     """
-    if params.v == 0.0:
-        return 0.0
     r = params.R / params.v
-    hbar, m = params.constants.hbar, params.constants.mass
-    return hbar * hbar / (4.0 * m) * (0.5 * r * r)
+    return 0.25 * (0.5 * r * r)

@@ -1,7 +1,8 @@
-"""Shared domain types, physical constants, and validated constructors.
+"""Shared domain types, the arrival rule, and validated constructors.
 
-Complex-valued quantities (eigenvalues, wave amplitudes, complex positions
-and times) are represented with Python's built-in ``complex``.
+The library works in natural units, hbar = m = k_B = 1; formulas keep their
+symbols.  Complex-valued quantities (eigenvalues, wave amplitudes, complex
+positions and times) are represented with Python's built-in ``complex``.
 """
 
 from __future__ import annotations
@@ -31,24 +32,6 @@ class ConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Fundamental constants in natural units (all default to 1)."""
-
-    hbar: float = 1.0
-    mass: float = 1.0
-    kB: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name in ("hbar", "mass", "kB"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
-
-
-DEFAULT_CONSTANTS = PhysicalConstants()
-
-
 class Branch(enum.Enum):
     """Side of the arrival line t = tau(x) a traveling wave occupies.
 
@@ -66,24 +49,28 @@ class Branch(enum.Enum):
         return 1 if self is Branch.INCOMING else -1
 
 
+# Relative width of the arrival line t = tau(x), shared by envelope_lag and on_arrival.
+_ARRIVAL_TOL = 1e-9
+
+
 def envelope_lag(branch: Branch, t: float, tau):
     """Signed lag sign*(t - tau) of probes with arrival times tau at time t.
 
     The lag is at most 0 on the branch's side of the arrival line.  Raises
-    RegionError when any lag exceeds 1e-9*max(1, |t|, max|tau|).
+    RegionError when any lag exceeds _ARRIVAL_TOL*max(1, |t|, max|tau|).
     """
     tau = np.asarray(tau, dtype=float)
     lag = branch.sign * (t - tau)
-    slack = 1e-9 * max(1.0, abs(t), float(np.max(np.abs(tau))))
+    slack = _ARRIVAL_TOL * max(1.0, abs(t), float(np.max(np.abs(tau))))
     if np.any(lag > slack):
         raise RegionError(f"{branch.value} probe at t = {t} lags {float(np.max(lag))} "
                           "past its arrival line t = tau(x)")
     return lag
 
 
-def on_arrival(t: float, tau: float, tol: float = 1e-9) -> bool:
-    """|t - tau| <= tol*max(1, |t|, |tau|): at tol = 1e-9, both envelope_lag branches accept t."""
-    return abs(t - tau) <= tol * max(1.0, abs(t), abs(tau))
+def on_arrival(t: float, tau: float) -> bool:
+    """|t - tau| <= _ARRIVAL_TOL*max(1, |t|, |tau|): both envelope_lag branches accept t."""
+    return abs(t - tau) <= _ARRIVAL_TOL * max(1.0, abs(t), abs(tau))
 
 
 def stencil_step(step: float, room: float) -> float:
@@ -119,29 +106,21 @@ def central_difference(f, z, h, order: int = 1):
 class MeasurementEvent:
     """Arrival of a wave peak at the device particle at (x, t).
 
-    ``tau`` is the arriving component's arrival time at x, x/speed for a
-    free wave when omitted.  An event exists only on arrival: construction
-    raises ValueError unless ``on_arrival(t, tau, tol)``.
+    ``tau`` is the arriving component's arrival time at x, x/v for a free
+    wave.  An event exists only on arrival: construction raises ValueError
+    unless ``on_arrival(t, tau)``.
     """
 
     x: float
     t: float
-    speed: float
-    tol: float = 1e-9
-    tau: float | None = None
+    tau: float
 
     def __post_init__(self) -> None:
-        if self.tau is None:
-            if self.speed == 0.0:
-                raise ValueError("a wave of speed 0 never arrives: an event needs tau")
-            object.__setattr__(self, "tau", self.x / self.speed)
-        if not on_arrival(self.t, self.tau, self.tol):
+        if not on_arrival(self.t, self.tau):
             raise ValueError(f"event at t = {self.t} is off the arrival line t = {self.tau}")
 
 
-def dispersion_omega(
-    k: float, R: float, v: float, constants: PhysicalConstants = DEFAULT_CONSTANTS
-) -> float:
+def dispersion_omega(k: float, R: float, v: float) -> float:
     """Angular frequency of the exponential-envelope free wave.
 
     hbar*omega = hbar^2 k^2 / (2 m) - hbar^2 R^2 / (8 m v^2); the second
@@ -152,9 +131,8 @@ def dispersion_omega(
         raise ValueError("k, R, v must be finite")
     if v <= 0.0:
         raise ValueError(f"v must be positive, got {v!r}")
-    hbar, m = constants.hbar, constants.mass
     # (R/v)*(R/v), not (R/v)**2, which raises an unnamed OverflowError on Python floats.
-    omega = hbar * k * k / (2.0 * m) - hbar * (R / v) * (R / v) / (8.0 * m)
+    omega = k * k / 2.0 - (R / v) * (R / v) / 8.0
     if not math.isfinite(omega):
         raise OverflowError(f"dispersion omega leaves float range at R = {R!r}, v = {v!r}")
     return omega
@@ -174,7 +152,6 @@ class FreeWaveParams:
     R: float
     v: float
     branch: Branch
-    constants: PhysicalConstants = DEFAULT_CONSTANTS
 
     def __post_init__(self) -> None:
         for name in ("k", "omega", "R", "v"):
@@ -182,8 +159,8 @@ class FreeWaveParams:
                 raise ValueError(f"{name} must be finite")
         if self.R < 0.0:
             raise ValueError(f"envelope rate R must be nonnegative, got {self.R!r}")
-        if self.v < 0.0:
-            raise ValueError(f"speed v must be nonnegative, got {self.v!r}")
+        if self.v <= 0.0:
+            raise ValueError(f"speed v must be positive, got {self.v!r}")
 
     @property
     def is_normalized(self) -> bool:
@@ -231,23 +208,11 @@ def _panel_quadrature(f, a: float, b: float) -> float:
     return float(total)
 
 
-def make_free_state(
-    v: float,
-    R: float,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
-    branch: Branch = Branch.INCOMING,
-) -> FreeWaveParams:
-    """Construct a free wave state moving along +x with speed v.
+def make_free_state(v: float, R: float) -> FreeWaveParams:
+    """Construct an incoming free wave state moving along +x with speed v.
 
     Sets k = m*v/hbar and omega from the dispersion relation, so every
     returned state satisfies the family invariants.
     """
-    if not (math.isfinite(v) and math.isfinite(R)):
-        raise ValueError("v and R must be finite")
-    if v <= 0.0:
-        raise ValueError(f"v must be positive, got {v!r}")
-    if R < 0.0:
-        raise ValueError(f"R must be nonnegative, got {R!r}")
-    k = constants.mass * v / constants.hbar
-    omega = dispersion_omega(k, R, v, constants)
-    return FreeWaveParams(k=k, omega=omega, R=R, v=v, branch=branch, constants=constants)
+    k = v  # m*v/hbar in natural units
+    return FreeWaveParams(k=k, omega=dispersion_omega(k, R, v), R=R, v=v, branch=Branch.INCOMING)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_CONSTANTS, FreeWaveParams, PhysicalConstants
+from .core import FreeWaveParams
 
 __all__ = [
     "SuperposedState",
@@ -126,12 +126,7 @@ class DensityMatrix:
         return cls(entries=flat.reshape(n, n))
 
 
-def evolve_density(
-    rho0: DensityMatrix,
-    eigs,
-    t: float,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
-) -> DensityMatrix:
+def evolve_density(rho0: DensityMatrix, eigs, t: float) -> DensityMatrix:
     """Conjugate rho0 by the diagonal evolution exp(-i*H*t/hbar).
 
     ``eigs`` are the per-component complex energies hbar*omega_i +
@@ -141,7 +136,7 @@ def evolve_density(
     eigs = np.asarray(eigs, dtype=complex)
     if eigs.size != rho0.n:
         raise ValueError("need one eigenvalue per component")
-    m = np.exp(-1j * eigs * t / constants.hbar)
+    m = np.exp(-1j * eigs * t)
     return DensityMatrix(entries=np.outer(m, m.conj()) * rho0.entries)
 
 
@@ -181,16 +176,16 @@ def entropy_trajectory(
 ) -> EntropyTrajectory:
     """Entropy S(t) = -k_B * v * t of a state measured at t = 0.
 
-    k_B and v are the dominant component's, which must be normalized
-    (R = v): the unmeasured norm v/R then combines with the energy's
-    imaginary part to give a constant slope -k_B*v.  Any time listed in
+    v is the dominant component's, which must be normalized (R = v): the
+    unmeasured norm v/R then combines with the energy's imaginary part to
+    give a constant slope -k_B*v.  Any time listed in
     ``measurement_times`` resets the entropy to zero (a measurement).
     """
     dominant = state.waves[int(np.argmax(np.abs(state.amplitudes)))]
     if not dominant.is_normalized:
         raise ValueError("entropy trajectory requires a normalized state (R = v)")
     ts = np.asarray(times, dtype=float)
-    S = -dominant.constants.kB * dominant.v * ts
+    S = -dominant.v * ts
     m_ts = np.asarray(list(measurement_times), dtype=float)
     return EntropyTrajectory(
         times=ts,

@@ -1,11 +1,12 @@
 """Measurement-point detection, outcome sampling, and projection postulates.
 
-A measurement happens where a component's probability-wave peak reaches the
-device particle x, at its arrival time t = tau(x) (``core.on_arrival``).
-Outcomes are drawn categorically from the squared amplitudes; projection
-collapses the superposition to a single unit-amplitude component whose
-wave is a plane wave at the measurement point.  Composites pair system
-and pointer waves with postulated pointer orthogonality.
+A measurement happens where a free component's probability-wave peak
+reaches the device particle x, at its arrival time t = x/v
+(``core.on_arrival``).  Outcomes are drawn categorically from the squared
+amplitudes; projection collapses the superposition to a single
+unit-amplitude component, re-emitted on the outgoing branch from the
+measurement point.  Composites pair system and pointer waves with
+postulated pointer orthogonality.
 """
 
 from __future__ import annotations
@@ -34,27 +35,20 @@ __all__ = [
 ]
 
 
-def detect_mp(target, x: float, t: float, tol: float = 1e-9) -> MeasurementEvent | None:
+def detect_mp(target, x: float, t: float) -> MeasurementEvent | None:
     """Return a measurement event iff a wave peak arrives at (x, t).
 
-    ``target`` may be a FreeWaveParams (arrival time tau = x/v), a
-    PotentialSpec (tau = arrival_time(x)), or a SuperposedState (the first
-    component that arrives; one with v = 0 never does).  The condition is
-    ``on_arrival(t, tau, tol)``.  Absence of an event is a value, not an error.
+    ``target`` may be a FreeWaveParams or a SuperposedState (the first
+    component that arrives); a wave's arrival time at x is tau = x/v.  The
+    condition is ``on_arrival(t, tau)``.  Absence of an event is a value,
+    not an error.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if isinstance(target, (FreeWaveParams, SuperposedState)):
-        waves = target.waves if isinstance(target, SuperposedState) else (target,)
-        arrivals = [(wave.v, x / wave.v) for wave in waves if wave.v > 0.0]
-    else:
-        from .potential import PotentialSpec, arrival_time  # only this branch needs it
-        if not isinstance(target, PotentialSpec):
-            raise TypeError(f"cannot detect a measurement point on {type(target).__name__}")
-        arrivals = [(float(target.v_at(x)), arrival_time(target, x))]
-    for speed, tau in arrivals:
-        if on_arrival(t, tau, tol):
-            return MeasurementEvent(x=x, t=t, speed=speed, tol=tol, tau=tau)
+    if not isinstance(target, (FreeWaveParams, SuperposedState)):
+        raise TypeError(f"cannot detect a measurement point on {type(target).__name__}")
+    waves = target.waves if isinstance(target, SuperposedState) else (target,)
+    for tau in (x / wave.v for wave in waves):
+        if on_arrival(t, tau):
+            return MeasurementEvent(x=x, t=t, tau=tau)
     return None
 
 
@@ -122,44 +116,27 @@ def run_ensemble(
     )
 
 
-def _post_measurement_waves(waves: tuple, outcome: int, record: bool) -> tuple:
-    """Replace the measured component by the plane wave left at the event.
-
-    A recorded outcome absorbs the particle (R = v = 0 stops it); otherwise
-    it is re-emitted on the outgoing branch.
-    """
+def _post_measurement_waves(waves: tuple, outcome: int) -> tuple:
+    """Re-emit the measured component on the outgoing branch from the event."""
     if not 0 <= outcome < len(waves):
         raise ValueError("outcome index out of range")
-    wave = waves[outcome]
-    if record:
-        post = FreeWaveParams(
-            k=0.0, omega=0.0, R=0.0, v=0.0, branch=wave.branch, constants=wave.constants
-        )
-    else:
-        post = replace(wave, branch=Branch.OUTGOING)
+    post = replace(waves[outcome], branch=Branch.OUTGOING)
     return tuple(post if i == outcome else w for i, w in enumerate(waves))
 
 
-def dirac_project(
-    state: SuperposedState,
-    outcome: int,
-    event: MeasurementEvent,
-    record: bool = False,
-) -> SuperposedState:
+def dirac_project(state: SuperposedState, outcome: int, event: MeasurementEvent) -> SuperposedState:
     """Collapse a superposition to the component found at the event.
 
-    The surviving amplitude is exactly one and the surviving wave is the
-    measurement-point plane wave: with ``record=True`` the particle is
-    stopped and absorbed (R = v = 0); otherwise it is re-emitted on the
-    outgoing branch.  On a CompositeState this is von Neumann projection:
+    The surviving amplitude is exactly one and the surviving wave leaves the
+    measurement point on the outgoing branch.  On a CompositeState this is
+    von Neumann projection:
     the pointer factor follows the same rule and ``collapsed`` becomes True.
     A no-op when every field already holds its post-measurement value;
     otherwise the event must be the outcome component's arrival.
     """
-    changes = {"waves": _post_measurement_waves(state.waves, outcome, record)}
+    changes = {"waves": _post_measurement_waves(state.waves, outcome)}
     if isinstance(state, CompositeState):
-        changes["pointer_components"] = _post_measurement_waves(
-            state.pointer_components, outcome, record)
+        changes["pointer_components"] = _post_measurement_waves(state.pointer_components, outcome)
         changes["collapsed"] = True
     amps = np.zeros(state.n, dtype=complex)
     amps[outcome] = 1.0
@@ -168,7 +145,7 @@ def dirac_project(
     ):
         return state
     wave = state.waves[outcome]
-    if not (wave.v > 0.0 and on_arrival(event.t, event.x / wave.v, event.tol)):
+    if not on_arrival(event.t, event.x / wave.v):
         raise ValueError("event does not match the outcome component's arrival")
     return replace(state, amplitudes=amps, **changes)
 
@@ -230,12 +207,10 @@ def composite_schrodinger_residual(
     x2 = grid_pointer.xs()[None, :]
     # theta at shifted x1 or x2: the factor that stays put is evaluated once.
     psi, phi = psi_free(psi_w, x1, t), psi_free(phi_w, x2, t)
-    hbar = psi_w.constants.hbar
-    c = hbar * hbar / (2.0 * psi_w.constants.mass)
     d_t = central_difference(lambda tt: psi_free(psi_w, x1, tt) * psi_free(phi_w, x2, tt), t, h_t)
     d_11 = central_difference(lambda a: psi_free(psi_w, a, t) * phi, x1, h_x, order=2)
     d_22 = central_difference(lambda b: psi * psi_free(phi_w, b, t), x2, h_x, order=2)
-    return float(np.max(np.abs(1j * hbar * d_t + c * (d_11 + d_22))))
+    return float(np.max(np.abs(1j * d_t + 0.5 * (d_11 + d_22))))
 
 
 def mixture_density(states, weights) -> DensityMatrix:

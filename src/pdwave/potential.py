@@ -20,15 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DEFAULT_CONSTANTS,
-    Branch,
-    ConvergenceError,
-    PhysicalConstants,
-    central_difference,
-    envelope_lag,
-    stencil_step,
-)
+from .core import Branch, ConvergenceError, central_difference, envelope_lag, stencil_step
 from .freewave import Grid1D
 
 __all__ = [
@@ -146,7 +138,6 @@ class PotentialSpec:
     kx: np.ndarray
     R: float
     omega: float
-    constants: PhysicalConstants = DEFAULT_CONSTANTS
 
     def __post_init__(self) -> None:
         xs = np.asarray(self.x_samples, dtype=float)
@@ -171,11 +162,10 @@ class PotentialSpec:
         object.__setattr__(self, "kx", kx)
 
         k_spline = _spline(xs, kx)
-        v = self.constants.hbar * kx / self.constants.mass
         # Positivity can fail between nodes even when samples are positive.
         if k_spline.minimum() <= 0.0:
             raise ValueError("interpolated k(x) dips to zero between samples")
-        inv_v_spline = _spline(xs, 1.0 / v)
+        inv_v_spline = _spline(xs, 1.0 / kx)  # v = hbar*k/m = k
         object.__setattr__(self, "_k_spline", k_spline)
         object.__setattr__(self, "_tau_spline", inv_v_spline.antiderivative())
         object.__setattr__(self, "_phase_spline", k_spline.antiderivative())
@@ -192,7 +182,7 @@ class PotentialSpec:
         return self._k_spline(x)
 
     def v_at(self, x):
-        return self.constants.hbar * self._k_spline(x) / self.constants.mass
+        return self._k_spline(x)
 
     def _check_domain(self, x) -> None:
         xs = np.asarray(x, dtype=float)
@@ -215,18 +205,17 @@ def _phase(spec: PotentialSpec, x):
     return spec._phase_spline(x) - spec._phase_spline(spec.x_start)
 
 
-def psi_potential(spec: PotentialSpec, branch: Branch, x, t: float, x_mp=None):
+def psi_potential(spec: PotentialSpec, branch: Branch, x, t: float, x_mp):
     """Wave function of the potential state at (x, t).
 
     |k_mp/k(x)|^(1/2) * exp[+-(R/2)(t - tau(x))] * exp[i(phase(x) - omega*t)],
     where tau is the arrival-time integral and k_mp = k at the measurement
-    point ``x_mp`` (defaults to the probe x, which pins |psi| = 1 on
-    arrival there).  Probes on the wrong side of arrival raise RegionError.
+    point ``x_mp``.  Probes on the wrong side of arrival raise RegionError.
     """
     lag = envelope_lag(branch, t, arrival_time(spec, x))
     xs = np.asarray(x, dtype=float)
     k_here = spec.k_at(xs)
-    k_mp = spec.k_at(x_mp) if x_mp is not None else k_here
+    k_mp = spec.k_at(x_mp)
     prefactor = np.sqrt(np.abs(k_mp / k_here))
     envelope = np.exp(0.5 * spec.R * lag)
     phase = np.exp(1j * (_phase(spec, xs) - spec.omega * t))
@@ -234,31 +223,30 @@ def psi_potential(spec: PotentialSpec, branch: Branch, x, t: float, x_mp=None):
     return complex(out) if np.isscalar(x) else out
 
 
-def prob_density_potential(spec: PotentialSpec, branch: Branch, x, t: float, x_mp=None):
+def prob_density_potential(spec: PotentialSpec, branch: Branch, x, t: float, x_mp):
     """Probability density (k_mp/|k(x)|) * exp[+-R(t - tau(x))]."""
     lag = envelope_lag(branch, t, arrival_time(spec, x))
     xs = np.asarray(x, dtype=float)
     k_here = spec.k_at(xs)
-    k_mp = spec.k_at(x_mp) if x_mp is not None else k_here
+    k_mp = spec.k_at(x_mp)
     out = np.abs(k_mp / k_here) * np.exp(spec.R * lag)
     return float(out) if np.isscalar(x) else out
 
 
-def continuity_residual(spec: PotentialSpec, branch: Branch, grid: Grid1D, density=None) -> float:
+def continuity_residual(spec: PotentialSpec, branch: Branch, grid: Grid1D) -> float:
     """Max |dP/dt + d(P*v)/dx| over the grid, by ``core.central_difference``.
 
     The identity holds exactly for the family's density, so the returned
-    value measures finite-difference truncation.  ``density`` may override
-    the density function (used to verify the check catches injected
-    defects).  The steps are 1e-2 over the density's rates R/v_min in x and
-    R in t, each capped by ``stencil_step`` at a quarter of the room to the
-    arrival line, so the whole stencil stays inside one branch region.
+    value measures finite-difference truncation.  The steps are 1e-2 over
+    the density's rates R/v_min in x and R in t, each capped by
+    ``stencil_step`` at a quarter of the room to the arrival line, so the
+    whole stencil stays inside one branch region.
     """
     xs = grid.xs()
     t = grid.t
-    if density is None:
-        def density(x_, t_):
-            return prob_density_potential(spec, branch, x_, t_, x_mp=spec.x_start)
+
+    def density(x_, t_):
+        return prob_density_potential(spec, branch, x_, t_, x_mp=spec.x_start)
 
     room_t = -float(np.max(envelope_lag(branch, t, arrival_time(spec, xs))))
     v_min = float(np.min(spec.v_at(np.linspace(spec.x_start, spec.x_end, 256))))
@@ -299,7 +287,6 @@ class SLProblem:
     kx: np.ndarray
     V: np.ndarray
     n_eigen: int
-    constants: PhysicalConstants = DEFAULT_CONSTANTS
 
     def __post_init__(self) -> None:
         if not self.x0 < self.x_end:
@@ -314,8 +301,7 @@ class SLProblem:
         V.setflags(write=False)
         object.__setattr__(self, "kx", kx)
         object.__setattr__(self, "V", V)
-        hbar, m = self.constants.hbar, self.constants.mass
-        w = hbar * hbar * kx**2 / (2.0 * m) + V
+        w = kx**2 / 2.0 + V
         if not np.all(np.isfinite(w)):
             raise ValueError("effective potential hbar^2 k^2/2m + V must be finite")
         object.__setattr__(self, "_w_spline", _spline(self.sample_grid(), w))
@@ -359,10 +345,9 @@ def matrix_eigen(problem: SLProblem, n_grid: int, eigvals_only: bool = False):
         )
     x = np.linspace(problem.x0, problem.x_end, n_grid)
     h = x[1] - x[0]
-    c = problem.constants.hbar**2 / (2.0 * problem.constants.mass)
-    # Unknowns at x[0..n-2]; R(x_end) = 0 eliminated.
-    diag = 2.0 * c / h**2 + problem.effective_potential(x)[:-1]
-    off = np.full(n_grid - 2, -c / h**2)
+    # Unknowns at x[0..n-2]; R(x_end) = 0 eliminated; hbar^2/2m = 1/2.
+    diag = 1.0 / h**2 + problem.effective_potential(x)[:-1]
+    off = np.full(n_grid - 2, -0.5 / h**2)
     off[0] *= math.sqrt(2.0)  # symmetrized Neumann ghost row
     lowest = {"select": "i", "select_range": (0, problem.n_eigen - 1)}
     if eigvals_only:
@@ -394,9 +379,7 @@ def _numerov_band(n_grid: int) -> np.ndarray:
     return band
 
 
-def _numerov_sweep(
-    E: float, x: np.ndarray, W: np.ndarray, constants: PhysicalConstants, band=None
-) -> tuple[int, float, int]:
+def _numerov_sweep(E: float, x: np.ndarray, W: np.ndarray, band=None) -> tuple[int, float, int]:
     """Numerov integration of R'' = f(x) R from a Neumann start.
 
     Returns ``(nodes, y_end, rescales)``: the interior node count, which by
@@ -422,8 +405,7 @@ def _numerov_sweep(
     would rescale, so ``(nodes, y_end, rescales)`` are the loop's bits.
     """
     h = x[1] - x[0]
-    two_m = 2.0 * constants.mass / constants.hbar**2
-    f = two_m * (W - E)
+    f = 2.0 * (W - E)  # 2m/hbar^2 (W - E)
     # Taylor start through h^4 keeps the scheme fourth-order at the edge.
     f0 = f[0]
     fp0 = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
@@ -491,12 +473,11 @@ def _shooting_eigenvalues(problem: SLProblem, n_grid: int, seeds=()) -> tuple[np
     wrong seed costs sweeps but cannot change the answer; a non-finite one
     is skipped.  Returns ``(eigenvalues, sweeps)``, the Numerov sweeps taken.
     """
-    n_eigen, constants = problem.n_eigen, problem.constants
+    n_eigen = problem.n_eigen
     x = np.linspace(problem.x0, problem.x_end, n_grid)
     W = problem.effective_potential(x)
     band = _numerov_band(n_grid)
     L = problem.x_end - problem.x0
-    c = constants.hbar**2 / (2.0 * constants.mass)
     # The tightest (E, nodes, y_end, rescales) swept below and above each eigenvalue.
     lo = [(-math.inf,)] * n_eigen
     hi = [(math.inf,)] * n_eigen
@@ -505,7 +486,7 @@ def _shooting_eigenvalues(problem: SLProblem, n_grid: int, seeds=()) -> tuple[np
     def shoot(E: float) -> int:
         nonlocal sweeps
         sweeps += 1
-        nodes, y_end, rescales = _numerov_sweep(E, x, W, constants, band)
+        nodes, y_end, rescales = _numerov_sweep(E, x, W, band)
         point = (E, nodes, y_end, rescales)
         for j in range(nodes, n_eigen):
             if E > lo[j][0]:
@@ -520,7 +501,7 @@ def _shooting_eigenvalues(problem: SLProblem, n_grid: int, seeds=()) -> tuple[np
     spurious = shoot(e_lo)
     if spurious:
         raise ConvergenceError(f"Numerov sweep counts {spurious} nodes below min(W)")
-    e_hi = float(np.min(W)) + c * ((n_eigen + 2) * math.pi / L) ** 2
+    e_hi = float(np.min(W)) + 0.5 * ((n_eigen + 2) * math.pi / L) ** 2
     for _ in range(80):
         if shoot(e_hi) > n_eigen:
             break
@@ -592,21 +573,22 @@ def solve_sturm_liouville(problem: SLProblem, n_grid: int = 2001) -> SLSolution:
     steps over fourth-order Numerov sweeps on ``n_grid`` points, seeded by the
     matrix values; node counts still decide every bracket, so on a grid that
     resolves the modes the two stay independent.  ``matrix_eigen`` gives the
-    eigenfunctions.  Fewer than 4 points raise ValueError, and fewer than
-    ``n_eigen + 1`` ConvergenceError.
+    eigenfunctions.  Fewer than 4 points, or fewer than 2 a level, raise
+    ValueError.
     """
     if n_grid < 4:  # the Numerov start takes f''(x0) from 4 points
         raise ValueError("solve_sturm_liouville needs at least 4 grid points, "
                          f"got n_grid = {n_grid}")
+    if n_grid < 2 * problem.n_eigen:  # under 2 points a level, Numerov's levels are spurious
+        raise ValueError(f"n_grid = {n_grid} has fewer than 2 points per level of "
+                         f"n_eigen = {problem.n_eigen}: it must be at least {2 * problem.n_eigen}")
     matrix = _richardson(matrix_eigen(problem, 2 * n_grid - 1, eigvals_only=True),
                          matrix_eigen(problem, n_grid, eigvals_only=True))
     eigenvalues, _ = _shooting_eigenvalues(problem, n_grid, seeds=matrix)
     return SLSolution(eigenvalues, matrix)
 
 
-def mode_arrival_times(
-    eigenvalues, x: float, constants: PhysicalConstants = DEFAULT_CONSTANTS
-) -> np.ndarray:
+def mode_arrival_times(eigenvalues, x: float) -> np.ndarray:
     """Arrival times x/v_n for mode speeds v_n = hbar*k_n/m, k_n from E_n.
 
     Distinct discrete energies give a strictly ordered set of times.
@@ -614,18 +596,10 @@ def mode_arrival_times(
     E = np.asarray(eigenvalues, dtype=float)
     if np.any(E <= 0):
         raise ValueError("mode energies must be positive to define a speed")
-    k_n = np.sqrt(2.0 * constants.mass * E) / constants.hbar
-    v_n = constants.hbar * k_n / constants.mass
-    return x / v_n
+    return x / np.sqrt(2.0 * E)  # v_n = k_n = sqrt(2 E_n)
 
 
-def load_potential_tables(
-    v_table_path,
-    k_table_path,
-    R: float,
-    omega: float,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
-) -> PotentialSpec:
+def load_potential_tables(v_table_path, k_table_path, R: float, omega: float) -> PotentialSpec:
     """Build a PotentialSpec from two whitespace-separated text tables.
 
     ``v_table_path`` holds rows "x V" and ``k_table_path`` rows "x k";
@@ -645,4 +619,4 @@ def load_potential_tables(
         kx = xk[:, 1]
     else:
         kx = _spline(xk[:, 0], xk[:, 1])(x)
-    return PotentialSpec(x_samples=x, V=V, kx=kx, R=R, omega=omega, constants=constants)
+    return PotentialSpec(x_samples=x, V=V, kx=kx, R=R, omega=omega)

@@ -2,9 +2,10 @@
 
 Observables act spectrally: on a family state each operator returns a
 complex scalar eigenvalue, whose imaginary part is proportional to the
-envelope rate and drops to zero at the measurement point (hermitization).
-The complex space-time embedding x_c = x + ix, t_c = t + it carries a
-plane wave on which the canonical commutators are checked numerically.
+envelope rate; ``hermitize_at_mp`` drops it at a measurement event.  The
+complex space-time embedding x_c = x + ix, t_c = t + it carries a plane
+wave on which the canonical commutators are checked numerically.  Units
+are natural (hbar = m = 1), as everywhere in pdwave.
 """
 
 from __future__ import annotations
@@ -14,15 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .core import (
-    Branch,
-    EigenRecord,
-    FreeWaveParams,
-    MeasurementEvent,
-    central_difference,
-    envelope_lag,
-    on_arrival,
-)
+from .core import EigenRecord, FreeWaveParams, MeasurementEvent, central_difference
 
 __all__ = [
     "apply_observable",
@@ -33,41 +26,28 @@ __all__ = [
 ]
 
 
-def apply_observable(
-    obs: str,
-    state: FreeWaveParams,
-    at: tuple[float, float] | None = None,
-    t0: float | None = None,
-) -> EigenRecord:
+def apply_observable(obs: str, state: FreeWaveParams, t0: float | None = None) -> EigenRecord:
     """Spectral value of an observable on a family state.
 
     H -> hbar*omega + i*hbar*R/2;  Hdagger -> its conjugate;
     P -> hbar*k + i*hbar*R/(2v);  S -> v*t0 + i*hbar*R*t0/(2 m v)
     (position of the system at a time t0 before the probe's arrival x/v).
-    When ``at`` = (x, t) is on the arrival line t = x/v of a moving state,
-    the hermitized (real) value is returned with ``at_mp=True``.
+    The value is the unmeasured, complex one; ``hermitize_at_mp`` takes it
+    to the measurement point.
     """
-    hbar, m = state.constants.hbar, state.constants.mass
-    if obs in ("P", "S") and state.v == 0.0:
-        raise ValueError(f"observable {obs} needs v > 0: at v = 0 its imaginary part divides by v")
     if obs == "H":
-        value = complex(hbar * state.omega, 0.5 * hbar * state.R)
+        value = complex(state.omega, 0.5 * state.R)
     elif obs == "Hdagger":
-        value = complex(hbar * state.omega, -0.5 * hbar * state.R)
+        value = complex(state.omega, -0.5 * state.R)
     elif obs == "P":
-        value = complex(hbar * state.k, 0.5 * hbar * state.R / state.v)
+        value = complex(state.k, 0.5 * state.R / state.v)
     elif obs == "S":
         if t0 is None:
             raise ValueError("S requires the sampling time t0")
-        if at is not None:
-            envelope_lag(Branch.INCOMING, t0, at[0] / state.v)
-        value = complex(state.v * t0, 0.5 * hbar * state.R * t0 / (m * state.v))
+        value = complex(state.v * t0, 0.5 * state.R * t0 / state.v)
     else:
         raise ValueError(f"unknown observable {obs!r}")
-
-    if at is not None and state.v > 0.0 and on_arrival(at[1], at[0] / state.v):
-        return EigenRecord(value=complex(value.real, 0.0), at_mp=True)
-    return EigenRecord(value=value, at_mp=False)
+    return EigenRecord(value=value)
 
 
 def hermitize_at_mp(record: EigenRecord, event: MeasurementEvent) -> EigenRecord:
@@ -102,7 +82,6 @@ def commutator_check(pair: str, state: FreeWaveParams, probe_grid) -> complex:
     t_c realized as multiplication by x_c / v on the family and
     H_c = -(hbar^2/2m) d^2/dx_c^2.  Both must equal i*hbar.
     """
-    hbar, m = state.constants.hbar, state.constants.mass
     z = np.asarray(probe_grid, dtype=float) * (1.0 + 1.0j)
     if z.size == 0:
         raise ValueError("probe grid is empty")
@@ -115,33 +94,31 @@ def commutator_check(pair: str, state: FreeWaveParams, probe_grid) -> complex:
     if np.any(underflow):
         raise ValueError(f"|psi| underflows at probe point {z[np.argmax(underflow)]}")
     if pair == "XcPc":
-        ab = z * (-1j * hbar) * central_difference(psi, z, _STEP)
-        ba = -1j * hbar * central_difference(lambda u: u * psi(u), z, _STEP)
+        ab = z * -1j * central_difference(psi, z, _STEP)
+        ba = -1j * central_difference(lambda u: u * psi(u), z, _STEP)
     elif pair == "TcHc":
-        c = -hbar * hbar / (2.0 * m)
-        ab = (z / state.v) * c * central_difference(psi, z, _STEP, order=2)
-        ba = c * central_difference(lambda u: (u / state.v) * psi(u), z, _STEP, order=2)
+        ab = (z / state.v) * -0.5 * central_difference(psi, z, _STEP, order=2)
+        ba = -0.5 * central_difference(lambda u: (u / state.v) * psi(u), z, _STEP, order=2)
     else:
         raise ValueError(f"unknown commutator pair {pair!r}")
     return complex(np.mean((ab - ba) / psi_z))
 
 
-def complex_schrodinger_residual(state: FreeWaveParams, probe_grid, t: float = 0.0) -> float:
+def complex_schrodinger_residual(state: FreeWaveParams, probe_grid) -> float:
     """Max residual of -(hbar^2/2m) psi_xx = i hbar psi_t in complex space-time.
 
     Derivatives are taken numerically along the canonical directions at
-    points x_c = x(1+i), t_c = t(1+i).  The residual vanishes when
+    points x_c = x(1+i), t_c = 0.  The residual vanishes when
     hbar*omega = hbar^2 k^2 / 2m; with the envelope dispersion it equals
     the quantum-potential gap hbar^2 R^2/(8 m v^2) times |psi|.
     """
-    hbar, m = state.constants.hbar, state.constants.mass
     z = np.asarray(probe_grid, dtype=float) * (1.0 + 1.0j)
     if z.size == 0:
         raise ValueError("probe grid is empty")
-    t_c = t * (1.0 + 1.0j)
-    lhs = -(hbar * hbar / (2.0 * m)) * central_difference(
+    t_c = 0j
+    lhs = -0.5 * central_difference(
         lambda u: _exp(1j * state.k * u - 1j * state.omega * t_c), z, _STEP, order=2)
-    rhs = 1j * hbar * central_difference(
+    rhs = 1j * central_difference(
         lambda u: _exp(1j * state.k * z - 1j * state.omega * u), t_c, _STEP)
     return float(np.max(np.abs(lhs - rhs)))
 

@@ -220,11 +220,10 @@ def test_criterion_08_continuity():
 def test_criterion_09_commutators():
     state = make_free_state(1.0, 1.0)
     grids = (np.linspace(0.1, 1.0, 7), np.linspace(1.3, 2.0, 7))
-    hbar = state.constants.hbar
     worst = 0.0
     for pair in ("XcPc", "TcHc"):
         for grid in grids:
-            worst = max(worst, abs(sp.commutator_check(pair, state, grid) - 1j * hbar))
+            worst = max(worst, abs(sp.commutator_check(pair, state, grid) - 1j))
     ok = worst <= 1e-8
     _report(9, "commutators", ok, f"worst={worst:.2e}")
     assert worst <= 1e-8
@@ -288,8 +287,7 @@ def test_criterion_12_preferred_basis():
     avgs = ms.compare_averages(composite, eigs)
     p = composite.probabilities()
     expected_imag = float(
-        np.sum(p * np.array([0.5 * w.constants.hbar * w.R
-                             for w in composite.system_components]))
+        np.sum(p * np.array([0.5 * w.R for w in composite.system_components]))
     )
     real_match = avgs.entangled_avg.real == avgs.reduced_avg
     imag_match = avgs.entangled_avg.imag == expected_imag

@@ -10,7 +10,6 @@ from pdwave.core import (
     Branch,
     EigenRecord,
     FreeWaveParams,
-    PhysicalConstants,
     RegionError,
     central_difference,
     dispersion_omega,
@@ -39,13 +38,6 @@ def test_fast_state():
     assert s.omega == pytest.approx(1.875, abs=1e-15)
 
 
-def test_explicit_constants():
-    c = PhysicalConstants(hbar=2.0, mass=3.0)
-    s = make_free_state(4.0, 1.0, constants=c)
-    assert s.k == pytest.approx(3.0 * 4.0 / 2.0)
-    assert s.omega == dispersion_omega(s.k, s.R, s.v, c)
-
-
 def test_deterministic_construction():
     assert make_free_state(1.5, 0.7) == make_free_state(1.5, 0.7)
 
@@ -56,36 +48,37 @@ def test_deterministic_construction():
 )
 def test_dispersion_identity_holds(v, R):
     s = make_free_state(v, R)
-    hbar, m = s.constants.hbar, s.constants.mass
-    gap = (
-        hbar * s.omega
-        + hbar**2 * s.R**2 / (8.0 * m * s.v**2)
-        - hbar**2 * s.k**2 / (2.0 * m)
-    )
-    assert abs(gap) <= 1e-12 * max(1.0, abs(hbar * s.omega))
+    gap = s.omega + s.R**2 / (8.0 * s.v**2) - s.k**2 / 2.0
+    assert abs(gap) <= 1e-12 * max(1.0, abs(s.omega))
     assert s.omega == dispersion_omega(s.k, s.R, s.v)
 
 
 @pytest.mark.parametrize("v", [0.0, -1.0, math.nan, math.inf])
 def test_rejects_bad_speed(v):
-    with pytest.raises(ValueError):
+    message = "v must be positive" if math.isfinite(v) else "must be finite"
+    with pytest.raises(ValueError, match=message):
         make_free_state(v, 1.0)
 
 
-def test_rejects_negative_or_nonfinite_rate():
-    with pytest.raises(ValueError):
-        make_free_state(1.0, -0.5)
-    with pytest.raises(ValueError):
-        make_free_state(1.0, math.nan)
+@pytest.mark.parametrize("R", [-0.5, math.nan, math.inf])
+def test_rejects_negative_or_nonfinite_rate(R):
+    message = "R must be nonnegative" if math.isfinite(R) else "must be finite"
+    with pytest.raises(ValueError, match=message):
+        make_free_state(1.0, R)
 
 
-def test_constants_must_be_positive():
-    with pytest.raises(ValueError):
-        PhysicalConstants(hbar=0.0)
-    with pytest.raises(ValueError):
-        PhysicalConstants(mass=-1.0)
-    with pytest.raises(ValueError):
-        PhysicalConstants(kB=math.inf)
+@pytest.mark.parametrize("v", [0.0, -1.0])
+def test_free_wave_needs_a_positive_speed(v):
+    # Every free wave arrives somewhere: v = 0 has no arrival line x = v*t.
+    with pytest.raises(ValueError, match="speed v must be positive"):
+        FreeWaveParams(k=0.0, omega=0.0, R=0.0, v=v, branch=Branch.INCOMING)
+
+
+@given(k=st.floats(-1e100, 1e100), R=st.floats(0.0, 1e50), v=st.floats(1e-50, 1e50))
+def test_dispersion_is_the_hbar_m_form_bit_for_bit(k, R, v):
+    # At hbar = m = 1 each dropped factor multiplies or divides by 1.0, which is exact.
+    hbar, m = 1.0, 1.0
+    assert dispersion_omega(k, R, v) == hbar * k * k / (2.0 * m) - hbar * (R / v) * (R / v) / (8.0 * m)
 
 
 def test_dispersion_omega_rejects_nonfinite():

@@ -119,6 +119,14 @@ class TestEvolveDensity:
         two_step = ev.evolve_density(ev.evolve_density(rho, eigs, 0.35), eigs, 0.65)
         assert np.max(np.abs(one_step.entries - two_step.entries)) < 1e-10
 
+    def test_is_the_hbar_form_bit_for_bit(self):
+        # exp(-i*H*t/hbar): at hbar = 1 the division is exact.
+        state = three_state()
+        rho, eigs = ev.reduce_to_mixture(state), np.asarray(self.eigs(state))
+        m = np.exp(-1j * eigs * 0.7 / 1.0)
+        expected = np.outer(m, m.conj()) * rho.entries
+        assert np.array_equal(ev.evolve_density(rho, eigs, 0.7).entries, expected)
+
 
 class TestReduction:
     def test_equal_weights(self):

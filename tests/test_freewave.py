@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pdwave.core import Branch, FreeWaveParams, RegionError, make_free_state
+from pdwave.core import Branch, RegionError, make_free_state
 from pdwave import freewave as fw
 
 
@@ -142,20 +142,6 @@ def test_residual_grid_must_avoid_seam():
     grid = fw.Grid1D(2.0, 4.0, 21, 2.0)  # left edge on x = v*t
     with pytest.raises(RegionError):
         fw.schrodinger_residual(CANON, grid, method="fd")
-
-
-@pytest.mark.parametrize("branch", list(Branch))
-def test_zero_speed_is_rejected_by_name(branch):
-    still = FreeWaveParams(k=0.0, omega=0.0, R=1.0, v=0.0, branch=branch)  # a valid state
-    grid = fw.Grid1D(-1.0, 1.0, 5, 0.5)
-    calls = [lambda: fw.psi_free(still, grid.xs(), 0.5),
-             lambda: fw.psi_free(still, -0.5, 0.5),
-             lambda: fw.prob_density_free(still, grid.xs(), 0.5),
-             lambda: fw.schrodinger_residual(still, grid),
-             lambda: fw.schrodinger_residual(still, grid, method="fd")]
-    for call in calls:
-        with pytest.raises(ValueError, match=r"\bv > 0\b.*v = 0"):
-            call()
 
 
 def test_grid_validation():

@@ -24,64 +24,43 @@ class TestDetect:
     def test_free_hit(self):
         event = ms.detect_mp(make_free_state(1.0, 1.0), 2.0, 2.0)
         assert event is not None
-        assert (event.x, event.t, event.speed) == (2.0, 2.0, 1.0)
+        assert (event.x, event.t, event.tau) == (2.0, 2.0, 2.0)
 
     def test_free_miss(self):
         assert ms.detect_mp(make_free_state(1.0, 1.0), 2.0, 1.0) is None
 
-    def test_potential_arrival(self):
-        xs = np.linspace(0.0, 2.0, 201)
-        spec = pot.PotentialSpec(
-            x_samples=xs, V=np.zeros_like(xs), kx=1.0 + xs, R=1.0, omega=0.375
-        )
-        tol = 1e-6
-        assert ms.detect_mp(spec, 1.0, math.log(2.0), tol=tol) is not None
-        assert ms.detect_mp(spec, 1.0, math.log(2.0) + 10 * tol, tol=tol) is None
+    @pytest.mark.parametrize("target, name", [
+        (pot.PotentialSpec(x_samples=np.linspace(0.0, 2.0, 201), V=np.zeros(201),
+                           kx=1.0 + np.linspace(0.0, 2.0, 201), R=1.0, omega=0.375),
+         "PotentialSpec"),
+        ((make_free_state(1.0, 1.0),), "tuple"),
+        (None, "NoneType"),
+    ])
+    def test_other_targets_are_named(self, target, name):
+        with pytest.raises(TypeError, match=f"on {name}$"):
+            ms.detect_mp(target, 1.0, math.log(2.0))
 
     def test_superposed_component(self):
         state = born_state()
         event = ms.detect_mp(state, 4.0, 2.0)  # second component, v = 2
-        assert event is not None and event.speed == 2.0
+        assert event is not None and event.tau == 2.0
         assert ms.detect_mp(state, 3.5, 2.0) is None
 
-    def test_tol_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ms.detect_mp(make_free_state(1.0, 1.0), 1.0, 1.0, tol=0.0)
-
     def test_event_invariant(self):
-        with pytest.raises(ValueError):
-            ms.MeasurementEvent(x=2.0, t=1.0, speed=1.0)
+        with pytest.raises(ValueError, match="off the arrival line"):
+            ms.MeasurementEvent(x=2.0, t=1.0, tau=2.0)
+
+    def test_event_needs_its_arrival_time(self):
+        with pytest.raises(TypeError, match="tau"):
+            ms.MeasurementEvent(x=2.0, t=2.0)
 
     def test_detection_matches_event_condition_far_out(self):
         # The event accepts |t - x/v| <= tol * max(1, |t|, |x/v|); detection agrees.
         x, t = 1e6, 1e6 + 5e-4
-        ms.MeasurementEvent(x=x, t=t, speed=1.0)
+        ms.MeasurementEvent(x=x, t=t, tau=x)
         assert ms.detect_mp(make_free_state(1.0, 1.0), x, t) is not None
         assert ms.detect_mp(born_state(), x, t) is not None
         assert ms.detect_mp(make_free_state(1.0, 1.0), x, x + 5e-3) is None
-
-    def test_potential_event_carries_its_arrival_time(self):
-        xs = np.linspace(0.0, 2.0, 201)
-        spec = pot.PotentialSpec(
-            x_samples=xs, V=np.zeros_like(xs), kx=1.0 + xs, R=1.0, omega=0.375
-        )
-        event = ms.detect_mp(spec, 1.0, pot.arrival_time(spec, 1.0))
-        assert event.tau == pot.arrival_time(spec, 1.0)
-        assert event.speed == spec.v_at(1.0)
-
-    def test_zero_speed_component_never_arrives(self):
-        state = born_state()
-        absorbed = ms.dirac_project(state, 0, ms.detect_mp(state.waves[0], 2.0, 2.0),
-                                    record=True)
-        assert absorbed.waves[0].v == 0.0
-        assert ms.detect_mp(absorbed.waves[0], 0.0, 0.0) is None
-        assert ms.detect_mp(absorbed, 2.0, 2.0) is None  # only the v = 1 wave arrived here
-        assert ms.detect_mp(absorbed, 4.0, 2.0).speed == 2.0
-
-    def test_event_of_a_zero_speed_needs_tau(self):
-        with pytest.raises(ValueError, match="speed"):
-            MeasurementEvent(x=1.0, t=1.0, speed=0.0)
-        assert MeasurementEvent(x=1.0, t=1.0, speed=0.0, tau=1.0).tau == 1.0
 
     def test_event_is_re_exported(self):
         assert ms.MeasurementEvent is MeasurementEvent
@@ -97,10 +76,8 @@ class TestOneArrivalRule:
         state = make_free_state(self.V, self.V)
         event = ms.detect_mp(state, self.X, self.T)
         assert event is not None and event.tau == self.X / self.V
-        record = apply_observable("H", state, at=(self.X, self.T))
-        assert record.at_mp and record.value.imag == 0.0
         out = hermitize_at_mp(apply_observable("H", state), event)
-        assert out.at_mp and out.value == complex(record.value.real, 0.0)
+        assert out.at_mp and out.value == complex(state.omega, 0.0)
 
     @given(v=st.floats(1e-3, 1e3), x=st.floats(-1e3, 1e3), offset=st.floats(-3.0, 3.0))
     @example(v=1e3, x=1.0, offset=0.5)
@@ -120,14 +97,13 @@ class TestOneArrivalRule:
             return True
 
         try:
-            MeasurementEvent(x, t, v)
+            MeasurementEvent(x, t, tau)
             constructs = True
         except ValueError:
             constructs = False
         detected = ms.detect_mp(state, x, t) is not None
         lags = accepted(Branch.INCOMING) and accepted(Branch.OUTGOING)
-        at_mp = apply_observable("H", state, at=(x, t)).at_mp
-        assert detected == lags == at_mp == constructs
+        assert detected == lags == constructs
 
 
 class TestSampling:
@@ -242,13 +218,6 @@ class TestDiracProjection:
         with pytest.raises(ValueError):
             ms.dirac_project(state, 1, event)  # v = 2 component not at MP
 
-    def test_zero_speed_outcome_is_no_arrival(self):
-        state = born_state()
-        event = ms.detect_mp(state.waves[0], 2.0, 2.0)
-        absorbed = ms.dirac_project(state, 0, event, record=True)
-        with pytest.raises(ValueError, match="arrival"):
-            ms.dirac_project(absorbed, 0, event)  # re-emitting needs the stopped wave to arrive
-
     def test_composite_collapses_its_pointer(self):
         comp = TestComposite().composite()
         post = ms.dirac_project(comp, 0, ms.detect_mp(comp.waves[0], 1.0, 1.0))
@@ -256,13 +225,6 @@ class TestDiracProjection:
         assert post.pointer_components[0].branch is Branch.OUTGOING
         assert post.pointer_components[1] == comp.pointer_components[1]
         assert ms.von_neumann_project is ms.dirac_project
-
-    def test_record_stops_particle(self):
-        state = born_state()
-        event = ms.detect_mp(state.waves[0], 2.0, 2.0)
-        post = ms.dirac_project(state, 0, event, record=True)
-        assert post.waves[0].v == 0.0
-        assert post.waves[0].R == 0.0
 
 
 class TestComposite:
@@ -340,23 +302,19 @@ class TestVonNeumann:
         assert np.all(np.abs(rep.frequencies - weights) < 3 * sigma)
 
 
-@pytest.mark.parametrize("record", [False, True])
 @pytest.mark.parametrize("project", ["dirac", "von_neumann"])
-def test_pure_unmeasured_state_is_projected(project, record):
+def test_pure_unmeasured_state_is_projected(project):
     # Unit amplitude alone is no no-op: the INCOMING wave must still become
-    # the post-measurement wave, absorbed if recorded, else outgoing.
+    # the outgoing post-measurement wave.
     waves = (make_free_state(1.0, 1.0), make_free_state(2.0, 2.0))
     pointers = (make_free_state(3.0, 3.0), make_free_state(4.0, 4.0))
     state = (SuperposedState(np.array([1.0, 0.0]), waves) if project == "dirac"
              else ms.tensor_compose(waves, pointers, [1.0, 0.0]))
     fn = ms.dirac_project if project == "dirac" else ms.von_neumann_project
     event = ms.detect_mp(waves[0], 1.0, 1.0)
-    post = fn(state, 0, event, record=record)
-    if record:
-        assert (post.waves[0].v, post.waves[0].R) == (0.0, 0.0)
-    else:
-        assert post.waves[0].branch is Branch.OUTGOING
-    assert fn(post, 0, event, record=record) is post
+    post = fn(state, 0, event)
+    assert post.waves[0].branch is Branch.OUTGOING
+    assert fn(post, 0, event) is post
 
 
 class TestMixtureDensity:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -127,7 +128,7 @@ class TestWaves:
     def test_unit_modulus_on_arrival(self):
         spec = linear_spec()
         t_arr = pot.arrival_time(spec, 0.7)
-        psi = pot.psi_potential(spec, Branch.INCOMING, 0.7, t_arr)
+        psi = pot.psi_potential(spec, Branch.INCOMING, 0.7, t_arr, x_mp=0.7)
         assert abs(psi) == pytest.approx(1.0, abs=1e-10)
 
     def test_phase_integral(self):
@@ -151,15 +152,15 @@ class TestWaves:
         spec = linear_spec()
         t_arr = pot.arrival_time(spec, 0.4)
         assert pot.prob_density_potential(
-            spec, Branch.INCOMING, 0.4, t_arr
+            spec, Branch.INCOMING, 0.4, t_arr, x_mp=0.4
         ) == pytest.approx(1.0, abs=1e-12)
 
     def test_region_mismatch(self):
         spec = constant_spec()
         with pytest.raises(RegionError):
-            pot.psi_potential(spec, Branch.INCOMING, 1.0, 2.0)
+            pot.psi_potential(spec, Branch.INCOMING, 1.0, 2.0, x_mp=0.0)
         with pytest.raises(RegionError):
-            pot.prob_density_potential(spec, Branch.OUTGOING, 3.0, 1.0)
+            pot.prob_density_potential(spec, Branch.OUTGOING, 3.0, 1.0, x_mp=0.0)
 
 
 class TestSharedArrivalRule:
@@ -172,22 +173,22 @@ class TestSharedArrivalRule:
         free_on_line = x / v  # the free wave's tau(x), so the lag is exactly 0
         pot_on_line = pot.arrival_time(spec, x)
         for branch in Branch:
-            state = make_free_state(v, R, branch=branch)
+            state = replace(make_free_state(v, R), branch=branch)
             assert fw.prob_density_free(state, x, free_on_line) == 1.0
-            assert pot.prob_density_potential(spec, branch, x, pot_on_line) == 1.0
+            assert pot.prob_density_potential(spec, branch, x, pot_on_line, x_mp=x) == 1.0
             # 1e-6 (relative) past the line: later for incoming, earlier for outgoing.
             free_past = free_on_line + branch.sign * 1e-6 * max(1.0, free_on_line)
             pot_past = pot_on_line + branch.sign * 1e-6 * max(1.0, pot_on_line)
             for probe in (lambda: fw.psi_free(state, x, free_past),
                           lambda: fw.prob_density_free(state, x, free_past),
-                          lambda: pot.psi_potential(spec, branch, x, pot_past),
-                          lambda: pot.prob_density_potential(spec, branch, x, pot_past)):
+                          lambda: pot.psi_potential(spec, branch, x, pot_past, x_mp=x),
+                          lambda: pot.prob_density_potential(spec, branch, x, pot_past, x_mp=x)):
                 with pytest.raises(RegionError):
                     probe()
 
     @given(v=st.floats(0.1, 10.0), R=st.floats(0.01, 10.0), t=st.floats(0.0, 4.0))
     def test_outgoing_density_is_the_free_envelope_bit_for_bit(self, v, R, t):
-        state = make_free_state(v, R, branch=Branch.OUTGOING)
+        state = replace(make_free_state(v, R), branch=Branch.OUTGOING)
         xs = np.linspace(v * t - 3.0, v * t, 9)
         assert np.array_equal(fw.prob_density_free(state, xs, t), np.exp(R * (xs / v - t)))
 
@@ -206,7 +207,7 @@ class TestContinuity:
         grid = fw.Grid1D(2.0, 3.0, 21, 0.5)
         assert pot.continuity_residual(spec, Branch.INCOMING, grid) < 1e-6
 
-    def test_detects_corrupted_rate(self):
+    def test_detects_corrupted_rate(self, monkeypatch):
         spec = constant_spec()
         grid = fw.Grid1D(2.0, 2.5, 11, 1.0)
 
@@ -215,9 +216,9 @@ class TestContinuity:
             tau = pot.arrival_time(spec, x)
             return np.exp(2.0 * spec.R * t) * np.exp(-spec.R * tau)
 
-        res = pot.continuity_residual(
-            spec, Branch.INCOMING, grid, density=corrupted_density
-        )
+        monkeypatch.setattr(pot, "prob_density_potential",
+                            lambda spec_, branch, x, t, x_mp: corrupted_density(x, t))
+        res = pot.continuity_residual(spec, Branch.INCOMING, grid)
         # The d/dt term contributes 2R*P while the flux term removes only R*P.
         floor = spec.R * float(np.min(corrupted_density(grid.xs(), grid.t)))
         assert res >= 0.9 * floor
@@ -238,10 +239,10 @@ class TestMpLimit:
         assert pot.mp_limit_check(linear_spec(), 1.0) < 1e-10
 
 
-def _loop_sweep(E, x, W, constants):
+def _loop_sweep(E, x, W):
     """The Numerov sweep as a point-by-point loop in Python floats: the banded solve's oracle."""
     h = x[1] - x[0]
-    f = 2.0 * constants.mass / constants.hbar**2 * (W - E)
+    f = 2.0 * (W - E)  # 2m/hbar^2 (W - E)
     f0 = f[0]
     fp0 = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
     fpp0 = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / h**2
@@ -285,7 +286,7 @@ class TestSturmLiouville:
 
         def outcome(sweep, E, *band):
             try:
-                nodes, y_end, scaled = sweep(E, x, W, problem.constants, *band)
+                nodes, y_end, scaled = sweep(E, x, W, *band)
             except FloatingPointError as exc:
                 return str(exc)
             assert type(nodes) is int and type(y_end) is float
@@ -314,7 +315,7 @@ class TestSturmLiouville:
         exact = ((np.arange(6) + 0.5) * np.pi) ** 2 / 2.0
 
         def nodes(E):
-            count, _, _ = pot._numerov_sweep(E, x, W, problem.constants)
+            count, _, _ = pot._numerov_sweep(E, x, W)
             return count
 
         assert nodes(0.5 * exact[0]) == 0
@@ -510,9 +511,23 @@ class TestSturmLiouville:
             pot.SLProblem(x0=0.0, x_end=1.0, kx=np.zeros(64), V=V, n_eigen=2)
 
     def test_too_many_eigenvalues(self):
-        # The coarse matrix holds n_grid - 1 = 25 levels; shooting is not reached.
+        # The matrix holds n_grid - 1 = 25 levels.
         with pytest.raises(ConvergenceError, match="only 25 eigenvalues exist"):
-            pot.solve_sturm_liouville(self.box(n_eigen=50), n_grid=26)
+            pot.matrix_eigen(self.box(n_eigen=50), 26)
+
+    @pytest.mark.parametrize("n_eigen, n_grid", [(50, 26), (4, 7), (3, 5)])
+    def test_fewer_than_two_points_a_level_is_rejected(self, n_eigen, n_grid, monkeypatch):
+        # There Numerov's node counts give spurious levels (box n_eigen = 4, n_grid = 7:
+        # 49% off), so the solve refuses the grid before it sweeps or diagonalizes.
+        monkeypatch.setattr(pot, "eigh_tridiagonal", None)
+        monkeypatch.setattr(pot, "_numerov_sweep", None)
+        with pytest.raises(ValueError, match=(
+                f"^n_grid = {n_grid} has fewer than 2 points per level of "
+                f"n_eigen = {n_eigen}: it must be at least {2 * n_eigen}$")):
+            pot.solve_sturm_liouville(self.box(n_eigen=n_eigen), n_grid=n_grid)
+
+    def test_two_points_a_level_are_enough(self):
+        assert pot.solve_sturm_liouville(self.box(n_eigen=3), n_grid=6).eigenvalues.size == 3
 
     @pytest.mark.parametrize("n_grid", [0, 1, 2, 3])
     def test_tiny_grid_names_its_point_count(self, n_grid):
@@ -537,6 +552,19 @@ class TestSturmLiouville:
     def test_solution_rejects_a_repeated_eigenvalue(self):
         with pytest.raises(ValueError, match="^matrix_eigenvalues must be strictly increasing"):
             pot.SLSolution(np.array([1.0, 2.0]), np.array([1.5, 1.5]))
+
+    def test_natural_unit_forms_are_the_hbar_m_forms_bit_for_bit(self):
+        # At hbar = m = 1 each dropped factor multiplies or divides by 1.0, which is exact.
+        hbar, m = 1.0, 1.0
+        xs = np.linspace(0.0, 5.0, 64)
+        kx, V = 0.3 + np.sin(xs) ** 2, 0.5 * xs**2
+        problem = pot.SLProblem(x0=0.0, x_end=5.0, kx=kx, V=V, n_eigen=4)
+        w = pot._spline(xs, hbar * hbar * kx**2 / (2.0 * m) + V)
+        x = np.linspace(0.0, 5.0, 301)
+        assert np.array_equal(problem.effective_potential(x), w(x))
+        energies = pot.solve_sturm_liouville(problem, n_grid=401).eigenvalues
+        v_n = hbar * (np.sqrt(2.0 * m * energies) / hbar) / m
+        assert np.array_equal(pot.mode_arrival_times(energies, 3.0), 3.0 / v_n)
 
     def test_mode_arrival_times_distinct(self):
         sol = pot.solve_sturm_liouville(self.box())
