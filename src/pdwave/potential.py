@@ -4,7 +4,8 @@ A state in a time-independent potential carries a position-dependent wave
 number k(x) and speed v(x) = hbar*k(x)/m.  Its density is an inhomogeneous
 traveling wave whose arrival time at x is the integral of 1/v, and the
 radial amplitude R(x) of the bound problem satisfies a Sturm-Liouville
-equation solved here by Numerov shooting with a dense-matrix cross-check.
+equation solved here by Numerov shooting with a dense-matrix cross-check
+whose two grids LAPACK bisects at once, on two threads, without the GIL.
 Shooting brackets each eigenvalue by node counts and converges it by
 Illinois steps on the end value of a summed-difference Numerov recurrence.
 Each sweep of that recurrence is one banded lower-triangular BLAS solve in
@@ -15,7 +16,10 @@ and add; the loop itself runs only where the solution must be rescaled.
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,11 +121,39 @@ def _spline(x, y) -> _Spline:
     return _Spline(x, np.stack([y[:-1], s[:-1], (slope - s[:-1]) / dx - t, t / dx]))
 
 
-def eigh_tridiagonal(d, e, **kwargs):
-    """``scipy.linalg.eigh_tridiagonal``, imported on first use: only sturm-liouville needs it."""
-    from scipy import linalg
+@functools.cache
+def _dstebz():
+    """LAPACK dstebz from scipy's cython_lapack as a ctypes function, which releases the GIL."""
+    import ctypes as c
+    from scipy.linalg import cython_lapack
+    capsule, api = cython_lapack.__pyx_capi__["dstebz"], c.pythonapi
+    name = c.PYFUNCTYPE(c.c_char_p, c.py_object)(("PyCapsule_GetName", api))
+    address = c.PYFUNCTYPE(c.c_void_p, c.py_object, c.c_char_p)(("PyCapsule_GetPointer", api))
+    return c.CFUNCTYPE(None, *[c.c_void_p] * 18)(address(capsule, name(capsule)))
 
-    return linalg.eigh_tridiagonal(d, e, **kwargs)
+
+def eigh_tridiagonal(d, e, eigvals_only=False, *, select, select_range):
+    """scipy's ``eigh_tridiagonal`` for ``select="i"``, bit for bit, errors too, without the GIL."""
+    from scipy.linalg import _decomp, lapack
+    d, e = np.asarray_chkfinite(d, float, "C"), np.asarray_chkfinite(e, float, "C")
+    if select != "i" or d.ndim != 1 or e.shape != (d.size - 1,):  # LAPACK reads n, n - 1 values
+        raise ValueError(f"need select='i' and 1-d d, e one shorter; got {d.shape}, {e.shape}")
+    ints = np.array([d.size, *np.add(select_range, 1), 0, 0, 0], np.intc)  # n il iu; m nsplit info
+    reals = np.zeros(3)  # vl and vu, unused, and abstol, 0 for eps*|T|
+    w, work = np.empty(d.size), np.empty(4 * d.size)
+    iblock, isplit, iwork = (np.empty(k * d.size, np.intc) for k in (1, 1, 3))
+    i, r = ints.ctypes.data, reals.ctypes.data
+    _dstebz()(b"I", b"E" if eigvals_only else b"B", i, r, r + 8, i + 4, i + 8, r + 16, d.ctypes,
+              e.ctypes, i + 12, i + 16, w.ctypes, iblock.ctypes, isplit.ctypes, work.ctypes,
+              iwork.ctypes, i + 20)
+    _decomp._check_info(ints[5], "stebz (eigh_tridiagonal)")
+    w = w[:ints[3]]
+    if eigvals_only:
+        return w
+    v, info = lapack.dstein(d, e, w, iblock, isplit)
+    _decomp._check_info(info, "stein (eigh_tridiagonal)", "%d eigenvectors failed to converge")
+    order = np.argsort(w)  # dstein's block order to ascending order
+    return w[order], v[:, order]
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,9 +211,6 @@ class PotentialSpec:
         return float(self.x_samples[-1])
 
     def k_at(self, x):
-        return self._k_spline(x)
-
-    def v_at(self, x):
         return self._k_spline(x)
 
     def _check_domain(self, x) -> None:
@@ -249,11 +278,11 @@ def continuity_residual(spec: PotentialSpec, branch: Branch, grid: Grid1D) -> fl
         return prob_density_potential(spec, branch, x_, t_, x_mp=spec.x_start)
 
     room_t = -float(np.max(envelope_lag(branch, t, arrival_time(spec, xs))))
-    v_min = float(np.min(spec.v_at(np.linspace(spec.x_start, spec.x_end, 256))))
+    v_min = float(np.min(spec.k_at(np.linspace(spec.x_start, spec.x_end, 256))))  # v = k at hbar = m = 1
     h_x = stencil_step(1e-2 / max(1.0, spec.R / v_min), v_min * room_t)
     h_t = stencil_step(1e-2 / max(1.0, spec.R), room_t)
     dP_dt = central_difference(lambda tt: density(xs, tt), t, h_t)
-    d_flux = central_difference(lambda x: density(x, t) * spec.v_at(x), xs, h_x)
+    d_flux = central_difference(lambda x: density(x, t) * spec.k_at(x), xs, h_x)
     return float(np.max(np.abs(dP_dt + d_flux)))
 
 
@@ -327,15 +356,24 @@ class SLSolution:
                 raise ValueError(f"{name} must be strictly increasing")
 
 
-def matrix_eigen(problem: SLProblem, n_grid: int, eigvals_only: bool = False):
+def _tridiagonal(problem: SLProblem, n_grid: int):
+    """The scheme's symmetric matrix on ``n_grid`` points, (diagonal, off-diagonal), and x."""
+    x = np.linspace(problem.x0, problem.x_end, n_grid)
+    h = x[1] - x[0]
+    # Unknowns at x[0..n-2]; R(x_end) = 0 eliminated; hbar^2/2m = 1/2.
+    diag = 1.0 / h**2 + problem.effective_potential(x)[:-1]
+    off = np.full(n_grid - 2, -0.5 / h**2)
+    off[0] *= math.sqrt(2.0)  # symmetrized Neumann ghost row
+    return diag, off, x
+
+
+def matrix_eigen(problem: SLProblem, n_grid: int):
     """Dense (tridiagonal) second-order eigensolve with Neumann-left BC.
 
     Returns eigenvalues, eigenfunction samples on the full grid including
-    the Dirichlet endpoint, and that grid, or with ``eigvals_only`` the
-    eigenvalues alone (LAPACK stebz either way, so the same bits).  The
-    Neumann ghost row is folded to a symmetric matrix whose natural weight
-    is the trapezoid rule, so the functions are trapezoid-orthonormal by
-    construction.
+    the Dirichlet endpoint, and that grid.  The Neumann ghost row is folded
+    to a symmetric matrix whose natural weight is the trapezoid rule, so the
+    functions are trapezoid-orthonormal by construction.
     """
     if n_grid < 3:  # the Neumann ghost row needs an off-diagonal entry
         raise ValueError(f"matrix_eigen needs at least 3 grid points, got n_grid = {n_grid}")
@@ -343,24 +381,14 @@ def matrix_eigen(problem: SLProblem, n_grid: int, eigvals_only: bool = False):
         raise ConvergenceError(
             f"only {n_grid - 1} eigenvalues exist below the discretization ceiling"
         )
-    x = np.linspace(problem.x0, problem.x_end, n_grid)
+    diag, off, x = _tridiagonal(problem, n_grid)
     h = x[1] - x[0]
-    # Unknowns at x[0..n-2]; R(x_end) = 0 eliminated; hbar^2/2m = 1/2.
-    diag = 1.0 / h**2 + problem.effective_potential(x)[:-1]
-    off = np.full(n_grid - 2, -0.5 / h**2)
-    off[0] *= math.sqrt(2.0)  # symmetrized Neumann ghost row
-    lowest = {"select": "i", "select_range": (0, problem.n_eigen - 1)}
-    if eigvals_only:
-        return eigh_tridiagonal(diag, off, eigvals_only=True, **lowest)
-    vals, vecs = eigh_tridiagonal(diag, off, **lowest)
+    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, problem.n_eigen - 1))
     # Undo the row scaling, append the Dirichlet zero, normalize per trapezoid.
     funcs = np.zeros((problem.n_eigen, n_grid))
-    for j in range(problem.n_eigen):
-        u = vecs[:, j].copy()
-        u[0] *= math.sqrt(2.0)
-        funcs[j, :-1] = u / math.sqrt(h)
-        if funcs[j, 0] < 0.0:  # sign convention: positive at the left edge
-            funcs[j] = -funcs[j]
+    funcs[:, :-1] = vecs.T / math.sqrt(h)
+    funcs[:, 0] = vecs[0] * math.sqrt(2.0) / math.sqrt(h)
+    funcs[funcs[:, 0] < 0.0] *= -1.0  # sign convention: positive at the left edge
     return vals, funcs, x
 
 
@@ -568,10 +596,11 @@ def solve_sturm_liouville(problem: SLProblem, n_grid: int = 2001) -> SLSolution:
     """Solve the radial eigenproblem for the lowest ``n_eigen`` eigenvalues, two ways.
 
     The matrix eigenvalues are second-order tridiagonal solves on ``n_grid``
-    and ``2*n_grid - 1`` points, Richardson-extrapolated to fourth order.  The
-    shooting eigenvalues are bracketed by node counts and converged by Illinois
-    steps over fourth-order Numerov sweeps on ``n_grid`` points, seeded by the
-    matrix values; node counts still decide every bracket, so on a grid that
+    and ``2*n_grid - 1`` points, the finer on a worker thread at the same
+    time, Richardson-extrapolated to fourth order.  The shooting eigenvalues
+    are bracketed by node counts and converged by Illinois steps over
+    fourth-order Numerov sweeps on ``n_grid`` points, seeded by the matrix
+    values; node counts still decide every bracket, so on a grid that
     resolves the modes the two stay independent.  ``matrix_eigen`` gives the
     eigenfunctions.  Fewer than 4 points, or fewer than 2 a level, raise
     ValueError.
@@ -582,8 +611,24 @@ def solve_sturm_liouville(problem: SLProblem, n_grid: int = 2001) -> SLSolution:
     if n_grid < 2 * problem.n_eigen:  # under 2 points a level, Numerov's levels are spurious
         raise ValueError(f"n_grid = {n_grid} has fewer than 2 points per level of "
                          f"n_eigen = {problem.n_eigen}: it must be at least {2 * problem.n_eigen}")
-    matrix = _richardson(matrix_eigen(problem, 2 * n_grid - 1, eigvals_only=True),
-                         matrix_eigen(problem, n_grid, eigvals_only=True))
+    lowest = {"eigvals_only": True, "select": "i", "select_range": (0, problem.n_eigen - 1)}
+    fine, coarse = [_tridiagonal(problem, 2 * n_grid - 1)[:2]], _tridiagonal(problem, n_grid)[:2]
+
+    def bisect() -> None:
+        try:
+            fine[0] = eigh_tridiagonal(*fine[0], **lowest)
+        except Exception as exc:
+            fine[0] = exc
+    _dstebz()  # scipy's first import allocates on this thread, not in a new malloc arena
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(bisect,))
+    worker.start()
+    try:
+        coarse = eigh_tridiagonal(*coarse, **lowest)
+    finally:
+        worker.join()
+        if isinstance(fine[0], Exception):  # ahead of this thread's, as _richardson(fine, coarse)
+            raise fine[0]
+    matrix = _richardson(fine[0], coarse)
     eigenvalues, _ = _shooting_eigenvalues(problem, n_grid, seeds=matrix)
     return SLSolution(eigenvalues, matrix)
 

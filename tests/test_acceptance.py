@@ -3,13 +3,11 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see every line.
 """
 
-import dataclasses
 import json
 import math
 import time
 
 import numpy as np
-import pytest
 from scipy import stats
 
 from pdwave import analysis as an

@@ -872,11 +872,11 @@ def test_every_submodule_resolves_on_the_package():
 
 
 _MODULES_AFTER_RUN = """
-import json, sys
+import json, sys, threading
 from pdwave import cli
 imported = sorted(sys.modules)
 assert cli.main(["--scenario", sys.argv[1], "--out", "out"]) == 0
-print(json.dumps([imported, sorted(sys.modules)]))
+print(json.dumps([imported, sorted(sys.modules), threading.active_count()]))
 """
 
 # The pdwave submodules each scenario loads besides pdwave.core and pdwave.cli.
@@ -898,7 +898,9 @@ SCENARIO_MODULES = {
 def test_scenarios_import_only_what_they_run(scenario, tmp_path):
     proc = _run_python(["-c", _MODULES_AFTER_RUN, scenario], tmp_path)
     assert proc.returncode == 0, proc.stderr
-    imported, loaded = map(set, json.loads(proc.stdout))
+    imported, loaded, threads = json.loads(proc.stdout)
+    imported, loaded = set(imported), set(loaded)
+    assert threads == 1  # no thread outlives main
     assert _pdwave_modules(imported) == {"pdwave", "pdwave.core", "pdwave.cli"}
     assert "scipy" not in imported
     assert _pdwave_modules(loaded) == {"pdwave", "pdwave.core", "pdwave.cli"} | {
@@ -906,6 +908,9 @@ def test_scenarios_import_only_what_they_run(scenario, tmp_path):
     # scipy.linalg brings numpy.ma, numpy.polynomial and concurrent.futures.
     if scenario == "sturm-liouville":
         assert "scipy.linalg" in loaded and "scipy.interpolate" not in loaded
+        # The eigensolve starts its one thread with no pool either.  concurrent.futures
+        # itself comes with scipy.linalg, through numpy.testing; a pool would add these.
+        assert not {"concurrent.futures.thread", "queue"} & loaded
     else:
         assert "scipy" not in loaded
         assert "numpy.ma" not in loaded

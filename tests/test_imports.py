@@ -1,4 +1,4 @@
-"""Every import in the package source is used, and every export exists.
+"""Every import in the package, its tests and its demos is used, and every export exists.
 
 A name counts as used when the module reads it (an ``ast.Name`` anywhere in
 the tree) or exports it in ``__all__``.  ``from __future__`` imports are
@@ -50,7 +50,8 @@ def unused_imports(source: str) -> list[str]:
             if name not in keep]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + sorted((ROOT / "tests").glob("*.py"))
+                         + sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

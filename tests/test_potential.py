@@ -1,10 +1,15 @@
+import ctypes
 import math
+import re
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
@@ -396,9 +401,12 @@ class TestSturmLiouville:
 
     @pytest.mark.parametrize("n_grid", [2001, 4001])  # the coarse and the fine grid
     def test_coarse_eigenvalues_alone_are_bit_identical(self, n_grid):
+        # The solve's values-only bisection (order 'E') and matrix_eigen's (order 'B').
         problem = self.box()
         vals, _, _ = pot.matrix_eigen(problem, n_grid)
-        np.testing.assert_array_equal(pot.matrix_eigen(problem, n_grid, eigvals_only=True), vals)
+        diag, off, _ = pot._tridiagonal(problem, n_grid)
+        alone = pot.eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, 5))
+        np.testing.assert_array_equal(alone, vals)
 
     def test_backends_share_one_fine_grid_solve(self, monkeypatch):
         eigh, sizes, values_only = pot.eigh_tridiagonal, [], []
@@ -412,6 +420,61 @@ class TestSturmLiouville:
         pot.solve_sturm_liouville(self.box(), n_grid=2001)
         assert sorted(sizes) == [2000, 4000]  # unknowns of the coarse and the fine grid
         assert values_only == [True, True]  # no eigenvectors: nothing reports them
+
+    def failing_solve(self, monkeypatch, fails):
+        """Solve the box with eigh_tridiagonal raising ``fails[size]`` for that many unknowns;
+        the fine grid's raise comes 50 ms late, after the coarse grid's."""
+        eigh, baseline = pot.eigh_tridiagonal, threading.active_count()
+
+        def failing(d, e, **kwargs):
+            if d.size == 4000:
+                time.sleep(0.05)
+            if d.size in fails:
+                raise fails[d.size]
+            return eigh(d, e, **kwargs)
+
+        monkeypatch.setattr(pot, "eigh_tridiagonal", failing)
+        try:
+            pot.solve_sturm_liouville(self.box(), n_grid=2001)
+        finally:
+            assert threading.active_count() == baseline  # the worker was joined
+
+    @pytest.mark.parametrize("sizes, raised", [((4000,), 4000), ((2000,), 2000),
+                                               ((4000, 2000), 4000)],
+                             ids=["fine", "coarse", "both"])
+    def test_concurrent_grids_raise_what_the_sequential_solve_did(self, sizes, raised,
+                                                                  monkeypatch):
+        # _richardson(fine, coarse) evaluated the fine grid first, so its error wins.
+        fails = {n: np.linalg.LinAlgError(f"no eigenvalues on {n} unknowns") for n in sizes}
+        with pytest.raises(np.linalg.LinAlgError, match=f"^no eigenvalues on {raised} unknowns$"):
+            self.failing_solve(monkeypatch, fails)
+
+    def test_worker_is_joined_when_the_main_thread_raises(self, monkeypatch):
+        class Interrupt(BaseException):
+            pass
+
+        with pytest.raises(Interrupt):
+            self.failing_solve(monkeypatch, {2000: Interrupt()})
+
+    def test_fine_grid_runs_on_a_worker_in_the_callers_errstate(self, monkeypatch):
+        eigh, seen = pot.eigh_tridiagonal, {}
+
+        def recording(d, e, **kwargs):
+            seen[d.size] = np.geterr()["over"], threading.current_thread() is threading.main_thread()
+            return eigh(d, e, **kwargs)
+
+        monkeypatch.setattr(pot, "eigh_tridiagonal", recording)
+        with np.errstate(over="raise"):
+            pot.solve_sturm_liouville(self.box(), n_grid=2001)
+        assert seen == {4000: ("raise", False), 2000: ("raise", True)}
+
+    def test_matrix_eigen_is_scipys_bit_for_bit(self, monkeypatch):
+        problems = [(self.box(), 2001), (self.harmonic(), 501), (self.box(n_eigen=1, k0=2.0), 3)]
+        ours = [pot.matrix_eigen(problem, n) for problem, n in problems]
+        monkeypatch.setattr(pot, "eigh_tridiagonal", linalg.eigh_tridiagonal)
+        for (problem, n), mine in zip(problems, ours):
+            for a, b in zip(mine, pot.matrix_eigen(problem, n)):
+                np.testing.assert_array_equal(a, b)
 
     def test_backends_agree(self):
         sol = pot.solve_sturm_liouville(self.box())
@@ -456,7 +519,7 @@ class TestSturmLiouville:
         vals, funcs, x = pot.matrix_eigen(problem, 501)
         assert vals.shape == (n_eigen,) and funcs.shape == (n_eigen, 501)
         np.testing.assert_array_equal(x, np.linspace(0.0, 1.0, 501))
-        assert pot.matrix_eigen(problem, 501, eigvals_only=True).shape == (n_eigen,)
+        assert pot.solve_sturm_liouville(problem, 501).matrix_eigenvalues.shape == (n_eigen,)
 
     @pytest.mark.parametrize("problem", ["box", "harmonic"])
     def test_matrix_eigen_solves_its_difference_equation(self, problem):
@@ -482,15 +545,14 @@ class TestSturmLiouville:
         nodes = [int(np.sum(f[:-2] * f[1:-1] < 0.0)) for f in funcs]
         assert nodes == list(range(len(funcs)))
 
-    @pytest.mark.parametrize("eigvals_only", [True, False])
-    def test_matrix_eigen_too_many_eigenvalues(self, eigvals_only):
+    def test_matrix_eigen_too_many_eigenvalues(self):
         with pytest.raises(ConvergenceError, match="only 25 eigenvalues exist"):
-            pot.matrix_eigen(self.box(n_eigen=26), 26, eigvals_only=eigvals_only)
+            pot.matrix_eigen(self.box(n_eigen=26), 26)
 
     def test_richardson_beats_both_grids(self):
         problem = self.box()
         exact = ((np.arange(6) + 0.5) * np.pi) ** 2 / 2.0
-        fine = pot.matrix_eigen(problem, 4001, eigvals_only=True)
+        fine, _, _ = pot.matrix_eigen(problem, 4001)
         error = np.abs(pot.solve_sturm_liouville(problem).matrix_eigenvalues - exact)
         # Fourth order down to the bisection floor eps*|T| ~ 2e-9, from 1.6e-8..2.3e-4.
         assert np.all(error < 0.1 * np.abs(fine - exact)) and np.max(error) < 1e-8
@@ -538,7 +600,7 @@ class TestSturmLiouville:
             with pytest.raises(ValueError, match=f"at least 3 grid points, got n_grid = {n_grid}$"):
                 pot.matrix_eigen(self.box(n_eigen=1), n_grid)
         else:
-            assert pot.matrix_eigen(self.box(n_eigen=1), n_grid, eigvals_only=True).shape == (1,)
+            assert pot.matrix_eigen(self.box(n_eigen=1), n_grid)[0].shape == (1,)
 
     def test_solution_validation(self):
         fields = vars(pot.solve_sturm_liouville(self.box(n_eigen=2)))
@@ -571,6 +633,86 @@ class TestSturmLiouville:
         times = pot.mode_arrival_times(sol.matrix_eigenvalues, 1.0)
         assert times.size == np.unique(times).size
         assert np.all(np.diff(times) < 0)  # faster modes arrive sooner
+
+
+def _tridiagonal_problems(count=200, seed=30):
+    """Seeded (d, e, k): n log-uniform in 3..4001 with both ends, k in 1..min(n - 1, 100).
+
+    Box, harmonic and random diagonals in turn; every fourth off-diagonal has
+    zeros that split the matrix into blocks.
+    """
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = (3, 4001)[i] if i < 2 else int(np.exp(rng.uniform(math.log(3), math.log(4001))))
+        k = int(rng.integers(1, min(n - 1, 100) + 1))
+        h = rng.uniform(1.0, 10.0) / n
+        e = np.full(n - 1, -0.5 / h**2)
+        e[0] *= math.sqrt(2.0)
+        if i % 3 == 0:
+            d = np.full(n, 1.0 / h**2)
+        elif i % 3 == 1:
+            d = 1.0 / h**2 + 0.5 * (h * np.arange(n)) ** 2
+        else:
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            d, e = scale * rng.standard_normal(n), scale * rng.standard_normal(n - 1)
+        if i % 4 == 3:
+            e[rng.choice(n - 1, size=1 + n // 100, replace=False)] = 0.0
+        yield d, e, k
+
+
+class TestEighTridiagonal:
+    """The ctypes dstebz path against scipy.linalg.eigh_tridiagonal, its oracle."""
+
+    @pytest.mark.parametrize("eigvals_only", [True, False], ids=["values", "vectors"])
+    def test_is_scipys_bit_for_bit(self, eigvals_only):
+        for d, e, k in _tridiagonal_problems():
+            lowest = {"eigvals_only": eigvals_only, "select": "i", "select_range": (0, k - 1)}
+            ours, scipys = pot.eigh_tridiagonal(d, e, **lowest), linalg.eigh_tridiagonal(d, e, **lowest)
+            if eigvals_only:
+                ours, scipys = (ours,), (scipys,)
+            for a, b in zip(ours, scipys, strict=True):
+                np.testing.assert_array_equal(a, b, err_msg=f"n = {d.size}, k = {k}")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_raises_scipys_error(self, bad):
+        d, e = np.ones(5), np.full(4, 0.5)
+        e[2] = bad
+        with pytest.raises(ValueError) as scipys:
+            linalg.eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, 1))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(scipys.value))}$"):
+            pot.eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, 1))
+
+    @pytest.mark.parametrize("info", [-3, 2])
+    def test_lapack_info_raises_scipys_error(self, info, monkeypatch):
+        from scipy.linalg import _decomp
+
+        def dstebz(*args):
+            ctypes.c_int.from_address(args[-1]).value = info
+
+        monkeypatch.setattr(pot, "_dstebz", lambda: dstebz)
+        with pytest.raises((ValueError, np.linalg.LinAlgError)) as scipys:
+            _decomp._check_info(info, "stebz (eigh_tridiagonal)")
+        with pytest.raises(scipys.type, match=f"^{re.escape(str(scipys.value))}$"):
+            pot.eigh_tridiagonal(np.ones(4), np.ones(3), eigvals_only=True, select="i",
+                                 select_range=(0, 1))
+
+    def test_unconverged_eigenvectors_raise_scipys_error(self, monkeypatch):
+        from scipy.linalg import _decomp, lapack
+
+        monkeypatch.setattr(lapack, "dstein", lambda d, e, w, *blocks: (np.eye(d.size), 1))
+        with pytest.raises(np.linalg.LinAlgError) as scipys:
+            _decomp._check_info(1, "stein (eigh_tridiagonal)",
+                                positive="%d eigenvectors failed to converge")
+        with pytest.raises(np.linalg.LinAlgError, match=f"^{re.escape(str(scipys.value))}$"):
+            pot.eigh_tridiagonal(np.ones(4), np.ones(3), select="i", select_range=(0, 1))
+
+    @pytest.mark.parametrize("d, e, select", [(np.ones(4), np.ones(4), "i"),
+                                              (np.ones((2, 2)), np.ones(3), "i"),
+                                              (np.ones(4), np.ones(3), "a")])
+    def test_what_lapack_cannot_take_is_refused_before_it(self, d, e, select, monkeypatch):
+        monkeypatch.setattr(pot, "_dstebz", None)
+        with pytest.raises(ValueError, match="^need select='i' and 1-d d, e one shorter; got"):
+            pot.eigh_tridiagonal(d, e, eigvals_only=True, select=select, select_range=(0, 1))
 
 
 def test_load_potential_tables(tmp_path):
