@@ -40,7 +40,7 @@ bare = dataclasses.replace(state, omega=0.5)
 print("\nresidual with bare dispersion:", sp.complex_schrodinger_residual(bare, grid))
 print("residual with envelope dispersion at x=0.5:",
       sp.complex_schrodinger_residual(state, [0.5]))
-print("quantum potential gap:", an.quantum_potential(state, 3.0, 1.0))
+print("quantum potential gap:", an.quantum_potential(state))
 
 # The densities are entire, so closed contours integrate to zero and open
 # paths depend only on endpoints.

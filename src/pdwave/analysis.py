@@ -152,13 +152,13 @@ def contour_integral(params: FreeWaveParams, contour: Contour) -> complex:
     return total
 
 
-def quantum_potential(params: FreeWaveParams, x: float, t: float) -> float:
-    """Quantum-potential term of the energy balance at (x, t).
+def quantum_potential(params: FreeWaveParams) -> float:
+    """Quantum-potential term of the energy balance, the same at every (x, t).
 
     Evaluates (hbar^2/4m) [P''/P - (P'/P)^2/2] for the exponential
-    envelope, which reduces to hbar^2 R^2/(8 m v^2): the exact gap between
-    the plane-wave energy and the family's frequency.  It vanishes for the
-    R = 0 plane wave left at a measurement point.
+    envelope, which reduces to hbar^2 R^2/(8 m v^2) on either branch: the
+    exact gap between the plane-wave energy and the family's frequency.  It
+    vanishes for the R = 0 plane wave left at a measurement point.
     """
     r = params.R / params.v
     return 0.25 * (0.5 * r * r)

@@ -544,17 +544,14 @@ def _run_free_wave(p: dict, report: Report) -> Iterator[tuple]:
 
 def _make_potential_spec(p: dict) -> potential.PotentialSpec:
     from . import potential
-    if bool(p["v_table"]) != bool(p["k_table"]):
-        raise ConfigError("v_table and k_table must be given together")
-    if p["v_table"]:
-        return potential.load_potential_tables(
-            p["v_table"], p["k_table"], R=p["R"], omega=p["omega"]
-        )
+    if p["k_table"]:
+        try:
+            return potential.load_potential_table(p["k_table"], R=p["R"], omega=p["omega"])
+        except ValueError as exc:  # R's and omega's domains hold, so the table is at fault
+            raise ConfigError(f"k_table {p['k_table']}: {exc}") from exc
     xs = np.linspace(p["x0"], p["x1"], p["n"])
     kx = np.ones_like(xs) if p["profile"] == "constant" else 1.0 + xs - xs[0]
-    return potential.PotentialSpec(
-        x_samples=xs, V=np.zeros_like(xs), kx=kx, R=p["R"], omega=p["omega"]
-    )
+    return potential.PotentialSpec(x_samples=xs, kx=kx, R=p["R"], omega=p["omega"])
 
 
 def _run_potential_wave(p: dict, report: Report) -> Iterator[tuple]:
@@ -581,7 +578,7 @@ def _run_potential_wave(p: dict, report: Report) -> Iterator[tuple]:
         potential.continuity_residual(spec, Branch.INCOMING, g),
         1e-6,
     )
-    if p["profile"] == "constant" and not p["v_table"]:
+    if p["profile"] == "constant" and not p["k_table"]:
         state = replace(make_free_state(1.0, p["R"]), omega=spec.omega)
         probe = np.linspace(mid, spec.x_end, 17)
         free_psi = freewave.psi_free(state, probe, 0.1)
@@ -874,7 +871,7 @@ _TABLE: dict[str, tuple] = {
         "profile": ("linear", _within(("constant", "linear"))), "R": (1.0, _NONNEGATIVE),
         "omega": (0.375, _FINITE), "x0": (0.0, _FINITE), "x1": (5.0, _FINITE),
         "n": (201, _within(range(8, 45_201))), "t": (0.5, _NONNEGATIVE),
-        "x_mp": (1.0, _FINITE), "v_table": ("", _TEXT), "k_table": ("", _TEXT)}),
+        "x_mp": (1.0, _FINITE), "k_table": ("", _TEXT)}),
     "ensemble": (_run_ensemble, {
         "weights": ((0.5, 0.3, 0.2), _POSITIVE), "workers": (1, _within(range(1, 3))),
         "n_trials": (100000, _within(range(1, 10_000_001)))}),
@@ -932,7 +929,12 @@ def run_scenario(scenario: str, p: dict, check: bool = False) -> int:
                     else:
                         emit_output(table, fmt, stage / f"{stem}.{fmt}")
             report.write(stage)
-            for path in stage.iterdir():
+            # Every target is checked before the first rename, and report.json goes last.
+            staged = sorted(stage.iterdir(), key=lambda path: path.name == "report.json")
+            for path in staged:
+                if (out / path.name).is_dir():
+                    raise IsADirectoryError(f"{out / path.name} is a directory")
+            for path in staged:
                 path.replace(out / path.name)
     except ValueError as exc:
         message, code = f"config error: {exc}", 1

@@ -173,13 +173,10 @@ class EigenRecord:
     """A (possibly complex) measurement-rule value for one observable."""
 
     value: complex
-    at_mp: bool = False
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.value.real) and math.isfinite(self.value.imag)):
             raise ValueError("eigenvalue components must be finite")
-        if self.at_mp and self.value.imag != 0.0:
-            raise ValueError("a measurement-point record must carry a real value")
 
 
 @functools.cache

@@ -39,7 +39,7 @@ __all__ = [
     "solve_sturm_liouville",
     "mp_limit_check",
     "mode_arrival_times",
-    "load_potential_tables",
+    "load_potential_table",
 ]
 
 
@@ -97,26 +97,22 @@ def _tridiagonal_solve(a, b, c, d):
 
 
 def _spline(x, y) -> _Spline:
-    """Not-a-knot cubic spline through (x, y), as scipy's ``CubicSpline(x, y)``.
+    """Not-a-knot cubic spline through 4 or more points (x, y), as scipy's ``CubicSpline(x, y)``.
 
     The slopes solve de Boor's system (A Practical Guide to Splines, 1978) in
     scipy's rows; each end row folded into its neighbour leaves a strictly
-    diagonally dominant system.  Two points give the line, three the parabola.
+    diagonally dominant system.
     """
     dx = np.diff(x)
     slope = np.diff(y) / dx
-    if x.size < 4:  # the derivatives of the line or the parabola through the points
-        mid = (dx[-1] * slope[0] + dx[0] * slope[-1]) / (dx[0] + dx[-1])
-        s = np.array([2 * slope[0] - mid, mid, 2 * slope[-1] - mid])[: x.size]
-    else:
-        d0, d1 = x[2] - x[0], x[-1] - x[-3]
-        b0 = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
-        b1 = (dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
-        diag, rhs = 2 * (dx[:-1] + dx[1:]), 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-        diag[[0, -1]] -= d0, d1
-        rhs[[0, -1]] -= b0, b1
-        inner = _tridiagonal_solve(np.r_[0.0, dx[2:]], diag, np.r_[dx[:-2], 0.0], rhs)
-        s = np.r_[(b0 - d0 * inner[0]) / dx[1], inner, (b1 - d1 * inner[-1]) / dx[-2]]
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    b0 = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
+    b1 = (dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+    diag, rhs = 2 * (dx[:-1] + dx[1:]), 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    diag[[0, -1]] -= d0, d1
+    rhs[[0, -1]] -= b0, b1
+    inner = _tridiagonal_solve(np.r_[0.0, dx[2:]], diag, np.r_[dx[:-2], 0.0], rhs)
+    s = np.r_[(b0 - d0 * inner[0]) / dx[1], inner, (b1 - d1 * inner[-1]) / dx[-2]]
     t = (s[:-1] + s[1:] - 2 * slope) / dx
     return _Spline(x, np.stack([y[:-1], s[:-1], (slope - s[:-1]) / dx - t, t / dx]))
 
@@ -158,7 +154,7 @@ def eigh_tridiagonal(d, e, eigvals_only=False, *, select, select_range):
 
 @dataclass(frozen=True, eq=False)
 class PotentialSpec:
-    """Sampled potential V(x) and local wave number k(x) for one state.
+    """Local wave number k(x) of one state, sampled at 8 or more points.
 
     The local speed v(x) = hbar*k(x)/m must stay positive on the whole domain.
     Between samples, k and 1/v are not-a-knot cubic splines computed in numpy;
@@ -166,31 +162,28 @@ class PotentialSpec:
     """
 
     x_samples: np.ndarray
-    V: np.ndarray
     kx: np.ndarray
     R: float
     omega: float
 
     def __post_init__(self) -> None:
         xs = np.asarray(self.x_samples, dtype=float)
-        V = np.asarray(self.V, dtype=float)
         kx = np.asarray(self.kx, dtype=float)
         if xs.ndim != 1 or xs.size < 8:
             raise ValueError("need at least 8 strictly increasing x samples")
         if np.any(np.diff(xs) <= 0):
             raise ValueError("x samples must be strictly increasing")
-        if V.shape != xs.shape or kx.shape != xs.shape:
-            raise ValueError("V and kx must match x_samples in shape")
-        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(V)) and np.all(np.isfinite(kx))):
+        if kx.shape != xs.shape:
+            raise ValueError("kx must match x_samples in shape")
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(kx))):
             raise ValueError("samples must be finite")
         if self.R < 0.0 or not math.isfinite(self.R):
             raise ValueError("envelope rate R must be finite and nonnegative")
         if np.any(kx <= 0.0):
             raise ValueError("local speed v(x) = hbar*k(x)/m must be positive everywhere")
-        for a in (xs, V, kx):
+        for a in (xs, kx):
             a.setflags(write=False)
         object.__setattr__(self, "x_samples", xs)
-        object.__setattr__(self, "V", V)
         object.__setattr__(self, "kx", kx)
 
         k_spline = _spline(xs, kx)
@@ -644,24 +637,12 @@ def mode_arrival_times(eigenvalues, x: float) -> np.ndarray:
     return x / np.sqrt(2.0 * E)  # v_n = k_n = sqrt(2 E_n)
 
 
-def load_potential_tables(v_table_path, k_table_path, R: float, omega: float) -> PotentialSpec:
-    """Build a PotentialSpec from two whitespace-separated text tables.
+def load_potential_table(path, R: float, omega: float) -> PotentialSpec:
+    """Build a PotentialSpec from a whitespace-separated text table of rows "x k".
 
-    ``v_table_path`` holds rows "x V" and ``k_table_path`` rows "x k";
-    lines starting with '#' are comments.  If the two x grids differ, k is
-    spline-interpolated onto the potential's grid.
+    Lines starting with '#' are comments.  The x column is the spline grid.
     """
-    xv = np.loadtxt(v_table_path, comments="#", ndmin=2)
-    xk = np.loadtxt(k_table_path, comments="#", ndmin=2)
-    if xv.shape[1] != 2 or xk.shape[1] != 2:
-        raise ValueError("tables must have exactly two columns")
-    if xk.shape[0] < 2 or not np.all(np.isfinite(xk)):
-        raise ValueError("k_table needs at least 2 rows of finite x and k")
-    if np.any(np.diff(xk[:, 0]) <= 0):
-        raise ValueError("k_table x must be strictly increasing")
-    x, V = xv[:, 0], xv[:, 1]
-    if xk.shape[0] == x.shape[0] and np.allclose(xk[:, 0], x):
-        kx = xk[:, 1]
-    else:
-        kx = _spline(xk[:, 0], xk[:, 1])(x)
-    return PotentialSpec(x_samples=x, V=V, kx=kx, R=R, omega=omega)
+    xk = np.loadtxt(path, comments="#", ndmin=2)
+    if xk.shape[1] != 2:
+        raise ValueError("the table must have exactly two columns, x and k")
+    return PotentialSpec(x_samples=xk[:, 0], kx=xk[:, 1], R=R, omega=omega)

@@ -11,7 +11,6 @@ are natural (hbar = m = 1), as everywhere in pdwave.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -58,7 +57,7 @@ def hermitize_at_mp(record: EigenRecord, event: MeasurementEvent) -> EigenRecord
     """
     if not isinstance(event, MeasurementEvent):
         raise ValueError(f"hermitization needs a MeasurementEvent, got {type(event).__name__}")
-    return replace(record, value=complex(record.value.real, 0.0), at_mp=True)
+    return EigenRecord(complex(record.value.real, 0.0))
 
 
 # The step of every derivative along the canonical line x_c = x(1 + i).

@@ -197,11 +197,11 @@ def test_criterion_07_sturm_liouville_oracle():
 def test_criterion_08_continuity():
     xs_c = np.linspace(0.0, 5.0, 201)
     constant = pot.PotentialSpec(
-        x_samples=xs_c, V=np.zeros_like(xs_c), kx=np.ones_like(xs_c), R=1.0, omega=0.375
+        x_samples=xs_c, kx=np.ones_like(xs_c), R=1.0, omega=0.375
     )
     xs_l = np.linspace(0.0, 5.0, 401)
     linear = pot.PotentialSpec(
-        x_samples=xs_l, V=np.zeros_like(xs_l), kx=1.0 + xs_l, R=1.0, omega=0.375
+        x_samples=xs_l, kx=1.0 + xs_l, R=1.0, omega=0.375
     )
     res_const = pot.continuity_residual(
         constant, Branch.INCOMING, fw.Grid1D(2.0, 3.0, 21, 1.0)

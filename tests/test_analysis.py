@@ -183,15 +183,15 @@ class TestContour:
 class TestClassicalPoint:
     def test_quantum_potential_vanishes_at_mp(self):
         # The wave left at the measurement point has envelope rate R = 0.
-        assert an.quantum_potential(make_free_state(1.0, 0.0), 2.0, 2.0) == 0.0
+        assert an.quantum_potential(make_free_state(1.0, 0.0)) == 0.0
 
     def test_off_mp_gap(self):
-        assert an.quantum_potential(CANON, 3.0, 1.0) == pytest.approx(0.125, abs=1e-12)
+        assert an.quantum_potential(CANON) == pytest.approx(0.125, abs=1e-12)
 
     def test_gap_formula(self):
         state = make_free_state(2.0, 3.0)
         expected = 1.0 * 9.0 / (8.0 * 1.0 * 4.0)
-        assert an.quantum_potential(state, 5.0, 1.0) == pytest.approx(expected, abs=1e-12)
+        assert an.quantum_potential(state) == pytest.approx(expected, abs=1e-12)
 
     @given(R=st.floats(min_value=0.0, allow_infinity=False),
            v=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
@@ -203,7 +203,7 @@ class TestClassicalPoint:
         log_slope = -branch.sign * R / v
         curvature = log_slope * log_slope
         detour = 0.25 * (curvature - 0.5 * log_slope * log_slope)
-        value = an.quantum_potential(state, 0.0, 0.0)
+        value = an.quantum_potential(state)
         if curvature == 0.0 or 2.0 * sys.float_info.min <= curvature < math.inf:
             # Halving is exact and a - a/2 is exact (Sterbenz): the same bits.
             assert value == detour
@@ -213,10 +213,3 @@ class TestClassicalPoint:
         else:
             # A subnormal curvature/2 rounds in the detour: one ulp apart at most.
             assert abs(value - detour) <= math.ulp(0.0)
-
-    def test_same_on_both_branches_everywhere(self):
-        values = {
-            an.quantum_potential(replace(CANON, R=1.5, v=0.75, branch=branch), x, t)
-            for branch in Branch for x, t in ((0.0, 0.0), (3.0, 1.0), (-2.0, 5.0))
-        }
-        assert values == {0.5}  # (R/v)^2 / 8

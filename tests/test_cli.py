@@ -384,52 +384,49 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"pdwave: config error: {message}")
         assert not (tmp_path / "out").exists()
 
-    def test_unknown_key_is_config_error(self, tmp_path):
-        cfg = tmp_path / "bad.ini"
-        cfg.write_text("[ensemble]\nflux_capacitance = 1.21\n")
-        assert cli.main(
-            ["--scenario", "ensemble", "--config", str(cfg), "--out", str(tmp_path)]
-        ) == 1
+    @pytest.mark.parametrize("scenario, entry", [
+        ("ensemble", "flux_capacitance = 1.21"),
+        ("potential-wave", "v_table = v.txt"),  # the (x, V) table that nothing read is gone
+    ])
+    def test_unknown_key_is_config_error(self, scenario, entry, tmp_path, capsys):
+        assert _failed_run_code(scenario, entry, tmp_path) == 1
+        key = entry.split()[0]
+        assert capsys.readouterr().err.startswith(
+            f"pdwave: config error: [{scenario}] unknown key {key!r}")
 
     def test_missing_table_is_runtime_error(self, tmp_path):
         cfg = tmp_path / "run.ini"
-        cfg.write_text(
-            "[potential-wave]\nv_table = /nonexistent/v.txt\nk_table = /nonexistent/k.txt\n"
-        )
+        cfg.write_text("[potential-wave]\nk_table = /nonexistent/k.txt\n")
         assert cli.main(
             ["--scenario", "potential-wave", "--config", str(cfg),
              "--out", str(tmp_path)]
         ) == 2
         assert cfg.is_file()  # the rejected run leaves an existing --out in place
 
-    @staticmethod
-    def _tables(tmp_path, k_rows):
-        v_path, k_path = tmp_path / "v.txt", tmp_path / "k.txt"
-        v_path.write_text("".join(f"{float(x)!r} 0.0\n" for x in np.linspace(0.0, 2.0, 41)))
-        k_path.write_text("".join(f"{row}\n" for row in k_rows))
-        return f"v_table = {v_path}\nk_table = {k_path}"
+    _K_ROWS = [f"{x} {1 + x}" for x in range(8)]  # k = 1 + x on x = 0..7
 
     @pytest.mark.parametrize(
         "k_rows, message",
         [
-            (["0 1"], "needs at least 2 rows"),
-            (["0 1", "1 2", "1 3"], "x must be strictly increasing"),  # repeated x
-            (["0 1", "2 2", "1 3"], "x must be strictly increasing"),  # decreasing x
-            (["0 1", "nan 2", "2 3"], "needs at least 2 rows of finite x and k"),
-            (["0 1", "1 inf", "2 3"], "needs at least 2 rows of finite x and k"),
+            (["0 1"], "need at least 8 strictly increasing x samples"),
+            (_K_ROWS[:7], "need at least 8 strictly increasing x samples"),
+            (_K_ROWS[:2] + ["1 3"] + _K_ROWS[3:], "x samples must be strictly increasing"),
+            (_K_ROWS[:2] + ["0.5 3"] + _K_ROWS[3:], "x samples must be strictly increasing"),
+            (_K_ROWS[:2] + ["nan 3"] + _K_ROWS[3:], "samples must be finite"),
+            (_K_ROWS[:2] + ["2 inf"] + _K_ROWS[3:], "samples must be finite"),
+            (_K_ROWS[:2] + ["2 0"] + _K_ROWS[3:],
+             "local speed v(x) = hbar*k(x)/m must be positive"),
+            ([f"{row} 0" for row in _K_ROWS], "the table must have exactly two columns"),
         ],
+        ids=["one-row", "seven-rows", "repeated-x", "decreasing-x", "nan-x", "infinite-k",
+             "zero-k", "three-columns"],
     )
     def test_bad_k_table_is_config_error(self, k_rows, message, tmp_path, capsys):
-        entries = self._tables(tmp_path, k_rows)
-        assert _failed_run_code("potential-wave", entries, tmp_path) == 1
-        assert capsys.readouterr().err.startswith(f"pdwave: config error: k_table {message}")
-
-    @pytest.mark.parametrize("k_rows", [["0 1", "2 3"], ["0 1", "1 1.25", "2 2"]])
-    def test_two_and_three_row_k_tables_run(self, k_rows, tmp_path):
-        cfg = tmp_path / "run.ini"
-        cfg.write_text(f"[potential-wave]\nx_mp = 0.5\n{self._tables(tmp_path, k_rows)}\n")
-        assert cli.main(["--scenario", "potential-wave", "--config", str(cfg),
-                         "--out", str(tmp_path / "out")]) == 0
+        k_path = tmp_path / "k.txt"
+        k_path.write_text("".join(f"{row}\n" for row in k_rows))
+        assert _failed_run_code("potential-wave", f"k_table = {k_path}", tmp_path) == 1
+        assert capsys.readouterr().err.startswith(
+            f"pdwave: config error: k_table {k_path}: {message}")
 
     @pytest.mark.parametrize(
         "entries, message",
@@ -570,6 +567,19 @@ class TestExitCodes:
         assert cli.main(["--scenario", "field", "--out", str(tmp_path)]) == 2
         assert [p.name for p in tmp_path.iterdir()] == ["sentinel.txt"]
 
+    def test_directory_target_leaves_out_unchanged(self, tmp_path, capsys):
+        # An earlier run with other values, with one of its files now a directory.
+        out, cfg = tmp_path / "out", tmp_path / "run.ini"
+        cfg.write_text("[free-wave]\nR = 0.5\n")
+        assert cli.main(["--scenario", "free-wave", "--config", str(cfg), "--out", str(out)]) == 0
+        (out / "free_wave_t2.csv").unlink()
+        (out / "free_wave_t2.csv").mkdir()
+        (out / "sentinel.txt").write_text("kept\n")
+        before = {p.name: p.is_dir() or p.read_bytes() for p in out.iterdir()}
+        assert cli.main(["--scenario", "free-wave", "--out", str(out), "--seed", "1"]) == 2
+        assert capsys.readouterr().err == f"pdwave: {out / 'free_wave_t2.csv'} is a directory\n"
+        assert {p.name: p.is_dir() or p.read_bytes() for p in out.iterdir()} == before
+
     def test_failed_check_exits_three(self, tmp_path, monkeypatch):
         def broken(p, report):
             report.add("always_fails", False, 1.0)
@@ -616,7 +626,6 @@ class TestExitCodes:
             ("entropy", "n = 1"),
             ("field", "n = 1"),
             ("potential-wave", "t = 100"),
-            ("potential-wave", "v_table = v.txt"),  # without its k_table
             ("field", "seed = abc"),
             ("field", "seed = 1.5"),
             *_OUTSIDE_DOMAIN,
@@ -681,6 +690,85 @@ def test_every_default_lies_in_its_domain():
         raw = {key: _raw(default) for key, default in defaults.items()}
         assert cli._resolve_parameters(scenario, raw) == defaults
         assert cli._resolve_parameters(scenario, {}) == defaults
+
+
+def _k_table(bump: float) -> str:
+    """An (x, k) table of k = 1 + x on 41 rows over [0, 2], its middle k raised by ``bump``."""
+    k = 1.0 + np.linspace(0.0, 2.0, 41)
+    k[20] += bump
+    return "".join(f"{x!r} {y!r}\n" for x, y in zip(np.linspace(0.0, 2.0, 41).tolist(), k.tolist()))
+
+
+# One in-domain change per scenario and key, away from the defaults, that must move some
+# output byte or the exit code.  A list key changes its last element.  A file key maps
+# to the file's contents before and after one value inside it changes.  [free-wave]
+# mp_x = 2.5 would move no byte: it lands on a grid point of all three windows.
+_REACHING_CHANGES = {
+    "free-wave": {"v": "1.5", "R": "0.5", "mp_x": "2.013", "times": "1,2,3.5", "span": "2.5",
+                  "n": "120"},
+    "potential-wave": {"profile": "constant", "R": "0.5", "omega": "0.5", "x0": "0.5",
+                       "x1": "4", "n": "200", "t": "0.25", "x_mp": "1.5",
+                       "k_table": (_k_table(0.0), _k_table(0.01))},
+    "ensemble": {"weights": "0.5,0.3,0.25", "workers": "2", "n_trials": "99999"},
+    "decoherence": {"weights": "0.5,0.3,0.25", "speeds": "1,2,2.5", "t": "0.5"},
+    "entropy": {"v": "1.5", "t_max": "1.5", "measure_at": "1", "n": "40"},
+    "sturm-liouville": {"preset": "harmonic", "x0": "-0.5", "x1": "1.5", "n_eigen": "5",
+                        "n_grid": "2000", "k0": "0.5"},
+    "uncertainty": {"n_samples": "99999", "sigma_re": "1.5", "sigma_im": "0.5"},
+    "contour": {"v": "1.5", "R": "0.5", "contour_csv": ("re_x,im_x\n0,0\n1,0\n1,1\n",
+                                                       "re_x,im_x\n0,0\n1,0\n1,2\n")},
+    "composite": {"weights": "0.5,0.4", "system_speeds": "1,2.5", "n_trials": "99999"},
+    "field": {"s_max": "2", "n": "60"},
+}
+_RUN_KEY_CHANGES = {"seed": "1", "format": "json"}
+
+# Keys whose listed change moves no byte, each with the reason it stays.  The test
+# asserts that the change still moves none, so a key that gains a reader leaves here.
+_UNREACHING_CHANGES = {
+    ("field", "v"): ("7", "the runner builds a state from v only to pass probability_field's "
+                          "guard and maps exp(-s); the bulk-emit deck sets the key, and it "
+                          "gets a reader once the field is computed from the density"),
+    ("composite", "pointer_speeds"): (
+        "3,40", "only pair 0 feeds composite_schrodinger_residual; the residual on every "
+                "pair costs 0.48 ms a pair, and the two composite items sit at the median "
+                "of the bulk-sampling deck, whose run_s.p50 would rise 20-30%"),
+} | {(scenario, "output"): ("elsewhere", "it names the directory the files go to, so it "
+                                         "has no bytes of its own") for scenario in cli.SCENARIOS}
+
+
+def _run_outputs(scenario, entries, out) -> tuple:
+    """Exit code and {file name: bytes} of a run of ``entries``, written to ``out``."""
+    ini = out.with_suffix(".ini")
+    entries = {"output": str(out)} | entries
+    ini.write_text(f"[{scenario}]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items()))
+    code = cli.main(["--scenario", scenario, "--config", str(ini)])
+    out = Path(entries["output"])
+    return code, {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+
+
+@pytest.mark.parametrize("scenario, key", sorted(
+    {(s, k) for s, (_, keys) in cli._TABLE.items() for k in [*keys, *cli._RUN_KEYS]}
+    | {(s, k) for s, changes in _REACHING_CHANGES.items() for k in changes}
+    | set(_UNREACHING_CHANGES)))
+def test_every_key_reaches_an_output(scenario, key, tmp_path):
+    assert key in {**cli._TABLE[scenario][1], **cli._RUN_KEYS}, "a change of no key"
+    listed = {**_REACHING_CHANGES[scenario], **_RUN_KEY_CHANGES}
+    change, reason = _UNREACHING_CHANGES.get((scenario, key), (listed.get(key), None))
+    assert change is not None, f"[{scenario}] {key} has no listed change"
+    if key == "output":
+        change = str(tmp_path / change)
+    base = {}
+    if isinstance(change, tuple):  # a file key: the same file, one value inside it changed
+        path, (old, new) = tmp_path / "input.txt", change
+        path.write_text(old)
+        base, change = {key: path}, path
+    first = _run_outputs(scenario, base, tmp_path / "base")
+    if base:
+        path.write_text(new)
+    second = _run_outputs(scenario, {key: change}, tmp_path / "changed")
+    assert first[0] == 0
+    moved = first != second
+    assert moved == (reason is None), reason or f"[{scenario}] {key} = {change} moves no byte"
 
 
 def _runner_file_access(source: str) -> list[str]:
@@ -924,6 +1012,31 @@ def test_eigh_tridiagonal_is_a_module_function_for_the_tracer():
     # perfbench/tracer.py wraps it as a module global; a local import would bypass the span.
     fn = pdwave.potential.eigh_tridiagonal
     assert inspect.isfunction(fn) and fn.__module__ == "pdwave.potential"
+
+
+# perfbench/tracer.py looks names up on pdwave by string; a signature or module change
+# that drops one would break a --trace run only when the benchmark runs.
+_TRACED_RUN = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import pdwave, pdwave.cli, tracer
+missing = [f"{layer}.{name}" for layer, names in tracer.EXTRA_NAMES.items() for name in names
+           if not hasattr(getattr(pdwave, layer), name)]
+missing += [f"{layer}.{cls}.{attr}" for layer, cls, attr, _ in tracer.METHODS
+            if not hasattr(getattr(getattr(pdwave, layer), cls, None), attr)]
+assert not missing, f"the tracer's names missing on pdwave: {missing}"
+spans = tracer.Tracer()
+spans.install(pdwave)
+assert pdwave.cli.main(["--scenario", "potential-wave", "--out", sys.argv[2]]) == 0
+print(*sorted({span["name"] for span in spans.records()}), sep="\\n")
+"""
+
+
+def test_benchmark_tracer_finds_its_names_and_traces_a_run(tmp_path):
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    proc = _run_python(["-c", _TRACED_RUN, str(perfbench), str(tmp_path / "out")], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "potential.PotentialSpec" in proc.stdout.split()
 
 
 def test_chi_square_sf_matches_chi2_sf():

@@ -7,7 +7,11 @@ module.  Every public function and class is reached by the package, a demo
 or the acceptance suite, and so is every public method and property of a
 public class, unless it overrides a method of a base class.  Every
 defaulted parameter of a public function or method is passed by some call
-there: a default that no caller overrides is an option nothing uses.
+there: a default that no caller overrides is an option nothing uses.  Every
+public field of a public dataclass is loaded there other than by its own
+class's ``__post_init__``, save the fields kept with a reason in
+``_UNREAD_FIELDS_KEPT``: a field that is only validated computes nothing.
+Every parameter of a public function or method is read by its body.
 """
 
 import ast
@@ -225,3 +229,129 @@ def test_default_rule(tmp_path, source, caller, flagged):
     module.write_text(source)
     user.write_text(caller)
     assert unpassed_defaults([module], [module, user]) == flagged
+
+
+# Fields that nothing outside their own ``__post_init__`` loads, each kept for its reason.
+_UNREAD_FIELDS_KEPT = {
+    "potential.SLProblem.V": "__post_init__ consumes it into the effective potential "
+                             "W = k^2/2 + V, which the solvers read",
+    "core.MeasurementEvent.tau": "the type enforces with it that an event exists only on "
+                                 "arrival: construction raises unless on_arrival(t, tau)",
+}
+
+
+def _dataclass_fields(sources) -> list[tuple[str, str]]:
+    """(qualified name, field) of each public field of each public dataclass."""
+    fields = []
+    for path in sources:
+        for node in ast.parse(path.read_text()).body:
+            if not (isinstance(node, ast.ClassDef) and not node.name.startswith("_") and any(
+                    ast.unparse(d).split("(")[0].endswith("dataclass")
+                    for d in node.decorator_list)):
+                continue
+            fields += [(f"{path.stem}.{node.name}.{s.target.id}", s.target.id)
+                       for s in node.body if isinstance(s, ast.AnnAssign)
+                       and isinstance(s.target, ast.Name) and not s.target.id.startswith("_")]
+    return fields
+
+
+def unread_fields(sources, callers) -> list[str]:
+    """Public fields of the public dataclasses of ``sources`` that no code in ``callers``
+    loads as an attribute, except as ``self.<field>`` in a ``__post_init__``, which is the
+    field's own class validating or consuming it.  A keyword (``replace(b, size=2)``), a
+    store or a string (``getattr``) does not load it."""
+    loads = set()
+    for path in callers:
+        tree = ast.parse(path.read_text())
+        own = {id(node) for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+               for node in ast.walk(fn) if isinstance(node, ast.Attribute)
+               and isinstance(node.value, ast.Name) and node.value.id == "self"}
+        loads.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                     and isinstance(node.ctx, ast.Load) and id(node) not in own)
+    return [full for full, name in _dataclass_fields(sources) if name not in loads]
+
+
+def test_every_public_field_is_read():
+    assert sorted(unread_fields(SOURCES, CALLERS)) == sorted(_UNREAD_FIELDS_KEPT)
+
+
+_BOX = "from dataclasses import dataclass\n\n\n@dataclass{}\nclass Box:\n    size: int\n{}"
+_CHECKED = "\n    def __post_init__(self):\n        assert self.size > 0\n"
+
+
+@pytest.mark.parametrize("source, caller, flagged", [
+    (_BOX.format("", ""), "", ["mod.Box.size"]),
+    (_BOX.format("", ""), "Box(1).size\n", []),
+    (_BOX.format("(frozen=True)", _CHECKED), "Box(1)\n", ["mod.Box.size"]),
+    (_BOX.format("", _CHECKED), "Box(1).size\n", []),
+    (_BOX.format("", _CHECKED) + "\n\n@dataclass\nclass Bag:\n    size: int\n" + _CHECKED, "",
+     ["mod.Box.size", "mod.Bag.size"]),
+    (_BOX.format("", "") + "\n\n@dataclass\nclass Bag:\n    box: Box\n\n"
+     "    def __post_init__(self):\n        assert self.box.size > 0\n", "Bag(Box(1)).box\n", []),
+    (_BOX.format("", ""), "replace(Box(1), size=2)\nBox(size=3)\ngetattr(Box(4), 'size')\n"
+     "b = Box(5)\nb.size = 6\n", ["mod.Box.size"]),
+    (_BOX.format("", "    _cache: int = 0\n"), "Box(1).size\n", []),
+    ("class Box:\n    size: int\n", "", []),
+    (_BOX.format("", "").replace("class Box", "class _Box"), "", []),
+], ids=["unread", "read", "post-init-only", "read-elsewhere", "other-post-init",
+        "through-a-field", "not-loads",
+        "private-field", "not-a-dataclass", "private-class"])
+def test_field_rule(tmp_path, source, caller, flagged):
+    module, user = tmp_path / "mod.py", tmp_path / "user.py"
+    module.write_text(source)
+    user.write_text(caller)
+    assert unread_fields([module], [module, user]) == flagged
+
+
+def unread_parameters(sources) -> list[str]:
+    """Parameters of the public functions of ``sources``, and of the public methods and
+    ``__init__`` of their public classes, that the body never loads, in nested functions
+    and lambdas included.  A method's ``self`` or ``cls`` is not a parameter here."""
+    targets = []  # (qualified name, function, count of bound parameters)
+    for path in sources:
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                targets.append((f"{path.stem}.{node.name}", node, 0))
+                continue
+            targets += [(f"{path.stem}.{node.name}.{m.name}", m, 0 if any(
+                ast.unparse(d) == "staticmethod" for d in m.decorator_list) else 1)
+                for m in node.body if isinstance(m, ast.FunctionDef)
+                and (m.name == "__init__" or not m.name.startswith("_"))]
+    unread = []
+    for full, fn, bound in targets:
+        args = fn.args
+        params = [a.arg for a in [*args.posonlyargs, *args.args][bound:] + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{full}({param})" for param in params if param not in read]
+    return unread
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters(SOURCES) == []
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("def run(a, b):\n    return a\n", ["mod.run(b)"]),
+    ("def run(a, b=1):\n    return a + b\n", []),
+    ("def run(a):\n    a = 1\n", ["mod.run(a)"]),
+    ("def run(a):\n    return lambda: a\n", []),
+    ("def run(*args, key, **options):\n    return key\n", ["mod.run(args)", "mod.run(options)"]),
+    ("class Box:\n    def __init__(self, size):\n        pass\n\n"
+     "    def grow(self, by):\n        return self\n",
+     ["mod.Box.__init__(size)", "mod.Box.grow(by)"]),
+    ("class Box:\n    @staticmethod\n    def make(size):\n        pass\n\n"
+     "    @classmethod\n    def load(cls, path):\n        return cls(path)\n",
+     ["mod.Box.make(size)"]),
+    ("def _run(a):\n    pass\n\n\nclass _Box:\n    def grow(self, by):\n        pass\n\n\n"
+     "class Box:\n    def _grow(self, by):\n        pass\n", []),
+], ids=["unread", "read", "assigned", "lambda", "star-and-keyword", "method", "static-and-class",
+        "private"])
+def test_parameter_rule(tmp_path, source, flagged):
+    module = tmp_path / "mod.py"
+    module.write_text(source)
+    assert unread_parameters([module]) == flagged

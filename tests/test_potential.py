@@ -21,14 +21,14 @@ from pdwave import potential as pot
 def constant_spec(v=1.0, R=1.0, omega=0.375, x1=5.0, n=201):
     xs = np.linspace(0.0, x1, n)
     return pot.PotentialSpec(
-        x_samples=xs, V=np.zeros_like(xs), kx=np.full_like(xs, v), R=R, omega=omega
+        x_samples=xs, kx=np.full_like(xs, v), R=R, omega=omega
     )
 
 
 def linear_spec(x1=1.0, n=201, R=1.0, omega=0.375):
     xs = np.linspace(0.0, x1, n)
     return pot.PotentialSpec(
-        x_samples=xs, V=np.zeros_like(xs), kx=1.0 + xs, R=R, omega=omega
+        x_samples=xs, kx=1.0 + xs, R=R, omega=omega
     )
 
 
@@ -55,13 +55,6 @@ class TestSpline:
                           (ours.antiderivative()(probe), oracle.antiderivative()(probe))):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("y", [[1.0, 3.0], [1.0, 1.25, 2.0], [2.0, -1.0, 0.5]])
-    def test_two_and_three_knots_give_the_line_and_the_parabola(self, y):
-        x = np.array([0.0, 1.0, 2.0])[: len(y)]
-        probe = np.linspace(-0.5, 2.5, 31)
-        np.testing.assert_allclose(pot._spline(x, y)(probe), CubicSpline(x, y)(probe),
-                                   rtol=1e-14, atol=1e-14)
-
     @given(n=st.integers(4, 60), uniform=st.booleans(), seed=st.integers(0, 2**32 - 1))
     def test_exact_minimum_is_below_the_sampled_one(self, n, uniform, seed):
         x = _knots(n, uniform, seed)
@@ -76,7 +69,7 @@ class TestSpline:
         kx = np.array([5.0, 5.0, 5.0, 5.0, 0.05, 0.05, 5.0, 5.0, 5.0])
         assert CubicSpline(xs, kx)(0.5625) < 0.0
         with pytest.raises(ValueError, match="dips to zero between samples"):
-            pot.PotentialSpec(x_samples=xs, V=np.zeros_like(xs), kx=kx, R=1.0, omega=0.5)
+            pot.PotentialSpec(x_samples=xs, kx=kx, R=1.0, omega=0.5)
 
     def test_dip_between_the_old_probe_points_is_rejected(self):
         # The same dip lifted until its only negative part, near x = 0.5624,
@@ -86,7 +79,7 @@ class TestSpline:
         assert np.min(CubicSpline(xs, kx)(np.linspace(0.0, 1.0, 8 * xs.size))) > 1e-4
         assert np.min(CubicSpline(xs, kx)(np.linspace(0.56, 0.565, 501))) < -1e-4
         with pytest.raises(ValueError, match="dips to zero between samples"):
-            pot.PotentialSpec(x_samples=xs, V=np.zeros_like(xs), kx=kx, R=1.0, omega=0.5)
+            pot.PotentialSpec(x_samples=xs, kx=kx, R=1.0, omega=0.5)
 
 
 class TestArrivalTime:
@@ -114,7 +107,7 @@ class TestArrivalTime:
         xs = np.linspace(0.0, 1.0, 16)
         with pytest.raises(ValueError):
             pot.PotentialSpec(
-                x_samples=xs, V=np.zeros_like(xs), kx=xs - 0.5, R=1.0, omega=0.5
+                x_samples=xs, kx=xs - 0.5, R=1.0, omega=0.5
             )
 
 
@@ -147,7 +140,7 @@ class TestWaves:
         # k doubles between the measurement point and the probe.
         xs = np.linspace(0.0, 1.0, 101)
         spec = pot.PotentialSpec(
-            x_samples=xs, V=np.zeros_like(xs), kx=1.0 + xs, R=1.0, omega=0.375
+            x_samples=xs, kx=1.0 + xs, R=1.0, omega=0.375
         )
         t_arr = pot.arrival_time(spec, 1.0)
         d = pot.prob_density_potential(spec, Branch.INCOMING, 1.0, t_arr, x_mp=0.0)
@@ -207,7 +200,7 @@ class TestContinuity:
     def test_linear_speed(self):
         xs = np.linspace(0.0, 5.0, 401)
         spec = pot.PotentialSpec(
-            x_samples=xs, V=np.zeros_like(xs), kx=1.0 + xs, R=1.0, omega=0.375
+            x_samples=xs, kx=1.0 + xs, R=1.0, omega=0.375
         )
         grid = fw.Grid1D(2.0, 3.0, 21, 0.5)
         assert pot.continuity_residual(spec, Branch.INCOMING, grid) < 1e-6
@@ -715,29 +708,23 @@ class TestEighTridiagonal:
             pot.eigh_tridiagonal(d, e, eigvals_only=True, select=select, select_range=(0, 1))
 
 
-def test_load_potential_tables(tmp_path):
+def test_load_potential_table(tmp_path):
     xs = np.linspace(0.0, 2.0, 51)
-    v_path = tmp_path / "v.txt"
     k_path = tmp_path / "k.txt"
-    v_lines = ["# x V"] + [f"{float(x)!r} {float(0.5 * x * x)!r}" for x in xs]
     k_lines = ["# x k"] + [f"{float(x)!r} {float(1.0 + x)!r}" for x in xs]
-    v_path.write_text("\n".join(v_lines) + "\n")
     k_path.write_text("\n".join(k_lines) + "\n")
-    spec = pot.load_potential_tables(v_path, k_path, R=1.0, omega=0.375)
-    assert spec.x_samples.size == 51
+    spec = pot.load_potential_table(k_path, R=1.0, omega=0.375)
+    assert spec.x_samples.tolist() == xs.tolist()
     assert spec.kx[0] == pytest.approx(1.0)
-    assert spec.V[-1] == pytest.approx(2.0)
     assert pot.arrival_time(spec, 2.0) == pytest.approx(math.log(3.0), abs=1e-6)
 
 
-@pytest.mark.parametrize("k_rows, k_of_x", [
-    ("0 1\n2 3\n", lambda x: 1.0 + x),
-    ("0 1\n1 1.25\n2 2\n", lambda x: 1.0 + 0.25 * x * x),
+@pytest.mark.parametrize("rows, message", [
+    ("0 1 2\n" * 8, "the table must have exactly two columns"),
+    ("".join(f"{x} 1\n" for x in range(7)), "need at least 8 strictly increasing x samples"),
 ])
-def test_short_k_tables_resample_as_the_line_and_the_parabola(k_rows, k_of_x, tmp_path):
-    xs = np.linspace(0.0, 3.0, 31)  # past the k table's last row, too
-    v_path, k_path = tmp_path / "v.txt", tmp_path / "k.txt"
-    v_path.write_text("".join(f"{float(x)!r} 0.0\n" for x in xs))
-    k_path.write_text(k_rows)
-    spec = pot.load_potential_tables(v_path, k_path, R=1.0, omega=0.375)
-    np.testing.assert_allclose(spec.kx, k_of_x(xs), rtol=1e-14)
+def test_load_potential_table_refuses_a_short_or_wide_table(rows, message, tmp_path):
+    k_path = tmp_path / "k.txt"
+    k_path.write_text(rows)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        pot.load_potential_table(k_path, R=1.0, omega=0.375)

@@ -117,7 +117,6 @@ class TestApplyObservable:
     def test_energy(self):
         rec = sp.apply_observable("H", CANON)
         assert rec.value == pytest.approx(0.375 + 0.5j)
-        assert not rec.at_mp
 
     def test_adjoint_energy(self):
         assert sp.apply_observable("Hdagger", CANON).value == pytest.approx(0.375 - 0.5j)
@@ -157,14 +156,13 @@ class TestHermitize:
         rec = EigenRecord(0.375 + 0.5j)
         out = sp.hermitize_at_mp(rec, self.event())
         assert out.value == 0.375 + 0j
-        assert out.at_mp
 
     def test_momentum(self):
         rec = EigenRecord(1.0 + 0.5j)
         assert sp.hermitize_at_mp(rec, self.event()).value == 1.0 + 0j
 
     def test_idempotent(self):
-        rec = EigenRecord(0.375 + 0.0j, at_mp=True)
+        rec = sp.hermitize_at_mp(EigenRecord(0.375 + 0.5j), self.event())
         assert sp.hermitize_at_mp(rec, self.event()) == rec
 
     def test_rejects_off_mp_event(self):
