@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConvergenceError, FreeWaveParams, _gauss_segment
+from .core import ConvergenceError, FreeWaveParams, _gauss_segment, _read_rows
 
 __all__ = [
     "ComplexSampleSet",
@@ -110,7 +110,7 @@ class Contour:
     @classmethod
     def from_csv(cls, path) -> "Contour":
         """Read vertices from a CSV with header columns re_x, im_x."""
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        data = _read_rows(path, delimiter=",", skiprows=1)
         if data.shape[1] != 2:
             raise ValueError("contour CSV must have columns re_x, im_x")
         return cls(vertices=data[:, 0] + 1j * data[:, 1])

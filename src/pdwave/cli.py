@@ -17,25 +17,19 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import contextvars
 import functools
 import json
 import math
 import shutil
 import sys
 import tempfile
-import threading
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .core import (
-    Branch,
-    ConvergenceError,
-    make_free_state,
-)
+from .core import Branch, ConvergenceError, _both, make_free_state
 
 __all__ = ["run_scenario", "emit_output", "main"]
 
@@ -345,14 +339,6 @@ def _records(columns: list, n: int, seps: list, fmt: str):
         yield np.ascontiguousarray(buf.T).view(np.uint8)[np.ascontiguousarray(keep.T).view(bool)]
 
 
-def _require_finite(path: Path, rows) -> None:
-    """Raise FloatingPointError naming ``path`` if a float in ``rows`` is NaN or inf."""
-    for row in rows:
-        for key, value in row.items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise FloatingPointError(f"{path.name}: {key} = {value} is not finite")
-
-
 def emit_output(table: dict, fmt: str, path) -> Path:
     """Write a table of named columns as CSV or JSON.
 
@@ -416,6 +402,8 @@ class Report:
 
     def add(self, name: str, passed: bool, value: float, tolerance: float | None = None):
         entry = {"name": name, "passed": bool(passed), "value": float(value)}
+        if not math.isfinite(entry["value"]):
+            raise FloatingPointError(f"report.json: {name} = {entry['value']} is not finite")
         if tolerance is not None:
             entry["tolerance"] = float(tolerance)
         self.checks.append(entry)
@@ -429,7 +417,6 @@ class Report:
 
     def write(self, out_dir: Path) -> Path:
         path = out_dir / "report.json"
-        _require_finite(path, self.checks)
         payload = {
             "scenario": self.scenario,
             "seed": self.seed,
@@ -504,14 +491,13 @@ def _falls_strictly(values: np.ndarray) -> bool:
 def _run_free_wave(p: dict, report: Report) -> Iterator[tuple]:
     from . import freewave
     state = make_free_state(p["v"], p["R"])
+    outgoing = replace(state, branch=Branch.OUTGOING)
     for idx, t in enumerate(p["times"]):
         peak = state.v * t
         if peak <= p["mp_x"]:
-            branch_state = state
-            lo, hi = peak, peak + p["span"]
+            branch_state, lo, hi = state, peak, peak + p["span"]
         else:
-            branch_state = replace(state, branch=Branch.OUTGOING)
-            lo, hi = peak - p["span"], peak
+            branch_state, lo, hi = outgoing, peak - p["span"], peak
         xs = np.linspace(lo, hi, p["n"])
         if lo <= p["mp_x"] <= hi:
             xs = _sorted_unique(np.append(xs, p["mp_x"]))
@@ -522,9 +508,8 @@ def _run_free_wave(p: dict, report: Report) -> Iterator[tuple]:
         report.add(f"envelope_monotone_t{idx}", _falls_strictly(dens[::branch_state.branch.sign]),
                    float(np.max(np.abs(np.diff(dens)))))
 
-    seam = freewave.psi_free(state, state.v * 5.0, 5.0) - freewave.psi_free(
-        replace(state, branch=Branch.OUTGOING), state.v * 5.0, 5.0
-    )
+    x_seam = state.v * 5.0  # the arrival line at t = 5, where the branches meet
+    seam = freewave.psi_free(state, x_seam, 5.0) - freewave.psi_free(outgoing, x_seam, 5.0)
     report.add_residual("branch_continuity_at_seam", abs(seam), 1e-12)
     grid = freewave.Grid1D(2.0 * state.v, 4.0 * state.v, 101, 1.0)
     report.add_residual(
@@ -735,29 +720,20 @@ def _run_sturm_liouville(p: dict, report: Report) -> Iterator[tuple]:
 def _run_uncertainty(p: dict, report: Report) -> Iterator[tuple]:
     """Fill z by blocks with normal(0.0, sigma, n)'s bytes, 0.0 + sigma*x, from two streams.
 
-    Part i draws from SeedSequence(seed).spawn(2)[i]: z.real here and z.imag on one more
-    thread, in a copy of the context that holds np.errstate. No scheduling moves a byte.
+    Part i draws from SeedSequence(seed).spawn(2)[i]: z.real on one more thread, in a copy of
+    the context that holds np.errstate, and z.imag here. No scheduling moves a byte.
     """
     from . import analysis
-    seeds, failed = np.random.SeedSequence(p["seed"]).spawn(2), [None, None]
+    seeds = np.random.SeedSequence(p["seed"]).spawn(2)
     n, block = p["n_samples"], analysis._BLOCK
     z = np.empty(n, dtype=complex)
     def fill(i: int, part: np.ndarray, sigma: float) -> None:
-        try:
-            rng, buf = np.random.default_rng(seeds[i]), np.empty(min(n, block))
-            for start in range(0, n, block):
-                x = rng.standard_normal(out=buf[:min(block, n - start)])
-                np.add(np.multiply(x, sigma, out=x), 0.0, out=part[start:start + block])
-        except Exception as exc:  # raised by the main thread after join(), part 0 first
-            failed[i] = exc
-    worker = threading.Thread(target=contextvars.copy_context().run,
-                              args=(fill, 1, z.imag, p["sigma_im"]))
-    worker.start()
-    fill(0, z.real, p["sigma_re"])
-    worker.join()
-    try:
-        for exc in filter(None, failed):
-            raise exc
+        rng, buf = np.random.default_rng(seeds[i]), np.empty(min(n, block))
+        for start in range(0, n, block):
+            x = rng.standard_normal(out=buf[:min(block, n - start)])
+            np.add(np.multiply(x, sigma, out=x), 0.0, out=part[start:start + block])
+    try:  # part 0's error is raised first, as in the sequential fill
+        _both(lambda: fill(0, z.real, p["sigma_re"]), lambda: fill(1, z.imag, p["sigma_im"]))
         rep = analysis.uncertainty_decompose(analysis.ComplexSampleSet(values=z))
     except FloatingPointError as exc:
         raise FloatingPointError(
@@ -784,27 +760,22 @@ def _run_uncertainty(p: dict, report: Report) -> Iterator[tuple]:
 def _run_contour(p: dict, report: Report) -> Iterator[tuple]:
     from . import analysis
     state = make_free_state(p["v"], p["R"])
-    square = analysis.Contour(vertices=np.array([0, 1, 1 + 1j, 1j, 0], dtype=complex))
-    path_a = analysis.Contour(vertices=np.array([0, 1, 1 + 1j], dtype=complex))
-    path_b = analysis.Contour(vertices=np.array([0, 1j, 1 + 1j], dtype=complex))
-    segment = analysis.Contour(vertices=np.array([0, 1], dtype=complex))
-
-    closed_val = analysis.contour_integral(state, square)
-    val_a = analysis.contour_integral(state, path_a)
-    val_b = analysis.contour_integral(state, path_b)
-    seg_val = analysis.contour_integral(state, segment)
-
-    values = {"closed_square": closed_val, "path_a": val_a, "path_b": val_b,
-              "segment_0_to_1": seg_val}
+    paths = {"closed_square": [0, 1, 1 + 1j, 1j, 0], "path_a": [0, 1, 1 + 1j],
+             "path_b": [0, 1j, 1 + 1j], "segment_0_to_1": [0, 1]}
+    values = {name: analysis.contour_integral(state, analysis.Contour(vertices=vertices))
+              for name, vertices in paths.items()}
     if p["contour_csv"]:
-        user = analysis.Contour.from_csv(p["contour_csv"])
-        values["user_contour"] = analysis.contour_integral(state, user)
+        try:
+            user = analysis.Contour.from_csv(p["contour_csv"])
+            values["user_contour"] = analysis.contour_integral(state, user)
+        except ValueError as exc:  # the user's vertices are at fault
+            raise ConfigError(f"contour_csv {p['contour_csv']}: {exc}") from exc
     yield "contour", {"name": list(values), "value": list(values.values())}
 
-    report.add_residual("closed_contour_zero", abs(closed_val), 1e-9)
-    report.add_residual("path_independence", abs(val_a - val_b), 1e-9)
+    report.add_residual("closed_contour_zero", abs(values["closed_square"]), 1e-9)
+    report.add_residual("path_independence", abs(values["path_a"] - values["path_b"]), 1e-9)
     expected = -np.expm1(-state.R / state.v) * state.v / state.R
-    report.add_residual("segment_closed_form", abs(seg_val - expected), 1e-9)
+    report.add_residual("segment_closed_form", abs(values["segment_0_to_1"] - expected), 1e-9)
 
 
 def _run_composite(p: dict, report: Report) -> Iterator[tuple]:
@@ -845,8 +816,8 @@ def _run_composite(p: dict, report: Report) -> Iterator[tuple]:
 
 
 def _run_field(p: dict, report: Report) -> Iterator[tuple]:
-    from . import freewave, spectral
-    state = freewave.normalize_state(make_free_state(p["v"], p["v"]))
+    from . import spectral
+    state = make_free_state(p["v"], p["v"])  # R = v: normalized
     ss = np.linspace(0.0, p["s_max"], p["n"])
     spectral.probability_field(float(ss.min()), state)  # s >= 0 and a normalized state
     values = np.fromiter(map(math.exp, (-ss).tolist()), float, ss.size)  # its e^{-s}, bit for bit

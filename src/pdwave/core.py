@@ -7,10 +7,13 @@ positions and times) are represented with Python's built-in ``complex``.
 
 from __future__ import annotations
 
+import contextvars
 import enum
 import functools
 import math
 import sys
+import threading
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,6 +180,43 @@ class EigenRecord:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.value.real) and math.isfinite(self.value.imag)):
             raise ValueError("eigenvalue components must be finite")
+
+
+def _both(first, second) -> tuple:
+    """``(first(), second())``, with ``first`` run meanwhile on one more thread.
+
+    The thread runs in a copy of the caller's context, where ``np.errstate`` holds, and is
+    joined before this returns or raises.  first's exception, any BaseException, is raised
+    ahead of second's, as the sequential expression would raise it.
+    """
+    outcome = []
+
+    def run() -> None:
+        try:
+            outcome.append((first(), None))
+        except BaseException as exc:
+            outcome.append((None, exc))
+
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(run,))
+    worker.start()
+    try:
+        other = second()
+    finally:
+        worker.join()
+        [(value, error)] = outcome
+        if error is not None:
+            raise error
+    return value, other
+
+
+def _read_rows(path, **options) -> np.ndarray:
+    """``np.loadtxt(path, ndmin=2, **options)``, where a table of no rows raises ValueError."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        rows = np.loadtxt(path, ndmin=2, **options)
+    if not rows.size:
+        raise ValueError("the table holds no rows")
+    return rows
 
 
 @functools.cache

@@ -16,15 +16,14 @@ and add; the loop itself runs only where the solution must be rescaled.
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Branch, ConvergenceError, central_difference, envelope_lag, stencil_step
+from .core import (Branch, ConvergenceError, _both, _read_rows, central_difference,
+                   envelope_lag, stencil_step)
 from .freewave import Grid1D
 
 __all__ = [
@@ -206,18 +205,13 @@ class PotentialSpec:
     def k_at(self, x):
         return self._k_spline(x)
 
-    def _check_domain(self, x) -> None:
-        xs = np.asarray(x, dtype=float)
-        slack = 1e-12 * max(1.0, abs(self.x_start), abs(self.x_end))
-        if np.any(xs < self.x_start - slack) or np.any(xs > self.x_end + slack):
-            raise ValueError(
-                f"x outside domain [{self.x_start}, {self.x_end}]"
-            )
-
 
 def arrival_time(spec: PotentialSpec, x):
     """Travel time from the domain start to x: the integral of 1/v(x')."""
-    spec._check_domain(x)
+    xs = np.asarray(x, dtype=float)
+    slack = 1e-12 * max(1.0, abs(spec.x_start), abs(spec.x_end))
+    if np.any(xs < spec.x_start - slack) or np.any(xs > spec.x_end + slack):
+        raise ValueError(f"x outside domain [{spec.x_start}, {spec.x_end}]")
     tau = spec._tau_spline(x) - spec._tau_spline(spec.x_start)
     return float(tau) if np.isscalar(x) else tau
 
@@ -286,7 +280,6 @@ def mp_limit_check(spec: PotentialSpec, x: float) -> float:
     anchored at the measurement point, the wave equals
     exp[i(k_mp*x - omega*t)]; returns the modulus of the difference.
     """
-    spec._check_domain(x)
     t_arr = arrival_time(spec, x)
     k_mp = float(spec.k_at(x))
     psi = psi_potential(spec, Branch.INCOMING, x, t_arr, x_mp=x)
@@ -326,10 +319,7 @@ class SLProblem:
         w = kx**2 / 2.0 + V
         if not np.all(np.isfinite(w)):
             raise ValueError("effective potential hbar^2 k^2/2m + V must be finite")
-        object.__setattr__(self, "_w_spline", _spline(self.sample_grid(), w))
-
-    def sample_grid(self) -> np.ndarray:
-        return np.linspace(self.x0, self.x_end, self.kx.size)
+        object.__setattr__(self, "_w_spline", _spline(np.linspace(self.x0, self.x_end, kx.size), w))
 
     def effective_potential(self, x) -> np.ndarray:
         """W(x) = hbar^2 k^2(x)/2m + V(x), a cubic spline through the samples."""
@@ -605,23 +595,10 @@ def solve_sturm_liouville(problem: SLProblem, n_grid: int = 2001) -> SLSolution:
         raise ValueError(f"n_grid = {n_grid} has fewer than 2 points per level of "
                          f"n_eigen = {problem.n_eigen}: it must be at least {2 * problem.n_eigen}")
     lowest = {"eigvals_only": True, "select": "i", "select_range": (0, problem.n_eigen - 1)}
-    fine, coarse = [_tridiagonal(problem, 2 * n_grid - 1)[:2]], _tridiagonal(problem, n_grid)[:2]
-
-    def bisect() -> None:
-        try:
-            fine[0] = eigh_tridiagonal(*fine[0], **lowest)
-        except Exception as exc:
-            fine[0] = exc
+    fine, coarse = (_tridiagonal(problem, n)[:2] for n in (2 * n_grid - 1, n_grid))
     _dstebz()  # scipy's first import allocates on this thread, not in a new malloc arena
-    worker = threading.Thread(target=contextvars.copy_context().run, args=(bisect,))
-    worker.start()
-    try:
-        coarse = eigh_tridiagonal(*coarse, **lowest)
-    finally:
-        worker.join()
-        if isinstance(fine[0], Exception):  # ahead of this thread's, as _richardson(fine, coarse)
-            raise fine[0]
-    matrix = _richardson(fine[0], coarse)
+    matrix = _richardson(*_both(lambda: eigh_tridiagonal(*fine, **lowest),
+                                lambda: eigh_tridiagonal(*coarse, **lowest)))
     eigenvalues, _ = _shooting_eigenvalues(problem, n_grid, seeds=matrix)
     return SLSolution(eigenvalues, matrix)
 
@@ -642,7 +619,7 @@ def load_potential_table(path, R: float, omega: float) -> PotentialSpec:
 
     Lines starting with '#' are comments.  The x column is the spline grid.
     """
-    xk = np.loadtxt(path, comments="#", ndmin=2)
+    xk = _read_rows(path, comments="#")
     if xk.shape[1] != 2:
         raise ValueError("the table must have exactly two columns, x and k")
     return PotentialSpec(x_samples=xk[:, 0], kx=xk[:, 1], R=R, omega=omega)

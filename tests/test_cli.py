@@ -417,9 +417,11 @@ class TestExitCodes:
             (_K_ROWS[:2] + ["2 0"] + _K_ROWS[3:],
              "local speed v(x) = hbar*k(x)/m must be positive"),
             ([f"{row} 0" for row in _K_ROWS], "the table must have exactly two columns"),
+            ([], "the table holds no rows"),
+            (["# x k", ""], "the table holds no rows"),
         ],
         ids=["one-row", "seven-rows", "repeated-x", "decreasing-x", "nan-x", "infinite-k",
-             "zero-k", "three-columns"],
+             "zero-k", "three-columns", "empty", "comments-only"],
     )
     def test_bad_k_table_is_config_error(self, k_rows, message, tmp_path, capsys):
         k_path = tmp_path / "k.txt"
@@ -427,6 +429,18 @@ class TestExitCodes:
         assert _failed_run_code("potential-wave", f"k_table = {k_path}", tmp_path) == 1
         assert capsys.readouterr().err.startswith(
             f"pdwave: config error: k_table {k_path}: {message}")
+
+    @pytest.mark.parametrize("rows, message", [
+        ("", "the table holds no rows"),
+        ("0,0\n1,0\n1,0\n", "contour contains a zero-length segment"),
+        ("0,0,0\n1,0,0\n", "contour CSV must have columns re_x, im_x"),
+    ], ids=["header-only", "repeated-vertex", "three-columns"])
+    def test_bad_contour_csv_is_config_error(self, rows, message, tmp_path, capsys):
+        csv_path = tmp_path / "contour.csv"
+        csv_path.write_text("re_x,im_x\n" + rows)
+        assert _failed_run_code("contour", f"contour_csv = {csv_path}", tmp_path) == 1
+        line = f"pdwave: config error: contour_csv {csv_path}: {message}"
+        assert capsys.readouterr().err.splitlines() == [line, line]  # one line a run, no warning
 
     @pytest.mark.parametrize(
         "entries, message",
@@ -978,7 +992,7 @@ SCENARIO_MODULES = {
     "uncertainty": {"analysis"},
     "contour": {"analysis"},
     "composite": {"evolution", "freewave", "measurement", "spectral"},
-    "field": {"freewave", "spectral"},
+    "field": {"spectral"},
 }
 
 
@@ -1110,12 +1124,16 @@ class TestEmitOutput:
             cli.emit_output({"a": [1.0], "b": [complex(0.0, bad)]}, fmt, path)
         assert not path.exists()
 
-    def test_report_with_non_finite_value_raises(self, tmp_path):
+    def test_report_with_non_finite_value_raises(self, tmp_path, monkeypatch, capsys):
         report = cli.Report(scenario="field", seed=0)
-        report.add_residual("residual", float("nan"), 1e-12)
-        with pytest.raises(FloatingPointError, match="report.json: value = nan"):
-            report.write(tmp_path)
-        assert not (tmp_path / "report.json").exists()
+        with pytest.raises(FloatingPointError,
+                           match="^report.json: residual = nan is not finite$"):
+            report.add_residual("residual", float("nan"), 1e-12)
+        assert report.checks == []
+        # In a run the check's NaN ends it with exit 2, and no report.json is written.
+        monkeypatch.setattr(pdwave.spectral, "probability_field", lambda s, state: math.nan)
+        assert _failed_run_code("field", "", tmp_path) == 2
+        assert "report.json: field_at_ln2_is_half = nan is not finite" in capsys.readouterr().err
 
     def test_json_round_trip_bit_exact(self, tmp_path):
         path = tmp_path / "x.json"

@@ -1,5 +1,7 @@
 import math
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from pdwave.core import (
     EigenRecord,
     FreeWaveParams,
     RegionError,
+    _both,
     central_difference,
     dispersion_omega,
     envelope_lag,
@@ -151,3 +154,33 @@ def test_central_difference_is_fourth_order(order, direction):
                             - exact)) for h in (0.2, 0.1)]
     assert errors[0] / errors[1] == pytest.approx(16.0, rel=0.1)
     assert errors[1] < 1e-5
+
+
+def test_both_returns_first_then_second():
+    assert _both(lambda: "first", lambda: "second") == ("first", "second")
+
+
+class _Stop(BaseException):
+    pass
+
+
+def _raise(exc):
+    raise exc
+
+
+def _late(value):
+    """A ``first`` that returns ``value`` 50 ms late, after ``second`` has raised."""
+    time.sleep(0.05)
+    return value
+
+
+@pytest.mark.parametrize("first, second, raised", [
+    (lambda: _late(1), lambda: _raise(KeyError("second")), KeyError),
+    (lambda: _raise(_Stop()), lambda: 2, _Stop),
+    (lambda: _raise(_Stop()), lambda: _raise(KeyError("second")), _Stop),
+], ids=["second-alone", "first-base-exception", "first-ahead-of-second"])
+def test_both_raises_as_the_sequential_expression_and_leaves_no_thread(first, second, raised):
+    threads = threading.active_count()
+    with pytest.raises(raised):
+        _both(first, second)
+    assert threading.active_count() == threads

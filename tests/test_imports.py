@@ -11,7 +11,9 @@ there: a default that no caller overrides is an option nothing uses.  Every
 public field of a public dataclass is loaded there other than by its own
 class's ``__post_init__``, save the fields kept with a reason in
 ``_UNREAD_FIELDS_KEPT``: a field that is only validated computes nothing.
-Every parameter of a public function or method is read by its body.
+Every parameter of a public function or method is read by its body.  Only
+``core`` imports ``threading`` or ``contextvars`` or builds a ``Thread``: its
+``_both`` is the one place that runs work on a second thread.
 """
 
 import ast
@@ -233,6 +235,10 @@ def test_default_rule(tmp_path, source, caller, flagged):
 
 # Fields that nothing outside their own ``__post_init__`` loads, each kept for its reason.
 _UNREAD_FIELDS_KEPT = {
+    "potential.PotentialSpec.kx": "__post_init__ consumes it into the k(x) spline and its "
+                                  "integrals, which k_at, arrival_time and the phase read",
+    "potential.SLProblem.kx": "__post_init__ consumes it, with V, into the effective "
+                              "potential W = k^2/2 + V, which the solvers read",
     "potential.SLProblem.V": "__post_init__ consumes it into the effective potential "
                              "W = k^2/2 + V, which the solvers read",
     "core.MeasurementEvent.tau": "the type enforces with it that an event exists only on "
@@ -355,3 +361,46 @@ def test_parameter_rule(tmp_path, source, flagged):
     module = tmp_path / "mod.py"
     module.write_text(source)
     assert unread_parameters([module]) == flagged
+
+
+_THREAD_MODULES = {"threading", "contextvars"}
+
+
+def thread_users(sources) -> list[str]:
+    """Imports of ``threading`` or ``contextvars``, and calls of a ``Thread``, in the
+    modules of ``sources`` other than ``core``."""
+    found = []
+    for path in sources:
+        if path.stem == "core":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = {alias.name.split(".")[0] for alias in node.names} & _THREAD_MODULES
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = {node.module.split(".")[0]} & _THREAD_MODULES
+            elif isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "Thread":
+                names = {"Thread"}
+            else:
+                continue
+            found += [f"{path.stem}: {name} (line {node.lineno})" for name in sorted(names)]
+    return found
+
+
+def test_only_core_runs_a_thread():
+    assert thread_users(SOURCES) == []
+
+
+@pytest.mark.parametrize("name, source, flagged", [
+    ("mod", "import threading\n", ["mod: threading (line 1)"]),
+    ("mod", "import contextvars as cv\n", ["mod: contextvars (line 1)"]),
+    ("mod", "from threading import Thread\n", ["mod: threading (line 1)"]),
+    ("mod", "from . import threading\n", []),
+    ("mod", "worker = pool.Thread(target=run)\n", ["mod: Thread (line 1)"]),
+    ("mod", "import threadpoolctl\n", []),
+    ("core", "import contextvars\nimport threading\n", []),
+], ids=["import", "import-as", "from-import", "relative-import", "thread-call", "other-module",
+        "core"])
+def test_thread_rule(tmp_path, name, source, flagged):
+    module = tmp_path / f"{name}.py"
+    module.write_text(source)
+    assert thread_users([module]) == flagged
