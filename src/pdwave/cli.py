@@ -819,7 +819,6 @@ def _run_field(p: dict, report: Report) -> Iterator[tuple]:
     from . import spectral
     state = make_free_state(p["v"], p["v"])  # R = v: normalized
     ss = np.linspace(0.0, p["s_max"], p["n"])
-    spectral.probability_field(float(ss.min()), state)  # s >= 0 and a normalized state
     values = np.fromiter(map(math.exp, (-ss).tolist()), float, ss.size)  # its e^{-s}, bit for bit
     yield "field", {"s": ss, "field": values}
     report.add_residual("field_at_zero_is_one", values[0] - 1.0, 0.0)

@@ -76,16 +76,21 @@ def on_arrival(t: float, tau: float) -> bool:
     return abs(t - tau) <= _ARRIVAL_TOL * max(1.0, abs(t), abs(tau))
 
 
-def stencil_step(step: float, room: float) -> float:
-    """``step`` capped at a quarter of ``room``, the probes' distance to the arrival line.
+def stencil_steps(room_t: float, v: float, rate_x: float, rate_t: float) -> tuple[float, float]:
+    """Finite-difference steps (h_x, h_t) of a wave whose fastest rates are rate_x and rate_t.
 
+    Each step is 1e-2 over its rate (at least 1), capped at a quarter of the
+    probes' room to the arrival line: ``room_t`` in t and ``v*room_t`` in x.
     Raises RegionError when no stencil fits: the room is empty, or so narrow
     that the square of half the step underflows.
     """
-    h = min(step, 0.25 * room)
-    if not (h > 0.0 and (0.5 * h) ** 2 >= sys.float_info.min):
-        raise RegionError(f"no finite-difference step fits in room {room} to the arrival line")
-    return h
+    steps = []
+    for rate, room in ((rate_x, v * room_t), (rate_t, room_t)):
+        h = min(1e-2 / max(1.0, rate), 0.25 * room)
+        if not (h > 0.0 and (0.5 * h) ** 2 >= sys.float_info.min):
+            raise RegionError(f"no finite-difference step fits in room {room} to the arrival line")
+        steps.append(h)
+    return tuple(steps)
 
 
 def central_difference(f, z, h, order: int = 1):

@@ -18,7 +18,7 @@ from .core import (
     central_difference,
     dispersion_omega,
     envelope_lag,
-    stencil_step,
+    stencil_steps,
 )
 
 __all__ = [
@@ -58,15 +58,11 @@ def _lag(params: FreeWaveParams, t: float, x):
 
 
 def _fd_steps(params: FreeWaveParams, grid: Grid1D) -> tuple[float, float]:
-    """Steps (h_x, h_t) of the state's finite differences on the grid.
-
-    Each is 1e-2 over the state's fastest rate along its axis, capped by
-    ``stencil_step`` at a quarter of the room to the arrival line.
-    """
+    """``stencil_steps`` (h_x, h_t) of the state on the grid, at its rates |k| and R/2v
+    along x and |omega| and R/2 along t."""
     room_t = -float(np.max(_lag(params, grid.t, grid.xs())))
-    rate_x = max(1.0, abs(params.k), params.R / (2.0 * params.v))
-    rate_t = max(1.0, abs(params.omega), 0.5 * params.R)
-    return stencil_step(1e-2 / rate_x, params.v * room_t), stencil_step(1e-2 / rate_t, room_t)
+    return stencil_steps(room_t, params.v, max(abs(params.k), params.R / (2.0 * params.v)),
+                         max(abs(params.omega), 0.5 * params.R))
 
 
 def psi_free(params: FreeWaveParams, x, t: float):

@@ -5,7 +5,8 @@ number k(x) and speed v(x) = hbar*k(x)/m.  Its density is an inhomogeneous
 traveling wave whose arrival time at x is the integral of 1/v, and the
 radial amplitude R(x) of the bound problem satisfies a Sturm-Liouville
 equation solved here by Numerov shooting with a dense-matrix cross-check
-whose two grids LAPACK bisects at once, on two threads, without the GIL.
+whose two grids LAPACK bisects at once, on two threads, without the GIL;
+scipy gives the eigenvectors of one grid.
 Shooting brackets each eigenvalue by node counts and converges it by
 Illinois steps on the end value of a summed-difference Numerov recurrence.
 Each sweep of that recurrence is one banded lower-triangular BLAS solve in
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Branch, ConvergenceError, _both, _read_rows, central_difference,
-                   envelope_lag, stencil_step)
+                   envelope_lag, stencil_steps)
 from .freewave import Grid1D
 
 __all__ = [
@@ -127,28 +128,25 @@ def _dstebz():
     return c.CFUNCTYPE(None, *[c.c_void_p] * 18)(address(capsule, name(capsule)))
 
 
-def eigh_tridiagonal(d, e, eigvals_only=False, *, select, select_range):
-    """scipy's ``eigh_tridiagonal`` for ``select="i"``, bit for bit, errors too, without the GIL."""
-    from scipy.linalg import _decomp, lapack
+def eigh_tridiagonal(d, e, n: int):
+    """The lowest ``n`` eigenvalues of the symmetric tridiagonal matrix (d, e), without the GIL.
+
+    They are scipy's ``eigh_tridiagonal`` values for ``select="i"`` bit for bit, errors too:
+    the same LAPACK ``dstebz`` call, through scipy's ``cython_lapack`` pointer by ctypes.
+    """
+    from scipy.linalg import _decomp
     d, e = np.asarray_chkfinite(d, float, "C"), np.asarray_chkfinite(e, float, "C")
-    if select != "i" or d.ndim != 1 or e.shape != (d.size - 1,):  # LAPACK reads n, n - 1 values
-        raise ValueError(f"need select='i' and 1-d d, e one shorter; got {d.shape}, {e.shape}")
-    ints = np.array([d.size, *np.add(select_range, 1), 0, 0, 0], np.intc)  # n il iu; m nsplit info
+    if d.ndim != 1 or e.shape != (d.size - 1,):  # LAPACK reads n, n - 1 values
+        raise ValueError(f"need 1-d d, e one shorter; got {d.shape}, {e.shape}")
+    ints = np.array([d.size, 1, n, 0, 0, 0], np.intc)  # n il iu; m nsplit info
     reals = np.zeros(3)  # vl and vu, unused, and abstol, 0 for eps*|T|
     w, work = np.empty(d.size), np.empty(4 * d.size)
     iblock, isplit, iwork = (np.empty(k * d.size, np.intc) for k in (1, 1, 3))
     i, r = ints.ctypes.data, reals.ctypes.data
-    _dstebz()(b"I", b"E" if eigvals_only else b"B", i, r, r + 8, i + 4, i + 8, r + 16, d.ctypes,
-              e.ctypes, i + 12, i + 16, w.ctypes, iblock.ctypes, isplit.ctypes, work.ctypes,
-              iwork.ctypes, i + 20)
+    _dstebz()(b"I", b"E", i, r, r + 8, i + 4, i + 8, r + 16, d.ctypes, e.ctypes, i + 12,
+              i + 16, w.ctypes, iblock.ctypes, isplit.ctypes, work.ctypes, iwork.ctypes, i + 20)
     _decomp._check_info(ints[5], "stebz (eigh_tridiagonal)")
-    w = w[:ints[3]]
-    if eigvals_only:
-        return w
-    v, info = lapack.dstein(d, e, w, iblock, isplit)
-    _decomp._check_info(info, "stein (eigh_tridiagonal)", "%d eigenvectors failed to converge")
-    order = np.argsort(w)  # dstein's block order to ascending order
-    return w[order], v[:, order]
+    return w[:ints[3]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,18 +205,13 @@ class PotentialSpec:
 
 
 def arrival_time(spec: PotentialSpec, x):
-    """Travel time from the domain start to x: the integral of 1/v(x')."""
+    """Travel time from the domain start to x: the integral of 1/v(x'), exactly 0 at the start."""
     xs = np.asarray(x, dtype=float)
     slack = 1e-12 * max(1.0, abs(spec.x_start), abs(spec.x_end))
     if np.any(xs < spec.x_start - slack) or np.any(xs > spec.x_end + slack):
         raise ValueError(f"x outside domain [{spec.x_start}, {spec.x_end}]")
-    tau = spec._tau_spline(x) - spec._tau_spline(spec.x_start)
+    tau = spec._tau_spline(x)
     return float(tau) if np.isscalar(x) else tau
-
-
-def _phase(spec: PotentialSpec, x):
-    """Accumulated phase integral of k(x') from the domain start."""
-    return spec._phase_spline(x) - spec._phase_spline(spec.x_start)
 
 
 def psi_potential(spec: PotentialSpec, branch: Branch, x, t: float, x_mp):
@@ -234,7 +227,7 @@ def psi_potential(spec: PotentialSpec, branch: Branch, x, t: float, x_mp):
     k_mp = spec.k_at(x_mp)
     prefactor = np.sqrt(np.abs(k_mp / k_here))
     envelope = np.exp(0.5 * spec.R * lag)
-    phase = np.exp(1j * (_phase(spec, xs) - spec.omega * t))
+    phase = np.exp(1j * (spec._phase_spline(xs) - spec.omega * t))
     out = prefactor * envelope * phase
     return complex(out) if np.isscalar(x) else out
 
@@ -253,9 +246,8 @@ def continuity_residual(spec: PotentialSpec, branch: Branch, grid: Grid1D) -> fl
     """Max |dP/dt + d(P*v)/dx| over the grid, by ``core.central_difference``.
 
     The identity holds exactly for the family's density, so the returned
-    value measures finite-difference truncation.  The steps are 1e-2 over
-    the density's rates R/v_min in x and R in t, each capped by
-    ``stencil_step`` at a quarter of the room to the arrival line, so the
+    value measures finite-difference truncation.  The steps are
+    ``stencil_steps`` at the density's rates R/v_min in x and R in t, so the
     whole stencil stays inside one branch region.
     """
     xs = grid.xs()
@@ -266,8 +258,7 @@ def continuity_residual(spec: PotentialSpec, branch: Branch, grid: Grid1D) -> fl
 
     room_t = -float(np.max(envelope_lag(branch, t, arrival_time(spec, xs))))
     v_min = float(np.min(spec.k_at(np.linspace(spec.x_start, spec.x_end, 256))))  # v = k at hbar = m = 1
-    h_x = stencil_step(1e-2 / max(1.0, spec.R / v_min), v_min * room_t)
-    h_t = stencil_step(1e-2 / max(1.0, spec.R), room_t)
+    h_x, h_t = stencil_steps(room_t, v_min, spec.R / v_min, spec.R)
     dP_dt = central_difference(lambda tt: density(xs, tt), t, h_t)
     d_flux = central_difference(lambda x: density(x, t) * spec.k_at(x), xs, h_x)
     return float(np.max(np.abs(dP_dt + d_flux)))
@@ -283,7 +274,7 @@ def mp_limit_check(spec: PotentialSpec, x: float) -> float:
     t_arr = arrival_time(spec, x)
     k_mp = float(spec.k_at(x))
     psi = psi_potential(spec, Branch.INCOMING, x, t_arr, x_mp=x)
-    gauge = np.exp(1j * (k_mp * x - _phase(spec, x)))
+    gauge = np.exp(1j * (k_mp * x - spec._phase_spline(x)))
     plane = np.exp(1j * (k_mp * x - spec.omega * t_arr))
     return float(abs(psi * gauge - plane))
 
@@ -351,7 +342,7 @@ def _tridiagonal(problem: SLProblem, n_grid: int):
 
 
 def matrix_eigen(problem: SLProblem, n_grid: int):
-    """Dense (tridiagonal) second-order eigensolve with Neumann-left BC.
+    """Dense (tridiagonal) second-order eigensolve with Neumann-left BC, by scipy.
 
     Returns eigenvalues, eigenfunction samples on the full grid including
     the Dirichlet endpoint, and that grid.  The Neumann ghost row is folded
@@ -366,7 +357,9 @@ def matrix_eigen(problem: SLProblem, n_grid: int):
         )
     diag, off, x = _tridiagonal(problem, n_grid)
     h = x[1] - x[0]
-    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, problem.n_eigen - 1))
+    from scipy import linalg
+    # Eigenvalues 0 to n_eigen - 1 by index, with their vectors.
+    vals, vecs = linalg.eigh_tridiagonal(diag, off, False, "i", (0, problem.n_eigen - 1))
     # Undo the row scaling, append the Dirichlet zero, normalize per trapezoid.
     funcs = np.zeros((problem.n_eigen, n_grid))
     funcs[:, :-1] = vecs.T / math.sqrt(h)
@@ -390,7 +383,8 @@ def _numerov_band(n_grid: int) -> np.ndarray:
     return band
 
 
-def _numerov_sweep(E: float, x: np.ndarray, W: np.ndarray, band=None) -> tuple[int, float, int]:
+def _numerov_sweep(E: float, x: np.ndarray, W: np.ndarray,
+                   band: np.ndarray) -> tuple[int, float, int]:
     """Numerov integration of R'' = f(x) R from a Neumann start.
 
     Returns ``(nodes, y_end, rescales)``: the interior node count, which by
@@ -432,8 +426,6 @@ def _numerov_sweep(E: float, x: np.ndarray, W: np.ndarray, band=None) -> tuple[i
     d = dy - (h2f1 * y - h2f0) / 12.0  # z1 - z0, without the rounding of w
     from scipy.linalg.blas import dtbsv
 
-    if band is None:
-        band = _numerov_band(x.size)
     band[0, 3::4] = w[2:]
     band[1, 3::4] = -h2f[2:]  # the last entry lies outside the matrix
     rhs = np.zeros(band.shape[1])
@@ -594,11 +586,10 @@ def solve_sturm_liouville(problem: SLProblem, n_grid: int = 2001) -> SLSolution:
     if n_grid < 2 * problem.n_eigen:  # under 2 points a level, Numerov's levels are spurious
         raise ValueError(f"n_grid = {n_grid} has fewer than 2 points per level of "
                          f"n_eigen = {problem.n_eigen}: it must be at least {2 * problem.n_eigen}")
-    lowest = {"eigvals_only": True, "select": "i", "select_range": (0, problem.n_eigen - 1)}
     fine, coarse = (_tridiagonal(problem, n)[:2] for n in (2 * n_grid - 1, n_grid))
     _dstebz()  # scipy's first import allocates on this thread, not in a new malloc arena
-    matrix = _richardson(*_both(lambda: eigh_tridiagonal(*fine, **lowest),
-                                lambda: eigh_tridiagonal(*coarse, **lowest)))
+    matrix = _richardson(*_both(lambda: eigh_tridiagonal(*fine, problem.n_eigen),
+                                lambda: eigh_tridiagonal(*coarse, problem.n_eigen)))
     eigenvalues, _ = _shooting_eigenvalues(problem, n_grid, seeds=matrix)
     return SLSolution(eigenvalues, matrix)
 

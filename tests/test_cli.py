@@ -1041,16 +1041,31 @@ missing += [f"{layer}.{cls}.{attr}" for layer, cls, attr, _ in tracer.METHODS
 assert not missing, f"the tracer's names missing on pdwave: {missing}"
 spans = tracer.Tracer()
 spans.install(pdwave)
-assert pdwave.cli.main(["--scenario", "potential-wave", "--out", sys.argv[2]]) == 0
-print(*sorted({span["name"] for span in spans.records()}), sep="\\n")
+assert pdwave.cli.main(["--scenario", sys.argv[3], "--out", sys.argv[2]]) == 0
+print(*[span["name"] for span in spans.records()], sep="\\n")
 """
 
 
-def test_benchmark_tracer_finds_its_names_and_traces_a_run(tmp_path):
+def _traced_spans(scenario, tmp_path) -> list[str]:
+    """The name of each span of one traced ``scenario`` run, a name once per span."""
     perfbench = Path(__file__).resolve().parent.parent / "perfbench"
-    proc = _run_python(["-c", _TRACED_RUN, str(perfbench), str(tmp_path / "out")], tmp_path)
+    proc = _run_python(["-c", _TRACED_RUN, str(perfbench), str(tmp_path / "out"), scenario],
+                       tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert "potential.PotentialSpec" in proc.stdout.split()
+    return proc.stdout.split()
+
+
+def test_benchmark_tracer_finds_its_names_and_traces_a_run(tmp_path):
+    assert "potential.PotentialSpec" in _traced_spans("potential-wave", tmp_path)
+
+
+def test_benchmark_tracer_sees_the_sturm_liouville_kernels(tmp_path):
+    # The eigen-ladder workload's kernel metrics read these spans: the solve's two
+    # bisections, one a grid, and the Numerov sweeps of its shooting.
+    spans = _traced_spans("sturm-liouville", tmp_path)
+    assert spans.count("potential.solve_sturm_liouville") == 1
+    assert spans.count("potential.eigh_tridiagonal") == 2
+    assert spans.count("potential._numerov_sweep") >= 1
 
 
 def test_chi_square_sf_matches_chi2_sf():

@@ -18,7 +18,7 @@ from pdwave.core import (
     dispersion_omega,
     envelope_lag,
     make_free_state,
-    stencil_step,
+    stencil_steps,
 )
 
 
@@ -133,15 +133,18 @@ def test_envelope_lag_slack():
 
 
 def test_stencil_step_is_capped_at_a_quarter_of_the_room():
-    assert stencil_step(1e-2, 1.0) == 1e-2
-    assert stencil_step(1e-2, 0.02) == 0.005
+    assert stencil_steps(1.0, 1.0, 0.5, 1.0) == (1e-2, 1e-2)  # each rate at least 1
+    assert stencil_steps(1.0, 2.0, 10.0, 4.0) == (1e-2 / 10.0, 1e-2 / 4.0)
+    assert stencil_steps(0.02, 1.0, 0.0, 0.0) == (0.005, 0.005)
+    assert stencil_steps(0.02, 0.5, 0.0, 0.0) == (0.0025, 0.005)  # room v*room_t in x
     # No room, a probe past the line, or a step whose half squares below the
-    # smallest normal float leaves no stencil that fits.
+    # smallest normal float leaves no stencil that fits, in t or in x alone.
     edge = 8.0 * math.sqrt(sys.float_info.min)  # room / 4 = h, (h / 2)^2 = min
-    for room in (0.0, -1e-12, 1e-300, 0.99 * edge):
+    for room_t, v in [(0.0, 1.0), (-1e-12, 1.0), (1e-300, 1.0), (0.99 * edge, 1.0),
+                      (1.0, 0.99 * edge)]:
         with pytest.raises(RegionError, match="no finite-difference step fits"):
-            stencil_step(1e-2, room)
-    assert stencil_step(1e-2, 1.01 * edge) == 0.25 * 1.01 * edge
+            stencil_steps(room_t, v, 0.0, 0.0)
+    assert stencil_steps(1.01 * edge, 1.0, 0.0, 0.0) == (0.25 * 1.01 * edge,) * 2
 
 
 @pytest.mark.parametrize("order", [1, 2])

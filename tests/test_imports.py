@@ -9,7 +9,8 @@ public class, unless it overrides a method of a base class.  Every
 defaulted parameter of a public function or method is passed by some call
 there: a default that no caller overrides is an option nothing uses.  Every
 public field of a public dataclass is loaded there other than by its own
-class's ``__post_init__``, save the fields kept with a reason in
+class's ``__post_init__``, and as ``self.<field>`` only inside its own class,
+save the fields kept with a reason in
 ``_UNREAD_FIELDS_KEPT``: a field that is only validated computes nothing.
 Every parameter of a public function or method is read by its body.  Only
 ``core`` imports ``threading`` or ``contextvars`` or builds a ``Thread``: its
@@ -264,18 +265,27 @@ def _dataclass_fields(sources) -> list[tuple[str, str]]:
 def unread_fields(sources, callers) -> list[str]:
     """Public fields of the public dataclasses of ``sources`` that no code in ``callers``
     loads as an attribute, except as ``self.<field>`` in a ``__post_init__``, which is the
-    field's own class validating or consuming it.  A keyword (``replace(b, size=2)``), a
-    store or a string (``getattr``) does not load it."""
-    loads = set()
+    field's own class validating or consuming it.  ``self.<field>`` in any other method of
+    a class reads that class's own field only.  A keyword (``replace(b, size=2)``), a store
+    or a string (``getattr``) does not load it."""
+    loads, owned = set(), set()
     for path in callers:
         tree = ast.parse(path.read_text())
-        own = {id(node) for fn in ast.walk(tree)
-               if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
-               for node in ast.walk(fn) if isinstance(node, ast.Attribute)
-               and isinstance(node.value, ast.Name) and node.value.id == "self"}
-        loads.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
-                     and isinstance(node.ctx, ast.Load) and id(node) not in own)
-    return [full for full, name in _dataclass_fields(sources) if name not in loads]
+        owner = {}  # id of each self.<attr> node in a method -> its class, None in __post_init__
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                owner.update((id(node), None if fn.name == "__post_init__" else cls.name)
+                             for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                             for node in ast.walk(fn) if isinstance(node, ast.Attribute)
+                             and isinstance(node.value, ast.Name) and node.value.id == "self")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                if id(node) not in owner:
+                    loads.add(node.attr)
+                elif owner[id(node)] is not None:
+                    owned.add(f"{path.stem}.{owner[id(node)]}.{node.attr}")
+    return [full for full, name in _dataclass_fields(sources)
+            if name not in loads and full not in owned]
 
 
 def test_every_public_field_is_read():
@@ -295,13 +305,15 @@ _CHECKED = "\n    def __post_init__(self):\n        assert self.size > 0\n"
      ["mod.Box.size", "mod.Bag.size"]),
     (_BOX.format("", "") + "\n\n@dataclass\nclass Bag:\n    box: Box\n\n"
      "    def __post_init__(self):\n        assert self.box.size > 0\n", "Bag(Box(1)).box\n", []),
+    (_BOX.format("", "\n    def area(self):\n        return self.size ** 2\n")
+     + "\n\n@dataclass\nclass Bag:\n    size: int\n", "Box(1).area()\n", ["mod.Bag.size"]),
     (_BOX.format("", ""), "replace(Box(1), size=2)\nBox(size=3)\ngetattr(Box(4), 'size')\n"
      "b = Box(5)\nb.size = 6\n", ["mod.Box.size"]),
     (_BOX.format("", "    _cache: int = 0\n"), "Box(1).size\n", []),
     ("class Box:\n    size: int\n", "", []),
     (_BOX.format("", "").replace("class Box", "class _Box"), "", []),
 ], ids=["unread", "read", "post-init-only", "read-elsewhere", "other-post-init",
-        "through-a-field", "not-loads",
+        "through-a-field", "read-by-its-own-class", "not-loads",
         "private-field", "not-a-dataclass", "private-class"])
 def test_field_rule(tmp_path, source, caller, flagged):
     module, user = tmp_path / "mod.py", tmp_path / "user.py"
