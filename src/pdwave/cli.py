@@ -499,6 +499,9 @@ def _run_free_wave(p: dict, report: Report) -> Iterator[tuple]:
         else:
             branch_state, lo, hi = outgoing, peak - p["span"], peak
         xs = np.linspace(lo, hi, p["n"])
+        if not np.all(np.diff(xs) > 0):
+            raise ConfigError(f"times = {t!r} with span = {p['span']!r} and n = {p['n']}: "
+                              "span/(n-1) is below the float spacing at v*t, so x repeats")
         if lo <= p["mp_x"] <= hi:
             xs = _sorted_unique(np.append(xs, p["mp_x"]))
         psi = freewave.psi_free(branch_state, xs, t)
@@ -548,8 +551,8 @@ def _run_potential_wave(p: dict, report: Report) -> Iterator[tuple]:
     inside = xs[tau >= t + 1e-9]
     if inside.size == 0:
         raise ConfigError(f"t = {t} is past the arrival time of all n = {p['n']} probes")
-    psi = potential.psi_potential(spec, Branch.INCOMING, inside, t, x_mp=p["x_mp"])
-    dens = potential.prob_density_potential(spec, Branch.INCOMING, inside, t, x_mp=p["x_mp"])
+    psi = potential.psi_potential(spec, inside, t, x_mp=p["x_mp"])
+    dens = potential.prob_density_potential(spec, inside, t, x_mp=p["x_mp"])
     yield "potential_wave", {"x": inside, "t": t, "P": dens, "psi": psi}
 
     report.add_residual("mp_plane_wave_residual",
@@ -558,17 +561,12 @@ def _run_potential_wave(p: dict, report: Report) -> Iterator[tuple]:
     mid = 0.5 * (spec.x_start + spec.x_end)
     g = freewave.Grid1D(mid, mid + 0.2 * (spec.x_end - spec.x_start), 41,
                         0.25 * potential.arrival_time(spec, mid))
-    report.add_residual(
-        "continuity_residual",
-        potential.continuity_residual(spec, Branch.INCOMING, g),
-        1e-6,
-    )
+    report.add_residual("continuity_residual", potential.continuity_residual(spec, g), 1e-6)
     if p["profile"] == "constant" and not p["k_table"]:
         state = replace(make_free_state(1.0, p["R"]), omega=spec.omega)
         probe = np.linspace(mid, spec.x_end, 17)
         free_psi = freewave.psi_free(state, probe, 0.1)
-        pot_psi = potential.psi_potential(spec, Branch.INCOMING, probe, 0.1,
-                                          x_mp=spec.x_start)
+        pot_psi = potential.psi_potential(spec, probe, 0.1, x_mp=spec.x_start)
         report.add_residual(
             "degeneration_matches_free_wave",
             float(np.max(np.abs(free_psi - pot_psi))),

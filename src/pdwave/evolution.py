@@ -65,8 +65,6 @@ class EvolvedState:
     """Result of non-unitary evolution: unnormalized amplitudes plus norm."""
 
     amplitudes: np.ndarray
-    waves: tuple[FreeWaveParams, ...]
-    t: float
 
     @property
     def norm_sq(self) -> float:
@@ -82,7 +80,7 @@ def evolve_state(state: SuperposedState, t: float) -> EvolvedState:
     factors = np.array(
         [np.exp(complex(0.5 * w.R * t, -w.omega * t)) for w in state.waves]
     )
-    return EvolvedState(amplitudes=state.amplitudes * factors, waves=state.waves, t=t)
+    return EvolvedState(amplitudes=state.amplitudes * factors)
 
 
 @dataclass(frozen=True, eq=False)

@@ -222,10 +222,7 @@ def mixture_density(states, weights) -> DensityMatrix:
     weights = np.asarray(weights, dtype=float)
     if abs(weights.sum() - 1.0) > 1e-12:
         raise ValueError(f"weights must sum to one, got {weights.sum()}")
-    vectors = []
-    for s in states:
-        vec = s.amplitudes if hasattr(s, "amplitudes") else np.asarray(s, dtype=complex)
-        vectors.append(np.asarray(vec, dtype=complex))
+    vectors = [np.asarray(s, dtype=complex) for s in states]
     n = vectors[0].size
     if any(v.size != n for v in vectors):
         raise ValueError("all states must share the same basis dimension")

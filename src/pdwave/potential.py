@@ -203,60 +203,65 @@ class PotentialSpec:
     def k_at(self, x):
         return self._k_spline(x)
 
+    def _check_in_domain(self, x, name: str) -> None:
+        """Raise ValueError naming ``name`` unless x lies in the domain, up to 1e-12 of its scale."""
+        slack = 1e-12 * max(1.0, abs(self.x_start), abs(self.x_end))
+        if not (np.all(x >= self.x_start - slack) and np.all(x <= self.x_end + slack)):
+            raise ValueError(f"{name} lies outside the domain [{self.x_start}, {self.x_end}]")
+
 
 def arrival_time(spec: PotentialSpec, x):
     """Travel time from the domain start to x: the integral of 1/v(x'), exactly 0 at the start."""
-    xs = np.asarray(x, dtype=float)
-    slack = 1e-12 * max(1.0, abs(spec.x_start), abs(spec.x_end))
-    if np.any(xs < spec.x_start - slack) or np.any(xs > spec.x_end + slack):
-        raise ValueError(f"x outside domain [{spec.x_start}, {spec.x_end}]")
+    spec._check_in_domain(np.asarray(x, dtype=float), "x")
     tau = spec._tau_spline(x)
     return float(tau) if np.isscalar(x) else tau
 
 
-def psi_potential(spec: PotentialSpec, branch: Branch, x, t: float, x_mp):
+def _incoming(spec: PotentialSpec, x, t: float, x_mp):
+    """The lag of probes x at t, x as an array and the ratio k(x_mp)/k(x)."""
+    spec._check_in_domain(x_mp, f"x_mp = {x_mp}")
+    lag = envelope_lag(Branch.INCOMING, t, arrival_time(spec, x))
+    xs = np.asarray(x, dtype=float)
+    return lag, xs, spec.k_at(x_mp) / spec.k_at(xs)
+
+
+def psi_potential(spec: PotentialSpec, x, t: float, x_mp):
     """Wave function of the potential state at (x, t).
 
-    |k_mp/k(x)|^(1/2) * exp[+-(R/2)(t - tau(x))] * exp[i(phase(x) - omega*t)],
+    |k_mp/k(x)|^(1/2) * exp[(R/2)(t - tau(x))] * exp[i(phase(x) - omega*t)],
     where tau is the arrival-time integral and k_mp = k at the measurement
-    point ``x_mp``.  Probes on the wrong side of arrival raise RegionError.
+    point ``x_mp``.  Probes past their arrival raise RegionError.
     """
-    lag = envelope_lag(branch, t, arrival_time(spec, x))
-    xs = np.asarray(x, dtype=float)
-    k_here = spec.k_at(xs)
-    k_mp = spec.k_at(x_mp)
-    prefactor = np.sqrt(np.abs(k_mp / k_here))
+    lag, xs, ratio = _incoming(spec, x, t, x_mp)
+    prefactor = np.sqrt(np.abs(ratio))
     envelope = np.exp(0.5 * spec.R * lag)
     phase = np.exp(1j * (spec._phase_spline(xs) - spec.omega * t))
     out = prefactor * envelope * phase
     return complex(out) if np.isscalar(x) else out
 
 
-def prob_density_potential(spec: PotentialSpec, branch: Branch, x, t: float, x_mp):
-    """Probability density (k_mp/|k(x)|) * exp[+-R(t - tau(x))]."""
-    lag = envelope_lag(branch, t, arrival_time(spec, x))
-    xs = np.asarray(x, dtype=float)
-    k_here = spec.k_at(xs)
-    k_mp = spec.k_at(x_mp)
-    out = np.abs(k_mp / k_here) * np.exp(spec.R * lag)
+def prob_density_potential(spec: PotentialSpec, x, t: float, x_mp):
+    """Probability density (k_mp/|k(x)|) * exp[R(t - tau(x))], with psi_potential's errors."""
+    lag, _, ratio = _incoming(spec, x, t, x_mp)
+    out = np.abs(ratio) * np.exp(spec.R * lag)
     return float(out) if np.isscalar(x) else out
 
 
-def continuity_residual(spec: PotentialSpec, branch: Branch, grid: Grid1D) -> float:
+def continuity_residual(spec: PotentialSpec, grid: Grid1D) -> float:
     """Max |dP/dt + d(P*v)/dx| over the grid, by ``core.central_difference``.
 
     The identity holds exactly for the family's density, so the returned
     value measures finite-difference truncation.  The steps are
     ``stencil_steps`` at the density's rates R/v_min in x and R in t, so the
-    whole stencil stays inside one branch region.
+    whole stencil stays before the arrival line.
     """
     xs = grid.xs()
     t = grid.t
 
     def density(x_, t_):
-        return prob_density_potential(spec, branch, x_, t_, x_mp=spec.x_start)
+        return prob_density_potential(spec, x_, t_, x_mp=spec.x_start)
 
-    room_t = -float(np.max(envelope_lag(branch, t, arrival_time(spec, xs))))
+    room_t = -float(np.max(envelope_lag(Branch.INCOMING, t, arrival_time(spec, xs))))
     v_min = float(np.min(spec.k_at(np.linspace(spec.x_start, spec.x_end, 256))))  # v = k at hbar = m = 1
     h_x, h_t = stencil_steps(room_t, v_min, spec.R / v_min, spec.R)
     dP_dt = central_difference(lambda tt: density(xs, tt), t, h_t)
@@ -273,7 +278,7 @@ def mp_limit_check(spec: PotentialSpec, x: float) -> float:
     """
     t_arr = arrival_time(spec, x)
     k_mp = float(spec.k_at(x))
-    psi = psi_potential(spec, Branch.INCOMING, x, t_arr, x_mp=x)
+    psi = psi_potential(spec, x, t_arr, x_mp=x)
     gauge = np.exp(1j * (k_mp * x - spec._phase_spline(x)))
     plane = np.exp(1j * (k_mp * x - spec.omega * t_arr))
     return float(abs(psi * gauge - plane))

@@ -17,7 +17,7 @@ from pdwave import freewave as fw
 from pdwave import measurement as ms
 from pdwave import potential as pot
 from pdwave import spectral as sp
-from pdwave.core import Branch, make_free_state
+from pdwave.core import make_free_state
 
 
 def _report(num: int, name: str, passed: bool, detail: str = "") -> None:
@@ -203,12 +203,8 @@ def test_criterion_08_continuity():
     linear = pot.PotentialSpec(
         x_samples=xs_l, kx=1.0 + xs_l, R=1.0, omega=0.375
     )
-    res_const = pot.continuity_residual(
-        constant, Branch.INCOMING, fw.Grid1D(2.0, 3.0, 21, 1.0)
-    )
-    res_linear = pot.continuity_residual(
-        linear, Branch.INCOMING, fw.Grid1D(2.0, 3.0, 21, 0.5)
-    )
+    res_const = pot.continuity_residual(constant, fw.Grid1D(2.0, 3.0, 21, 1.0))
+    res_linear = pot.continuity_residual(linear, fw.Grid1D(2.0, 3.0, 21, 0.5))
     ok = res_const < 1e-6 and res_linear < 1e-6
     _report(8, "continuity", ok, f"const={res_const:.2e}, linear={res_linear:.2e}")
     assert res_const < 1e-6

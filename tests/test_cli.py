@@ -496,6 +496,10 @@ class TestExitCodes:
             # max(speeds) = 3: 3*236.6 = 709.8 passes ln(max float) = 709.78.
             ("decoherence", "t = 236.6", ("t = 236.6", "speeds up to 3.0")),
             ("decoherence", "speeds = 1,2,710\nt = 0.5", ("t = 0.5", "speeds up to 710.0")),
+            # span/(n-1) = 0.025 is below the float spacing 2^-5 at v*t = 2e14, so the
+            # probe window repeats points; the monotone checks failed on them.
+            ("free-wave", "times = 2e14", ("times = 2", "span = 3.0", "n = 121")),
+            ("free-wave", "times = 1e300", ("times = 1e+300", "span = 3.0", "n = 121")),
         ],
     )
     def test_cross_key_rejection_names_both_keys(
@@ -511,6 +515,13 @@ class TestExitCodes:
         cfg.write_text(f"[decoherence]\n{entries}\n")
         assert cli.main(["--scenario", "decoherence", "--config", str(cfg),
                          "--out", str(tmp_path / "out")]) == 0
+
+    def test_free_wave_window_above_the_float_spacing_passes_check(self, tmp_path):
+        # At v*t = 1e14 the float spacing is 2^-6, under span/(n-1) = 0.025.
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[free-wave]\ntimes = 1e14\n")
+        assert cli.main(["--scenario", "free-wave", "--config", str(cfg),
+                         "--out", str(tmp_path / "out"), "--check"]) == 0
 
     @pytest.mark.parametrize(
         "scenario, entries",
@@ -640,6 +651,7 @@ class TestExitCodes:
             ("entropy", "n = 1"),
             ("field", "n = 1"),
             ("potential-wave", "t = 100"),
+            ("potential-wave", "x_mp = 100"),
             ("field", "seed = abc"),
             ("field", "seed = 1.5"),
             *_OUTSIDE_DOMAIN,
@@ -654,8 +666,9 @@ class TestExitCodes:
         assert entries.split()[0] in err
 
     # The library's own ValueError messages need not name the config key.  All
-    # but x1, x_mp and pointer_speeds now fail their key's domain first, and
-    # _OUTSIDE_DOMAIN checks that their messages name the key.
+    # but x1 and pointer_speeds now fail their key's domain first, and
+    # _OUTSIDE_DOMAIN checks that their messages name the key; x_mp's own
+    # message names it (test_value_rejected_while_running_is_config_error).
     @pytest.mark.parametrize(
         "scenario, entries",
         [
@@ -669,7 +682,6 @@ class TestExitCodes:
             ("potential-wave", "n = 1"),
             ("potential-wave", "R = -1"),
             ("potential-wave", "x1 = -1"),
-            ("potential-wave", "x_mp = 100"),
             ("ensemble", "n_trials = 0"),
             ("ensemble", "workers = 0"),
             ("decoherence", "speeds = -1,2,3"),

@@ -7,7 +7,9 @@ module.  Every public function and class is reached by the package, a demo
 or the acceptance suite, and so is every public method and property of a
 public class, unless it overrides a method of a base class.  Every
 defaulted parameter of a public function or method is passed by some call
-there: a default that no caller overrides is an option nothing uses.  Every
+there: a default that no caller overrides is an option nothing uses.  No
+parameter that two or more such calls reach gets the same literal from all of
+them: an option with one value in use is a constant.  Every
 public field of a public dataclass is loaded there other than by its own
 class's ``__post_init__``, and as ``self.<field>`` only inside its own class,
 save the fields kept with a reason in
@@ -160,45 +162,28 @@ def test_reach_rule(tmp_path, source, caller, flagged):
     assert unreferenced_definitions([module], [module, user]) == flagged
 
 
-def _defaulted(fn: ast.FunctionDef, bound: int) -> dict:
-    """Each defaulted parameter of ``fn`` with its position in a call, or None for a
-    keyword-only one; the first ``bound`` parameters (``self``) are not passed."""
-    positional = fn.args.posonlyargs + fn.args.args
-    first = len(positional) - len(fn.args.defaults)
-    params = {a.arg: i - bound for i, a in enumerate(positional) if i >= first}
-    params.update({a.arg: None for a, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
-                   if default is not None})
-    return params
-
-
-def _passes(call: ast.Call, param: str, position) -> bool:
-    if any(isinstance(a, ast.Starred) for a in call.args):
-        return True
-    if any(k.arg is None or k.arg == param for k in call.keywords):
-        return True
-    return position is not None and len(call.args) > position
-
-
-def unpassed_defaults(sources, callers) -> list[str]:
-    """Defaulted parameters of the public functions of ``sources``, and of the public
-    methods and ``__init__`` of their public classes, that no call of that name in
-    ``callers`` passes by keyword or by position.  A call that spreads ``*`` or ``**``
-    passes every parameter, and a class's ``__init__`` is called by the class name."""
-    targets = []  # (name at the call, qualified name, {parameter: call position})
+def _public_functions(sources):
+    """(name at a call, qualified name, function, count of bound parameters) of each public
+    function of ``sources``, and of each public method and ``__init__`` of their public
+    classes.  A class's ``__init__`` is called by the class name, and a method's ``self``
+    or ``cls`` is bound."""
     for path in sources:
         for node in ast.parse(path.read_text()).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
             if isinstance(node, ast.FunctionDef):
-                targets.append((node.name, f"{path.stem}.{node.name}", _defaulted(node, 0)))
+                yield node.name, f"{path.stem}.{node.name}", node, 0
                 continue
             for m in node.body:
                 if isinstance(m, ast.FunctionDef) and (
                         m.name == "__init__" or not m.name.startswith("_")):
                     static = any(ast.unparse(d) == "staticmethod" for d in m.decorator_list)
-                    targets.append((node.name if m.name == "__init__" else m.name,
-                                    f"{path.stem}.{node.name}.{m.name}",
-                                    _defaulted(m, 0 if static else 1)))
+                    yield (node.name if m.name == "__init__" else m.name,
+                           f"{path.stem}.{node.name}.{m.name}", m, 0 if static else 1)
+
+
+def _calls(callers) -> dict:
+    """The calls in ``callers`` by the name they call, a bare function's or an attribute's."""
     calls = {}
     for path in callers:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -206,9 +191,48 @@ def unpassed_defaults(sources, callers) -> list[str]:
                 func = node.func
                 name = getattr(func, "id", None) or getattr(func, "attr", None)
                 calls.setdefault(name, []).append(node)
-    return [f"{full}({param})" for name, full, params in targets
-            for param, position in params.items()
-            if not any(_passes(call, param, position) for call in calls.get(name, ()))]
+    return calls
+
+
+def _parameters(fn: ast.FunctionDef, bound: int) -> dict:
+    """Each named parameter of ``fn`` past the first ``bound`` with its position in a call,
+    or None for a keyword-only one, and its default, or None."""
+    positional = fn.args.posonlyargs + fn.args.args
+    defaults = [None] * (len(positional) - len(fn.args.defaults)) + fn.args.defaults
+    params = {a.arg: (i - bound, default)
+              for i, (a, default) in enumerate(zip(positional, defaults)) if i >= bound}
+    params.update({a.arg: (None, default)
+                   for a, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)})
+    return params
+
+
+def _spreads(call: ast.Call) -> bool:
+    return any(isinstance(a, ast.Starred) for a in call.args) or any(
+        k.arg is None for k in call.keywords)
+
+
+def _passed(call: ast.Call, param: str, position, default):
+    """What ``call`` passes as ``param``: its argument, else the default, else None."""
+    for k in call.keywords:
+        if k.arg == param:
+            return k.value
+    return call.args[position] if position is not None and len(call.args) > position else default
+
+
+def _passes(call: ast.Call, param: str, position) -> bool:
+    return _spreads(call) or _passed(call, param, position, None) is not None
+
+
+def unpassed_defaults(sources, callers) -> list[str]:
+    """Defaulted parameters of the public functions of ``sources``, and of the public
+    methods and ``__init__`` of their public classes, that no call of that name in
+    ``callers`` passes by keyword or by position.  A call that spreads ``*`` or ``**``
+    passes every parameter."""
+    calls = _calls(callers)
+    return [f"{full}({param})" for name, full, fn, bound in _public_functions(sources)
+            for param, (position, default) in _parameters(fn, bound).items()
+            if default is not None
+            and not any(_passes(call, param, position) for call in calls.get(name, ()))]
 
 
 def test_every_defaulted_parameter_is_passed():
@@ -232,6 +256,62 @@ def test_default_rule(tmp_path, source, caller, flagged):
     module.write_text(source)
     user.write_text(caller)
     assert unpassed_defaults([module], [module, user]) == flagged
+
+
+def _literal(node) -> bool:
+    """A constant, a signed constant or an enum member such as ``Branch.INCOMING``."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        node = node.operand
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return node.value.id[:1].isupper() and node.attr.isupper()
+    return isinstance(node, ast.Constant)
+
+
+def one_value_options(sources, callers) -> list[str]:
+    """Parameters of the public functions of ``sources``, and of the public methods and
+    ``__init__`` of their public classes, that two or more calls of that name in ``callers``
+    reach, every one passing the same literal.  A call that omits a defaulted parameter
+    passes its default; a call that spreads ``*`` or ``**`` is skipped."""
+    calls, flagged = _calls(callers), []
+    for name, full, fn, bound in _public_functions(sources):
+        reaching = [call for call in calls.get(name, ()) if not _spreads(call)]
+        if len(reaching) < 2:
+            continue
+        for param, (position, default) in _parameters(fn, bound).items():
+            passed = [_passed(call, param, position, default) for call in reaching]
+            if all(node is not None and _literal(node) for node in passed) and len(
+                    {ast.unparse(node) for node in passed}) == 1:
+                flagged.append(f"{full}({param})")
+    return flagged
+
+
+def test_every_option_takes_two_values():
+    assert one_value_options(SOURCES, CALLERS) == []
+
+
+@pytest.mark.parametrize("source, caller, flagged", [
+    ("def run(a, b):\n    pass\n", "run(x, 1)\nrun(y, 1)\n", ["mod.run(b)"]),
+    ("def run(a, b):\n    pass\n", "run(x, -1.5)\nrun(y, b=-1.5)\n", ["mod.run(b)"]),
+    ("def run(a, b):\n    pass\n", "run(x, Branch.INCOMING)\nrun(y, Branch.INCOMING)\n",
+     ["mod.run(b)"]),
+    ("class Box:\n    def __init__(self, size):\n        pass\n", "Box(2)\nBox(size=2)\n",
+     ["mod.Box.__init__(size)"]),
+    ("def run(a, b):\n    pass\n", "run(x, 1)\nrun(y, 2)\n", []),
+    ("def run(a, b):\n    pass\n", "run(x, 1)\nrun(y, z)\n", []),
+    ("def run(a, b):\n    pass\n", "run(x, state.branch)\nrun(y, state.branch)\n", []),
+    ("def run(a, b=1):\n    pass\n", "run(x)\nrun(y, b=2)\n", []),
+    ("def run(a, b=1):\n    pass\n", "run(x)\nrun(y, b=1)\n", ["mod.run(b)"]),
+    ("def run(a, b):\n    pass\n", "run(x, 1)\nrun(*args)\nrun(y, **options)\n", []),
+    ("def run(a, b):\n    pass\n", "run(x, 1)\n", []),
+    ("def _run(a, b):\n    pass\n", "_run(x, 1)\n_run(y, 1)\n", []),
+], ids=["constant", "signed-keyword", "enum-member", "class-call", "two-literals", "variable",
+        "attribute", "omitted-default", "default-and-explicit", "star-call", "single-call",
+        "private"])
+def test_option_rule(tmp_path, source, caller, flagged):
+    module, user = tmp_path / "mod.py", tmp_path / "user.py"
+    module.write_text(source)
+    user.write_text(caller)
+    assert one_value_options([module], [module, user]) == flagged
 
 
 # Fields that nothing outside their own ``__post_init__`` loads, each kept for its reason.
@@ -326,20 +406,8 @@ def unread_parameters(sources) -> list[str]:
     """Parameters of the public functions of ``sources``, and of the public methods and
     ``__init__`` of their public classes, that the body never loads, in nested functions
     and lambdas included.  A method's ``self`` or ``cls`` is not a parameter here."""
-    targets = []  # (qualified name, function, count of bound parameters)
-    for path in sources:
-        for node in ast.parse(path.read_text()).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
-            if isinstance(node, ast.FunctionDef):
-                targets.append((f"{path.stem}.{node.name}", node, 0))
-                continue
-            targets += [(f"{path.stem}.{node.name}.{m.name}", m, 0 if any(
-                ast.unparse(d) == "staticmethod" for d in m.decorator_list) else 1)
-                for m in node.body if isinstance(m, ast.FunctionDef)
-                and (m.name == "__init__" or not m.name.startswith("_"))]
     unread = []
-    for full, fn, bound in targets:
+    for _, full, fn, bound in _public_functions(sources):
         args = fn.args
         params = [a.arg for a in [*args.posonlyargs, *args.args][bound:] + args.kwonlyargs]
         params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]

@@ -102,6 +102,8 @@ class TestArrivalTime:
     def test_outside_domain(self):
         with pytest.raises(ValueError):
             pot.arrival_time(constant_spec(), 9.0)
+        with pytest.raises(ValueError, match="^x lies outside the domain"):
+            pot.arrival_time(constant_spec(), np.array([1.0, math.nan]))
 
     def test_nonpositive_speed_rejected(self):
         xs = np.linspace(0.0, 1.0, 16)
@@ -117,22 +119,22 @@ class TestWaves:
         state = make_free_state(1.0, 1.0)
         xs = np.linspace(1.0, 4.0, 23)
         free = fw.psi_free(state, xs, 0.5)
-        here = pot.psi_potential(spec, Branch.INCOMING, xs, 0.5, x_mp=0.0)
+        here = pot.psi_potential(spec, xs, 0.5, x_mp=0.0)
         assert np.max(np.abs(free - here)) < 1e-10
         free_d = fw.prob_density_free(state, xs, 0.5)
-        here_d = pot.prob_density_potential(spec, Branch.INCOMING, xs, 0.5, x_mp=0.0)
+        here_d = pot.prob_density_potential(spec, xs, 0.5, x_mp=0.0)
         assert np.max(np.abs(free_d - here_d)) < 1e-12
 
     def test_unit_modulus_on_arrival(self):
         spec = linear_spec()
         t_arr = pot.arrival_time(spec, 0.7)
-        psi = pot.psi_potential(spec, Branch.INCOMING, 0.7, t_arr, x_mp=0.7)
+        psi = pot.psi_potential(spec, 0.7, t_arr, x_mp=0.7)
         assert abs(psi) == pytest.approx(1.0, abs=1e-10)
 
     def test_phase_integral(self):
         spec = linear_spec()
         t_arr = pot.arrival_time(spec, 1.0)
-        psi = pot.psi_potential(spec, Branch.INCOMING, 1.0, t_arr, x_mp=1.0)
+        psi = pot.psi_potential(spec, 1.0, t_arr, x_mp=1.0)
         expected = np.exp(1j * (1.5 - spec.omega * t_arr))
         assert psi == pytest.approx(expected, abs=1e-10)
 
@@ -143,22 +145,29 @@ class TestWaves:
             x_samples=xs, kx=1.0 + xs, R=1.0, omega=0.375
         )
         t_arr = pot.arrival_time(spec, 1.0)
-        d = pot.prob_density_potential(spec, Branch.INCOMING, 1.0, t_arr, x_mp=0.0)
+        d = pot.prob_density_potential(spec, 1.0, t_arr, x_mp=0.0)
         assert d == pytest.approx(0.5, abs=1e-10)
 
     def test_density_one_on_arrival(self):
         spec = linear_spec()
         t_arr = pot.arrival_time(spec, 0.4)
-        assert pot.prob_density_potential(
-            spec, Branch.INCOMING, 0.4, t_arr, x_mp=0.4
-        ) == pytest.approx(1.0, abs=1e-12)
+        assert pot.prob_density_potential(spec, 0.4, t_arr, x_mp=0.4) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("x_mp", [-40.0, 10.0, math.nan])
+    @pytest.mark.parametrize("wave", [pot.psi_potential, pot.prob_density_potential],
+                             ids=["psi", "density"])
+    def test_measurement_point_outside_the_domain_raises(self, wave, x_mp):
+        # Not k's spline extrapolated: at x_mp = -40 that gave k_mp = -39 and a density of 4.79.
+        spec = linear_spec(x1=5.0)
+        with pytest.raises(ValueError, match=rf"^x_mp = {x_mp} lies outside the domain \[0.0, 5.0\]"):
+            wave(spec, 3.0, 0.5, x_mp=x_mp)
+        for edge in (spec.x_start, spec.x_end):
+            assert np.isfinite(wave(spec, 3.0, 0.5, x_mp=edge))
 
     def test_region_mismatch(self):
         spec = constant_spec()
         with pytest.raises(RegionError):
-            pot.psi_potential(spec, Branch.INCOMING, 1.0, 2.0, x_mp=0.0)
-        with pytest.raises(RegionError):
-            pot.prob_density_potential(spec, Branch.OUTGOING, 3.0, 1.0, x_mp=0.0)
+            pot.psi_potential(spec, 1.0, 2.0, x_mp=0.0)
 
 
 class TestSharedArrivalRule:
@@ -173,16 +182,19 @@ class TestSharedArrivalRule:
         for branch in Branch:
             state = replace(make_free_state(v, R), branch=branch)
             assert fw.prob_density_free(state, x, free_on_line) == 1.0
-            assert pot.prob_density_potential(spec, branch, x, pot_on_line, x_mp=x) == 1.0
             # 1e-6 (relative) past the line: later for incoming, earlier for outgoing.
             free_past = free_on_line + branch.sign * 1e-6 * max(1.0, free_on_line)
-            pot_past = pot_on_line + branch.sign * 1e-6 * max(1.0, pot_on_line)
             for probe in (lambda: fw.psi_free(state, x, free_past),
-                          lambda: fw.prob_density_free(state, x, free_past),
-                          lambda: pot.psi_potential(spec, branch, x, pot_past, x_mp=x),
-                          lambda: pot.prob_density_potential(spec, branch, x, pot_past, x_mp=x)):
+                          lambda: fw.prob_density_free(state, x, free_past)):
                 with pytest.raises(RegionError):
                     probe()
+        # Potential states are incoming only: the same rule on the incoming side.
+        assert pot.prob_density_potential(spec, x, pot_on_line, x_mp=x) == 1.0
+        pot_past = pot_on_line + 1e-6 * max(1.0, pot_on_line)
+        for probe in (lambda: pot.psi_potential(spec, x, pot_past, x_mp=x),
+                      lambda: pot.prob_density_potential(spec, x, pot_past, x_mp=x)):
+            with pytest.raises(RegionError):
+                probe()
 
     @given(v=st.floats(0.1, 10.0), R=st.floats(0.01, 10.0), t=st.floats(0.0, 4.0))
     def test_outgoing_density_is_the_free_envelope_bit_for_bit(self, v, R, t):
@@ -195,7 +207,7 @@ class TestContinuity:
     def test_constant_speed(self):
         spec = constant_spec()
         grid = fw.Grid1D(2.0, 3.0, 21, 1.0)
-        assert pot.continuity_residual(spec, Branch.INCOMING, grid) < 1e-6
+        assert pot.continuity_residual(spec, grid) < 1e-6
 
     def test_linear_speed(self):
         xs = np.linspace(0.0, 5.0, 401)
@@ -203,7 +215,7 @@ class TestContinuity:
             x_samples=xs, kx=1.0 + xs, R=1.0, omega=0.375
         )
         grid = fw.Grid1D(2.0, 3.0, 21, 0.5)
-        assert pot.continuity_residual(spec, Branch.INCOMING, grid) < 1e-6
+        assert pot.continuity_residual(spec, grid) < 1e-6
 
     def test_detects_corrupted_rate(self, monkeypatch):
         spec = constant_spec()
@@ -215,8 +227,8 @@ class TestContinuity:
             return np.exp(2.0 * spec.R * t) * np.exp(-spec.R * tau)
 
         monkeypatch.setattr(pot, "prob_density_potential",
-                            lambda spec_, branch, x, t, x_mp: corrupted_density(x, t))
-        res = pot.continuity_residual(spec, Branch.INCOMING, grid)
+                            lambda spec_, x, t, x_mp: corrupted_density(x, t))
+        res = pot.continuity_residual(spec, grid)
         # The d/dt term contributes 2R*P while the flux term removes only R*P.
         floor = spec.R * float(np.min(corrupted_density(grid.xs(), grid.t)))
         assert res >= 0.9 * floor
@@ -226,7 +238,7 @@ class TestContinuity:
         spec = constant_spec()
         grid = fw.Grid1D(0.9, 2.0, 11, 1.0)
         with pytest.raises(RegionError):
-            pot.continuity_residual(spec, Branch.INCOMING, grid)
+            pot.continuity_residual(spec, grid)
 
 
 class TestMpLimit:
