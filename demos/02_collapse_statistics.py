@@ -8,7 +8,6 @@ copies reproduces the squared-amplitude frequencies.
 """
 
 import numpy as np
-from scipy import stats
 
 from pdwave.core import make_free_state
 from pdwave.evolution import SuperposedState
@@ -44,8 +43,7 @@ for i in range(3):
         f"{i:7d}  {report.counts[i]:6d}   {report.frequencies[i]:.5f}"
         f"    {report.expected[i]:.2f}     {report.z_scores()[i]:+.3f}"
     )
-p_value = stats.chi2.sf(report.chi_square, df=2)
-print(f"chi-square = {report.chi_square:.3f}, p = {p_value:.3f}")
+print(f"chi-square = {report.chi_square:.3f}, p = {report.p_value():.3f}")
 
 # A composite (system + pointer) measurement collapses both factors at
 # once; the projection carries an irreversibility flag.

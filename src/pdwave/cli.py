@@ -533,6 +533,11 @@ def _run_free_wave(p: dict, report: Report) -> Iterator[tuple]:
 def _make_potential_spec(p: dict) -> potential.PotentialSpec:
     from . import potential
     if p["k_table"]:
+        kept = [f"{key} = {p[key]}" for key in ("profile", "x0", "x1")
+                if p[key] != _TABLE["potential-wave"][1][key][0]]
+        if kept:
+            raise ConfigError(f"k_table {p['k_table']} supplies the grid and k, so profile, "
+                              f"x0 and x1 must keep their defaults; got {', '.join(kept)}")
         try:
             return potential.load_potential_table(p["k_table"], R=p["R"], omega=p["omega"])
         except ValueError as exc:  # R's and omega's domains hold, so the table is at fault
@@ -579,52 +584,20 @@ def _normalized_weights(weights) -> np.ndarray:
     return np.asarray(weights) / np.sum(weights)
 
 
-def _sampled_state(state: evolution.SuperposedState, n_trials: int) -> evolution.SuperposedState:
-    """``state``, once checked fit to be sampled ``n_trials`` times.
-
-    Each outcome's z-score divides by sqrt(p(1-p)/n_trials)
-    (``EnsembleReport.z_scores``), which must not be 0.
-    """
-    p = state.probabilities()
-    if not np.all(np.sqrt(p * (1.0 - p) / n_trials) > 0.0):
-        raise ConfigError("weights give an outcome a Born probability too close to 0 or 1 "
-                          f"for a z-score over {n_trials} trials")
-    return state
-
-
 def _add_three_sigma_checks(report: Report, rep: measurement.EnsembleReport) -> None:
     """One check per outcome: its frequency lies within 3 sigma of |a_i|^2."""
     for i, z in enumerate(rep.z_scores()):
         report.add(f"outcome_{i}_within_3_sigma", bool(abs(z) < 3.0), float(z), 3.0)
 
 
-def _chi_square_sf(x: float, df: int) -> float:
-    """P(chi^2_df > x) for integer df, from the closed-form series of the tail.
-
-    Even df: the Poisson tail sum_{k < df/2} e^{-x/2} (x/2)^k / k!.  Odd df:
-    erfc(sqrt(x/2)) plus the half-integer terms e^{-x/2} (x/2)^{k+1/2} /
-    Gamma(k + 3/2).  Each term is one exp of a log-space sum, so no power
-    or factorial overflows at large df.
-    """
-    if x <= 0.0:
-        return 1.0
-    half, log_half = 0.5 * x, math.log(0.5 * x)
-    offset = 0.0 if df % 2 == 0 else 0.5
-    terms = [math.exp((k + offset) * log_half - half - math.lgamma(k + offset + 1.0))
-             for k in range(df // 2)]
-    if offset:
-        terms.append(math.erfc(math.sqrt(half)))
-    return min(1.0, math.fsum(terms))
-
-
 def _run_ensemble(p: dict, report: Report) -> Iterator[tuple]:
     from . import evolution, measurement
     waves = tuple(make_free_state(float(i + 1), float(i + 1)) for i in range(len(p["weights"])))
     amplitudes = np.sqrt(_normalized_weights(p["weights"])).astype(complex)
-    state = _sampled_state(evolution.SuperposedState(amplitudes, waves), p["n_trials"])
+    state = evolution.SuperposedState(amplitudes, waves)
     rep = measurement.run_ensemble(state, p["n_trials"], seed=p["seed"], workers=p["workers"])
     yield "ensemble", rep.table()
-    p_value = _chi_square_sf(rep.chi_square, rep.counts.size - 1)
+    p_value = rep.p_value()
     _add_three_sigma_checks(report, rep)
     report.add("chi_square_p_above_0.001", p_value > 0.001, p_value, 0.001)
 
@@ -783,8 +756,7 @@ def _run_composite(p: dict, report: Report) -> Iterator[tuple]:
         raise ConfigError("weights, system_speeds, pointer_speeds must pair up")
     systems = tuple(make_free_state(v, v) for v in p["system_speeds"])
     pointers = tuple(make_free_state(v, v) for v in p["pointer_speeds"])
-    composite = _sampled_state(
-        measurement.tensor_compose(systems, pointers, np.sqrt(weights)), p["n_trials"])
+    composite = measurement.tensor_compose(systems, pointers, np.sqrt(weights))
 
     # Each factor's probes lie 1.5 to 2 past its arrival line x = v*t at t = 0.5.
     grids = (freewave.Grid1D(0.5 * w.v + 1.5, 0.5 * w.v + 2.0, 9, 0.5)

@@ -93,6 +93,11 @@ def stencil_steps(room_t: float, v: float, rate_x: float, rate_t: float) -> tupl
     return tuple(steps)
 
 
+def _richardson(fine, coarse):
+    """Fourth-order value from second-order ones on steps h/2 and h: (4*fine - coarse)/3."""
+    return (4.0 * fine - coarse) / 3.0
+
+
 def central_difference(f, z, h, order: int = 1):
     """Derivative of f at z of order 1 or 2, Richardson-extrapolated (Richardson 1911).
 
@@ -107,7 +112,7 @@ def central_difference(f, z, h, order: int = 1):
             return (f(z + s) - f(z - s)) / (2.0 * s)
         return (f(z + s) - twice + f(z - s)) / (s * s)
 
-    return (4.0 * central(0.5 * h) - central(h)) / 3.0
+    return _richardson(central(0.5 * h), central(h))
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,6 +11,7 @@ postulated pointer orthogonality.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -72,8 +73,31 @@ class EnsembleReport:
             raise ValueError("counts must sum to n_trials")
 
     def z_scores(self) -> np.ndarray:
+        """(f_i - p_i)/sqrt(p_i(1-p_i)/n_trials) per outcome; a zero sigma raises ValueError."""
         sigma = np.sqrt(self.expected * (1.0 - self.expected) / self.n_trials)
+        if not np.all(sigma > 0.0):
+            raise ValueError("weights give an outcome a Born probability too close to 0 or 1 "
+                             f"for a z-score over {self.n_trials} trials")
         return (self.frequencies - self.expected) / sigma
+
+    def p_value(self) -> float:
+        """P(chi^2_df > chi_square), df = outcomes - 1, from the closed-form series of the tail.
+
+        Even df: the Poisson tail sum_{k < df/2} e^{-x/2} (x/2)^k / k!.  Odd df:
+        erfc(sqrt(x/2)) plus the half-integer terms e^{-x/2} (x/2)^{k+1/2} /
+        Gamma(k + 3/2).  Each term is one exp of a log-space sum, so no power
+        or factorial overflows at large df.
+        """
+        x, df = self.chi_square, self.counts.size - 1
+        if x <= 0.0:
+            return 1.0
+        half, log_half = 0.5 * x, math.log(0.5 * x)
+        offset = 0.0 if df % 2 == 0 else 0.5
+        terms = [math.exp((k + offset) * log_half - half - math.lgamma(k + offset + 1.0))
+                 for k in range(df // 2)]
+        if offset:
+            terms.append(math.erfc(math.sqrt(half)))
+        return min(1.0, math.fsum(terms))
 
     def table(self) -> dict:
         """Columns outcome, count, frequency, expected and z_score, one row per outcome."""
@@ -97,13 +121,14 @@ def run_ensemble(
     if n_trials < 1 or workers < 1:
         raise ValueError("n_trials and workers must be positive")
     probs = state.probabilities()
+    if not np.all(probs > 0.0):
+        raise ValueError("weights give an outcome a Born probability of 0, "
+                         "where its chi-square term is 0/0")
     children = np.random.SeedSequence(seed).spawn(workers)
     base, extra = divmod(n_trials, workers)
     counts = np.zeros(state.n, dtype=np.int64)
     for i, child in enumerate(children):
         m = base + (1 if i < extra else 0)
-        if m == 0:
-            continue
         counts += np.random.default_rng(child).multinomial(m, probs)
     freq = counts / n_trials
     chi_square = float(np.sum((counts - n_trials * probs) ** 2 / (n_trials * probs)))

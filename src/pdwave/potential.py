@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Branch, ConvergenceError, _both, _read_rows, central_difference,
-                   envelope_lag, stencil_steps)
+from .core import (Branch, ConvergenceError, _both, _read_rows, _richardson,
+                   central_difference, envelope_lag, stencil_steps)
 from .freewave import Grid1D
 
 __all__ = [
@@ -184,11 +184,13 @@ class PotentialSpec:
         object.__setattr__(self, "kx", kx)
 
         k_spline = _spline(xs, kx)
+        k_min = k_spline.minimum()
         # Positivity can fail between nodes even when samples are positive.
-        if k_spline.minimum() <= 0.0:
+        if k_min <= 0.0:
             raise ValueError("interpolated k(x) dips to zero between samples")
         inv_v_spline = _spline(xs, 1.0 / kx)  # v = hbar*k/m = k
         object.__setattr__(self, "_k_spline", k_spline)
+        object.__setattr__(self, "_k_min", k_min)
         object.__setattr__(self, "_tau_spline", inv_v_spline.antiderivative())
         object.__setattr__(self, "_phase_spline", k_spline.antiderivative())
 
@@ -262,7 +264,7 @@ def continuity_residual(spec: PotentialSpec, grid: Grid1D) -> float:
         return prob_density_potential(spec, x_, t_, x_mp=spec.x_start)
 
     room_t = -float(np.max(envelope_lag(Branch.INCOMING, t, arrival_time(spec, xs))))
-    v_min = float(np.min(spec.k_at(np.linspace(spec.x_start, spec.x_end, 256))))  # v = k at hbar = m = 1
+    v_min = spec._k_min  # v = k at hbar = m = 1
     h_x, h_t = stencil_steps(room_t, v_min, spec.R / v_min, spec.R)
     dP_dt = central_difference(lambda tt: density(xs, tt), t, h_t)
     d_flux = central_difference(lambda x: density(x, t) * spec.k_at(x), xs, h_x)
@@ -565,11 +567,6 @@ def _shooting_eigenvalues(problem: SLProblem, n_grid: int, seeds=()) -> tuple[np
             "a bracket width of 1e-14*|E| cannot resolve their spacing"
         )
     return np.asarray(eigenvalues), sweeps
-
-
-def _richardson(fine, coarse):
-    """Second-order eigenvalues on grids h/2 and h, extrapolated to fourth order."""
-    return (4.0 * fine - coarse) / 3.0
 
 
 def solve_sturm_liouville(problem: SLProblem, n_grid: int = 2001) -> SLSolution:

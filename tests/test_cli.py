@@ -500,6 +500,13 @@ class TestExitCodes:
             # probe window repeats points; the monotone checks failed on them.
             ("free-wave", "times = 2e14", ("times = 2", "span = 3.0", "n = 121")),
             ("free-wave", "times = 1e300", ("times = 1e+300", "span = 3.0", "n = 121")),
+            # The table supplies the grid and k, so these keys must keep their defaults;
+            # they are checked before the table, so k.txt need not exist.
+            ("potential-wave", "k_table = k.txt\nprofile = constant",
+             ("k_table k.txt", "profile = constant")),
+            ("potential-wave", "k_table = k.txt\nx0 = 0.5", ("k_table k.txt", "x0 = 0.5")),
+            ("potential-wave", "k_table = k.txt\nx0 = 0.5\nx1 = 4",
+             ("k_table k.txt", "x0 = 0.5", "x1 = 4.0")),
         ],
     )
     def test_cross_key_rejection_names_both_keys(
@@ -508,6 +515,15 @@ class TestExitCodes:
         assert _failed_run_code(scenario, entries, tmp_path) == 1
         err = capsys.readouterr().err
         assert all(text in err for text in named)
+
+    @pytest.mark.parametrize("entries", ["", "profile = linear\nx0 = 0\nx1 = 5"])
+    def test_k_table_runs_with_the_keys_it_replaces_at_their_defaults(self, entries, tmp_path):
+        k_path = tmp_path / "k.txt"
+        k_path.write_text(_k_table(0.0))
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[potential-wave]\nk_table = {k_path}\n{entries}\n")
+        assert cli.main(["--scenario", "potential-wave", "--config", str(cfg),
+                         "--out", str(tmp_path / "out"), "--check"]) == 0
 
     @pytest.mark.parametrize("entries", ["t = 236.5", "speeds = 1,2,709"])
     def test_decoherence_just_inside_the_float_range_runs(self, entries, tmp_path):
@@ -634,6 +650,10 @@ class TestExitCodes:
             # p ~ 5e-321: sqrt(p(1-p)/n_trials) underflows to 0.
             ("ensemble", "weights = 1e-320,1,1"),
             ("composite", "weights = 1e-320,1,1\nsystem_speeds = 1,2,3\n"
+                          "pointer_speeds = 1.5,2.5,3.5"),
+            # 5e-324 over a sum of 2 rounds to p = 0, whose chi-square term is 0/0.
+            ("ensemble", "weights = 5e-324,1,1"),
+            ("composite", "weights = 5e-324,1,1\nsystem_speeds = 1,2,3\n"
                           "pointer_speeds = 1.5,2.5,3.5"),
             ("sturm-liouville", "n_eigen = 0"),
             ("sturm-liouville", "x1 = 0"),
@@ -1078,22 +1098,6 @@ def test_benchmark_tracer_sees_the_sturm_liouville_kernels(tmp_path):
     assert spans.count("potential.solve_sturm_liouville") == 1
     assert spans.count("potential.eigh_tridiagonal") == 2
     assert spans.count("potential._numerov_sweep") >= 1
-
-
-def test_chi_square_sf_matches_chi2_sf():
-    from scipy import stats
-
-    x = np.concatenate([np.linspace(0.0, 60.0, 601),
-                        np.random.default_rng(7).uniform(0.0, 60.0, 2000)])
-    # Ensembles of 2 to 9 outcomes, then large df over their own bulk and tail.
-    cases = [(df, x, 1e-13) for df in range(1, 9)]
-    cases += [(df, np.concatenate([x, np.linspace(0.0, 2.0 * df, 3001)]), 1e-11)
-              for df in (99, 2999)]
-    for df, xs, rtol in cases:
-        ours = np.array([cli._chi_square_sf(float(v), df) for v in xs])
-        reference = stats.chi2.sf(xs, df)
-        assert np.all(np.abs(ours - reference) <= rtol * reference), df
-    assert cli._chi_square_sf(0.0, 1) == 1.0
 
 
 @pytest.mark.parametrize(

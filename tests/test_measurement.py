@@ -159,11 +159,13 @@ class TestEnsemble:
 
     def test_each_stream_is_one_multinomial_draw(self):
         state = born_state()
-        children = np.random.SeedSequence(8).spawn(3)
-        expected = sum(np.random.default_rng(child).multinomial(m, state.probabilities())
-                       for child, m in zip(children, (3334, 3333, 3333)))
-        assert np.array_equal(ms.run_ensemble(state, 10000, seed=8, workers=3).counts,
-                              expected)
+        # One trial over two workers leaves the second stream a draw of 0 trials.
+        for n_trials, trials in ((10000, (3334, 3333, 3333)), (1, (1, 0))):
+            children = np.random.SeedSequence(8).spawn(len(trials))
+            expected = sum(np.random.default_rng(child).multinomial(m, state.probabilities())
+                           for child, m in zip(children, trials))
+            rep = ms.run_ensemble(state, n_trials, seed=8, workers=len(trials))
+            assert np.array_equal(rep.counts, expected)
 
     def test_memory_does_not_grow_with_n_trials(self):
         state = born_state()
@@ -181,6 +183,32 @@ class TestEnsemble:
         p_values = [stats.chi2.sf(ms.run_ensemble(born_state(), 1000, seed=seed).chi_square,
                                   df=2) for seed in range(200)]
         assert stats.kstest(p_values, "uniform").pvalue > 0.001
+
+    def test_p_value_matches_chi2_sf(self):
+        x = np.concatenate([np.linspace(0.0, 60.0, 601),
+                            np.random.default_rng(7).uniform(0.0, 60.0, 2000)])
+        # Ensembles of 2 to 9 outcomes, then large df over their own bulk and tail.
+        cases = [(df, x, 1e-13) for df in range(1, 9)]
+        cases += [(df, np.concatenate([x, np.linspace(0.0, 2.0 * df, 3001)]), 1e-11)
+                  for df in (99, 2999)]
+        for df, xs, rtol in cases:
+            counts = np.ones(df + 1)
+            ours = np.array([ms.EnsembleReport(df + 1, counts, counts / (df + 1),
+                                               counts / (df + 1), float(v)).p_value()
+                             for v in xs])
+            reference = stats.chi2.sf(xs, df)
+            assert np.all(np.abs(ours - reference) <= rtol * reference), df
+        assert ms.EnsembleReport(2, np.ones(2), np.full(2, 0.5), np.full(2, 0.5),
+                                 0.0).p_value() == 1.0
+
+    def test_one_outcome_has_no_z_score(self):
+        rep = ms.run_ensemble(born_state(weights=(1.0,)), 1000, seed=5)
+        with pytest.raises(ValueError, match="weights give an outcome a Born probability"):
+            rep.z_scores()
+
+    def test_zero_born_probability_is_refused(self):
+        with pytest.raises(ValueError, match="weights give an outcome a Born probability of 0"):
+            ms.run_ensemble(born_state(weights=(1.0, 0.0)), 1000, seed=5)
 
     def test_csv_columns(self):
         table = ms.run_ensemble(born_state(), 1000, seed=5).table()

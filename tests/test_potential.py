@@ -217,6 +217,20 @@ class TestContinuity:
         grid = fw.Grid1D(2.0, 3.0, 21, 0.5)
         assert pot.continuity_residual(spec, grid) < 1e-6
 
+    def test_stencil_takes_the_exact_least_speed(self, monkeypatch):
+        # k = 2 dips to 0.1 at x = 0.95 over a width of ~0.005, between two points of
+        # a 256-point grid, whose samples read a least speed of ~2.
+        xs = np.linspace(0.0, 4.0, 2001)
+        kx = 2.0 - 1.9 * np.exp(-(((xs - xs[475]) / 0.0025) ** 2))
+        spec = pot.PotentialSpec(x_samples=xs, kx=kx, R=1.0, omega=0.375)
+        assert np.min(spec.k_at(np.linspace(0.0, 4.0, 256))) > 1.99
+        speeds, steps = [], pot.stencil_steps
+        monkeypatch.setattr(pot, "stencil_steps",
+                            lambda room_t, v, *rates: speeds.append(v) or steps(room_t, v, *rates))
+        pot.continuity_residual(spec, fw.Grid1D(2.0, 3.0, 21, 0.25))
+        dense = np.min(CubicSpline(xs, kx)(np.linspace(0.94, 0.96, 20001)))
+        assert speeds == [pytest.approx(dense, rel=1e-9)]
+
     def test_detects_corrupted_rate(self, monkeypatch):
         spec = constant_spec()
         grid = fw.Grid1D(2.0, 2.5, 11, 1.0)
