@@ -16,9 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Branch, FreeWaveParams, MeasurementEvent, central_difference, on_arrival
+from .core import Branch, FreeWaveParams, MeasurementEvent, on_arrival
 from .evolution import DensityMatrix, SuperposedState
-from .freewave import Grid1D, _fd_steps, psi_free
 
 __all__ = [
     "MeasurementEvent",
@@ -29,7 +28,6 @@ __all__ = [
     "run_ensemble",
     "dirac_project",
     "tensor_compose",
-    "composite_schrodinger_residual",
     "von_neumann_project",
     "mixture_density",
     "compare_averages",
@@ -210,32 +208,6 @@ class CompositeState(SuperposedState):
 def tensor_compose(system_states, pointer_states, amplitudes) -> CompositeState:
     """Build the entangled composite sum_i a_i psi_i (x) phi_i."""
     return CompositeState(amplitudes, tuple(system_states), tuple(pointer_states))
-
-
-def composite_schrodinger_residual(
-    composite: CompositeState, index: int, grid_system: Grid1D, grid_pointer: Grid1D
-) -> float:
-    """Finite-difference residual of the two-coordinate product wave.
-
-    theta(x1, x2, t) = psi(x1, t) * phi(x2, t) must satisfy the composite
-    free equation i*hbar*theta_t + (hbar^2/2m)(theta_x1x1 + theta_x2x2) = 0
-    when both factors satisfy their own equations.  Each step is the smaller
-    of the two factors' ``freewave._fd_steps`` on their grids.
-    """
-    if grid_system.t != grid_pointer.t:
-        raise ValueError("both grids must share the evaluation time")
-    psi_w = composite.system_components[index]
-    phi_w = composite.pointer_components[index]
-    h_x, h_t = map(min, _fd_steps(psi_w, grid_system), _fd_steps(phi_w, grid_pointer))
-    t = grid_system.t
-    x1 = grid_system.xs()[:, None]
-    x2 = grid_pointer.xs()[None, :]
-    # theta at shifted x1 or x2: the factor that stays put is evaluated once.
-    psi, phi = psi_free(psi_w, x1, t), psi_free(phi_w, x2, t)
-    d_t = central_difference(lambda tt: psi_free(psi_w, x1, tt) * psi_free(phi_w, x2, tt), t, h_t)
-    d_11 = central_difference(lambda a: psi_free(psi_w, a, t) * phi, x1, h_x, order=2)
-    d_22 = central_difference(lambda b: psi * psi_free(phi_w, b, t), x2, h_x, order=2)
-    return float(np.max(np.abs(1j * d_t + 0.5 * (d_11 + d_22))))
 
 
 def mixture_density(states, weights) -> DensityMatrix:

@@ -187,6 +187,44 @@ def test_degeneration_check_catches_a_skewed_arrival_time(tmp_path, monkeypatch,
     assert "degeneration_matches_free_wave" in failed
 
 
+def test_chi_square_catches_a_tally_off_in_aggregate(tmp_path, monkeypatch, capsys):
+    # Eight equal weights, each count n/8 +- round(2.9 sigma) with the sign alternating:
+    # every |z| is 2.897, within 3 sigma, while the chi-square's p is 2.7e-10.
+    run_ensemble = pdwave.measurement.run_ensemble
+
+    def skewed(state, n_trials, seed, workers=1):
+        p = run_ensemble(state, n_trials, seed, workers).expected
+        shift = np.round(2.9 * np.sqrt(n_trials * p * (1.0 - p))) * (-1.0) ** np.arange(p.size)
+        counts = np.rint(n_trials * p + shift).astype(np.int64)
+        chi_square = float(np.sum((counts - n_trials * p) ** 2 / (n_trials * p)))
+        return pdwave.measurement.EnsembleReport(n_trials, counts, counts / n_trials, p,
+                                                 chi_square)
+
+    monkeypatch.setattr(pdwave.measurement, "run_ensemble", skewed)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[composite]\nweights = 1,1,1,1,1,1,1,1\nn_trials = 80000\n"
+                   "system_speeds = 1,2,3,4,5,6,7,8\npointer_speeds = 9,10,11,12,13,14,15,16\n")
+    out = tmp_path / "out"
+    assert cli.main(["--scenario", "composite", "--config", str(cfg), "--out", str(out),
+                     "--check"]) == 3
+    assert "chi_square_p_above_0.001" in capsys.readouterr().err
+    checks = json.loads((out / "report.json").read_text())["checks"]
+    assert {c["name"] for c in checks if not c["passed"]} == {"chi_square_p_above_0.001"}
+    assert all(abs(abs(c["value"]) - 2.897) < 1e-3 for c in checks if "sigma" in c["name"])
+
+
+def test_factor_checks_catch_a_conjugated_wave(tmp_path, monkeypatch, capsys):
+    # The conjugate solves the time-reversed equation, not the free one.
+    psi_free = pdwave.freewave.psi_free
+    monkeypatch.setattr(pdwave.freewave, "psi_free", lambda *a: np.conj(psi_free(*a)))
+    assert cli.main(["--scenario", "composite", "--out", str(tmp_path), "--check"]) == 3
+    err = capsys.readouterr().err
+    names = {"system_0_dispersion_residual_fd", "pointer_0_dispersion_residual_fd"}
+    assert all(name in err for name in names)
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert {c["name"] for c in report["checks"] if not c["passed"]} == names
+
+
 def test_ensemble_csv_schema(tmp_path):
     cli.main(["--scenario", "ensemble", "--out", str(tmp_path), "--seed", "1"])
     rows = (tmp_path / "ensemble.csv").read_text().splitlines()
@@ -775,9 +813,10 @@ _UNREACHING_CHANGES = {
                           "guard and maps exp(-s); the bulk-emit deck sets the key, and it "
                           "gets a reader once the field is computed from the density"),
     ("composite", "pointer_speeds"): (
-        "3,40", "only pair 0 feeds composite_schrodinger_residual; the residual on every "
-                "pair costs 0.48 ms a pair, and the two composite items sit at the median "
-                "of the bulk-sampling deck, whose run_s.p50 would rise 20-30%"),
+        "3,40", "only pair 0's factors get a dispersion_residual_fd check; each further "
+                "pair's two fd residuals cost about 0.45 ms against about 3.3 ms for a "
+                "whole composite item, and the two composite items sit at the median of "
+                "the bulk-sampling deck, whose run_s.p50 would rise 14-28%"),
 } | {(scenario, "output"): ("elsewhere", "it names the directory the files go to, so it "
                                          "has no bytes of its own") for scenario in cli.SCENARIOS}
 
@@ -1017,7 +1056,7 @@ print(json.dumps([imported, sorted(sys.modules), threading.active_count()]))
 SCENARIO_MODULES = {
     "free-wave": {"freewave"},
     "potential-wave": {"freewave", "potential"},
-    "ensemble": {"evolution", "freewave", "measurement"},
+    "ensemble": {"evolution", "measurement"},
     "decoherence": {"evolution", "spectral"},
     "entropy": {"evolution"},
     "sturm-liouville": {"freewave", "potential"},

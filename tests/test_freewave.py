@@ -111,9 +111,13 @@ def test_residual_analytic_canonical():
     assert fw.schrodinger_residual(CANON, grid) < 1e-12
 
 
-def test_residual_fd_canonical():
-    grid = fw.Grid1D(2.0, 4.0, 101, 1.0)
-    assert fw.schrodinger_residual(CANON, grid, method="fd") < 1e-6
+# Beside the canonical state, the factors of a system-pointer composite: their product
+# solves the composite equation because each solves its own.
+@pytest.mark.parametrize("state, grid", [(CANON, fw.Grid1D(2.0, 4.0, 101, 1.0))] + [
+    (make_free_state(v, v), fw.Grid1D(2.0, 2.5, 9, 0.5)) for v in (1.0, 1.5, 0.5, 0.8)],
+    ids=["canonical", "factor_v1.0", "factor_v1.5", "factor_v0.5", "factor_v0.8"])
+def test_residual_fd_canonical(state, grid):
+    assert fw.schrodinger_residual(state, grid, method="fd") < 1e-6
 
 
 def test_residual_detects_wrong_dispersion():

@@ -9,7 +9,7 @@ from scipy import stats
 
 from pdwave.core import Branch, MeasurementEvent, RegionError, envelope_lag, make_free_state
 from pdwave.evolution import SuperposedState, purity
-from pdwave.freewave import Grid1D, prob_density_free
+from pdwave.freewave import prob_density_free
 from pdwave.spectral import apply_observable, hermitize_at_mp
 from pdwave import measurement as ms
 from pdwave import potential as pot
@@ -264,13 +264,6 @@ class TestComposite:
     def test_pure_product_limit(self):
         comp = self.composite(weights=(1.0, 0.0))
         assert comp.amplitudes[0] == 1.0 + 0j
-
-    def test_composite_schrodinger_residual(self):
-        systems = (make_free_state(1.0, 1.0), make_free_state(1.5, 1.5))
-        pointers = (make_free_state(0.5, 0.5), make_free_state(0.8, 0.8))
-        comp = ms.tensor_compose(systems, pointers, np.sqrt([0.5, 0.5]).astype(complex))
-        grid = Grid1D(2.0, 2.5, 9, 0.5)
-        assert ms.composite_schrodinger_residual(comp, 0, grid, grid) < 1e-6
 
     def test_count_mismatch(self):
         with pytest.raises(ValueError):
