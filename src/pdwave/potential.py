@@ -5,11 +5,11 @@ number k(x) and speed v(x) = hbar*k(x)/m.  Its density is an inhomogeneous
 traveling wave whose arrival time at x is the integral of 1/v, and the
 radial amplitude R(x) of the bound problem satisfies a Sturm-Liouville
 equation solved here by Numerov shooting with a dense-matrix cross-check
-whose two grids LAPACK bisects at once, on two threads, without the GIL;
-scipy gives the eigenvectors of one grid.
+whose two grids LAPACK bisects at once, on two threads, without the GIL, in
+the OpenBLAS numpy loaded; only ``matrix_eigen``, for eigenvectors, imports scipy.
 Shooting brackets each eigenvalue by node counts and converges it by
 Illinois steps on the end value of a summed-difference Numerov recurrence.
-Each sweep of that recurrence is one banded lower-triangular BLAS solve in
+Each sweep of that recurrence is one banded triangular BLAS solve in
 four unknowns per grid step, laid out so that the solve rounds as the
 point-by-point loop does, whether or not the BLAS kernel fuses multiply
 and add; the loop itself runs only where the solution must be rescaled.
@@ -17,6 +17,7 @@ and add; the loop itself runs only where the solution must be rescaled.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 from dataclasses import dataclass
@@ -118,34 +119,44 @@ def _spline(x, y) -> _Spline:
 
 
 @functools.cache
-def _dstebz():
-    """LAPACK dstebz from scipy's cython_lapack as a ctypes function, which releases the GIL."""
-    import ctypes as c
-    from scipy.linalg import cython_lapack
-    capsule, api = cython_lapack.__pyx_capi__["dstebz"], c.pythonapi
-    name = c.PYFUNCTYPE(c.c_char_p, c.py_object)(("PyCapsule_GetName", api))
-    address = c.PYFUNCTYPE(c.c_void_p, c.py_object, c.c_char_p)(("PyCapsule_GetPointer", api))
-    return c.CFUNCTYPE(None, *[c.c_void_p] * 18)(address(capsule, name(capsule)))
+def _lapack():
+    """dstebz and dtbsv as ctypes functions, which release the GIL, and their integer type:
+    by name from numpy's ILP64 OpenBLAS, else (Accelerate, MKL) scipy's cython pointers."""
+    void_p, obj, api = ctypes.c_void_p, ctypes.py_object, ctypes.pythonapi
+    dstebz, dtbsv = (ctypes.CFUNCTYPE(None, *[void_p] * n) for n in (18, 9))
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        return dstebz(("scipy_dstebz_64_", lib)), dtbsv(("scipy_dtbsv_64_", lib)), ctypes.c_int64
+    except (AttributeError, OSError):
+        from scipy.linalg import cython_blas, cython_lapack
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, obj)(("PyCapsule_GetName", api))
+    address = ctypes.PYFUNCTYPE(void_p, obj, ctypes.c_char_p)(("PyCapsule_GetPointer", api))
+    lapack, blas = cython_lapack.__pyx_capi__["dstebz"], cython_blas.__pyx_capi__["dtbsv"]
+    return dstebz(address(lapack, name(lapack))), dtbsv(address(blas, name(blas))), ctypes.c_int
 
 
 def eigh_tridiagonal(d, e, n: int):
     """The lowest ``n`` eigenvalues of the symmetric tridiagonal matrix (d, e), without the GIL.
 
     They are scipy's ``eigh_tridiagonal`` values for ``select="i"`` bit for bit, errors too:
-    the same LAPACK ``dstebz`` call, through scipy's ``cython_lapack`` pointer by ctypes.
+    the same LAPACK ``dstebz`` call, made by ctypes on ``_lapack``'s route.
     """
-    from scipy.linalg import _decomp
     d, e = np.asarray_chkfinite(d, float, "C"), np.asarray_chkfinite(e, float, "C")
     if d.ndim != 1 or e.shape != (d.size - 1,):  # LAPACK reads n, n - 1 values
         raise ValueError(f"need 1-d d, e one shorter; got {d.shape}, {e.shape}")
-    ints = np.array([d.size, 1, n, 0, 0, 0], np.intc)  # n il iu; m nsplit info
+    dstebz, _, int_t = _lapack()
+    ints = np.array([d.size, 1, n, 0, 0, 0], int_t)  # n il iu; m nsplit info
     reals = np.zeros(3)  # vl and vu, unused, and abstol, 0 for eps*|T|
     w, work = np.empty(d.size), np.empty(4 * d.size)
-    iblock, isplit, iwork = (np.empty(k * d.size, np.intc) for k in (1, 1, 3))
-    i, r = ints.ctypes.data, reals.ctypes.data
-    _dstebz()(b"I", b"E", i, r, r + 8, i + 4, i + 8, r + 16, d.ctypes, e.ctypes, i + 12,
-              i + 16, w.ctypes, iblock.ctypes, isplit.ctypes, work.ctypes, iwork.ctypes, i + 20)
-    _decomp._check_info(ints[5], "stebz (eigh_tridiagonal)")
+    iblock, isplit, iwork = (np.empty(k * d.size, int_t) for k in (1, 1, 3))
+    i, r, s = ints.ctypes.data, reals.ctypes.data, ints.itemsize
+    dstebz(b"I", b"E", i, r, r + 8, i + s, i + 2 * s, r + 16, d.ctypes, e.ctypes, i + 3 * s,
+           i + 4 * s, w.ctypes, iblock.ctypes, isplit.ctypes, work.ctypes, iwork.ctypes, i + 5 * s)
+    info, driver = ints[5], "stebz (eigh_tridiagonal)"  # as scipy's _check_info, word for word
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal {driver}")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{driver} did not converge (LAPACK info={info})")
     return w[:ints[3]]
 
 
@@ -340,7 +351,7 @@ class SLSolution:
 def _tridiagonal(problem: SLProblem, n_grid: int):
     """The scheme's symmetric matrix on ``n_grid`` points, (diagonal, off-diagonal), and x."""
     x = np.linspace(problem.x0, problem.x_end, n_grid)
-    h = x[1] - x[0]
+    h = (x[-1] - x[0]) / (n_grid - 1)  # not x[1] - x[0], which rounds at x0's scale
     # Unknowns at x[0..n-2]; R(x_end) = 0 eliminated; hbar^2/2m = 1/2.
     diag = 1.0 / h**2 + problem.effective_potential(x)[:-1]
     off = np.full(n_grid - 2, -0.5 / h**2)
@@ -363,7 +374,7 @@ def matrix_eigen(problem: SLProblem, n_grid: int):
             f"only {n_grid - 1} eigenvalues exist below the discretization ceiling"
         )
     diag, off, x = _tridiagonal(problem, n_grid)
-    h = x[1] - x[0]
+    h = (x[-1] - x[0]) / (n_grid - 1)
     from scipy import linalg
     # Eigenvalues 0 to n_eigen - 1 by index, with their vectors.
     vals, vecs = linalg.eigh_tridiagonal(diag, off, False, "i", (0, problem.n_eigen - 1))
@@ -375,23 +386,26 @@ def matrix_eigen(problem: SLProblem, n_grid: int):
     return vals, funcs, x
 
 
-def _numerov_band(n_grid: int) -> np.ndarray:
-    """The parts of ``_numerov_sweep``'s banded matrix that do not depend on E.
+def _numerov_band(n_grid: int) -> tuple:
+    """``_numerov_sweep``'s band, right-hand side and dtbsv bound to both, which solves in place.
 
-    Row r of the Fortran-ordered 5 x 4(n_grid - 2) band holds the r-th
-    subdiagonal, so entry [r, j] multiplies unknown j in the equation of
-    unknown j + r.  A sweep overwrites the w entries of row 0 and the
-    -h^2 f entries of row 1; every other entry is 1, -1 or 0.
+    Column j of the Fortran-ordered 5 x 4(n_grid - 2) band is the equation
+    of unknown j: entry [4 - r, j] multiplies unknown j - r.  A sweep
+    overwrites the w entries of row 4 and the -h^2 f entries of row 3;
+    every other entry is 1, -1 or 0.
     """
     band = np.zeros((5, 4 * (n_grid - 2)), order="F")
-    band[0] = 1.0
-    band[1] = -1.0
-    band[4, 1::4] = band[4, 2::4] = -1.0  # D_i - D_(i-1), z_(i+1) - z_i
-    return band
+    band[4] = 1.0
+    band[3] = -1.0
+    band[0, 5::4] = band[0, 6::4] = -1.0  # D_i - D_(i-1), z_(i+1) - z_i
+    rhs, (_, dtbsv, int_t) = np.empty(band.shape[1]), _lapack()
+    n, k, lda, incx = (ctypes.byref(int_t(v)) for v in (band.shape[1], 4, 5, 1))  # kept alive
+    return band, rhs, functools.partial(dtbsv, b"U", b"T", b"N", n, k, band.ctypes.data, lda,
+                                        rhs.ctypes.data, incx)
 
 
 def _numerov_sweep(E: float, x: np.ndarray, W: np.ndarray,
-                   band: np.ndarray) -> tuple[int, float, int]:
+                   work: tuple) -> tuple[int, float, int]:
     """Numerov integration of R'' = f(x) R from a Neumann start.
 
     Returns ``(nodes, y_end, rescales)``: the interior node count, which by
@@ -405,18 +419,19 @@ def _numerov_sweep(E: float, x: np.ndarray, W: np.ndarray,
     precision.  The three-term form rounds w, which is 1 +- 5e-8 at 2001
     points, and so resolves E only in steps of about 12 eps/(h^2 2m/hbar^2).
 
-    A sweep is one banded lower-triangular solve (BLAS dtbsv) in four
-    unknowns per step, q_i = h^2 f_i R_i, D_i = D_(i-1) + q_i,
-    z_(i+1) = z_i + D_i and w_(i+1) R_(i+1) = z_(i+1).  ``band`` is
-    ``_numerov_band(x.size)``, built once per solve; the sweep writes its w
-    and h^2 f entries.  Four unknowns, not three, make the solve round as
-    the loop does: a BLAS kernel may fuse each multiply with its add, and
-    here every product is either exact (a coefficient of +-1) or added to
-    the 0 of q's own row.  The recurrence in Python floats takes over where
-    the solve gives a non-finite R or |R| > 1e250, the first point the loop
-    would rescale, so ``(nodes, y_end, rescales)`` are the loop's bits.
+    A sweep is one banded triangular solve (BLAS dtbsv) in four unknowns
+    per step, q_i = h^2 f_i R_i, D_i = D_(i-1) + q_i, z_(i+1) = z_i + D_i
+    and w_(i+1) R_(i+1) = z_(i+1), on the transposed upper band, which
+    OpenBLAS solves by dot products, faster than the lower band's axpys.
+    ``work`` is ``_numerov_band(x.size)``, built once per solve.  Four
+    unknowns, not three, make the solve round as the loop does: each dot
+    product has at most two nonzero terms, both exact (a coefficient of
+    +-1) or h^2 f_i R_i alone, so it rounds once however a kernel orders or
+    fuses it.  The recurrence in Python floats takes over where the solve
+    gives a non-finite R or |R| > 1e250, the first point the loop would
+    rescale, so ``(nodes, y_end, rescales)`` are the loop's bits.
     """
-    h = x[1] - x[0]
+    h = (x[-1] - x[0]) / (x.size - 1)
     f = 2.0 * (W - E)  # 2m/hbar^2 (W - E)
     # Taylor start through h^4 keeps the scheme fourth-order at the edge.
     f0 = f[0]
@@ -431,14 +446,14 @@ def _numerov_sweep(E: float, x: np.ndarray, W: np.ndarray,
     w1, h2f0, h2f1 = float(w[1]), float(h2f[0]), float(h2f[1])
     z = w1 * y
     d = dy - (h2f1 * y - h2f0) / 12.0  # z1 - z0, without the rounding of w
-    from scipy.linalg.blas import dtbsv
-
-    band[0, 3::4] = w[2:]
-    band[1, 3::4] = -h2f[2:]  # the last entry lies outside the matrix
-    rhs = np.zeros(band.shape[1])
+    band, rhs, solve = work
+    band[4, 3::4] = w[2:]
+    band[3, 4::4] = -h2f[2:-1]
+    rhs.fill(0.0)
     rhs[:3] = h2f1 * y, d, z  # q_1, D_0 and z_1 come from the known R_1
-    R = dtbsv(4, band, rhs, lower=1, overwrite_x=1)[3::4]
-    if np.max(np.abs(R)) <= 1e250:  # False for inf and nan too
+    solve()
+    R = rhs[3::4]
+    if np.abs(R).max() <= 1e250:  # False for inf and nan too
         with np.errstate(over="ignore", under="ignore"):  # a Python float's product
             nodes = (y * R[0] < 0.0) + np.count_nonzero(R[1:] * R[:-1] < 0.0)
         return int(nodes), float(R[-1]), 0
@@ -486,7 +501,7 @@ def _shooting_eigenvalues(problem: SLProblem, n_grid: int, seeds=()) -> tuple[np
     n_eigen = problem.n_eigen
     x = np.linspace(problem.x0, problem.x_end, n_grid)
     W = problem.effective_potential(x)
-    band = _numerov_band(n_grid)
+    work = _numerov_band(n_grid)
     L = problem.x_end - problem.x0
     # The tightest (E, nodes, y_end, rescales) swept below and above each eigenvalue.
     lo = [(-math.inf,)] * n_eigen
@@ -496,7 +511,7 @@ def _shooting_eigenvalues(problem: SLProblem, n_grid: int, seeds=()) -> tuple[np
     def shoot(E: float) -> int:
         nonlocal sweeps
         sweeps += 1
-        nodes, y_end, rescales = _numerov_sweep(E, x, W, band)
+        nodes, y_end, rescales = _numerov_sweep(E, x, W, work)
         point = (E, nodes, y_end, rescales)
         for j in range(nodes, n_eigen):
             if E > lo[j][0]:
@@ -589,7 +604,7 @@ def solve_sturm_liouville(problem: SLProblem, n_grid: int = 2001) -> SLSolution:
         raise ValueError(f"n_grid = {n_grid} has fewer than 2 points per level of "
                          f"n_eigen = {problem.n_eigen}: it must be at least {2 * problem.n_eigen}")
     fine, coarse = (_tridiagonal(problem, n)[:2] for n in (2 * n_grid - 1, n_grid))
-    _dstebz()  # scipy's first import allocates on this thread, not in a new malloc arena
+    _lapack()  # the first lookup, or the fallback's scipy import, allocates on this thread
     matrix = _richardson(*_both(lambda: eigh_tridiagonal(*fine, problem.n_eigen),
                                 lambda: eigh_tridiagonal(*coarse, problem.n_eigen)))
     eigenvalues, _ = _shooting_eigenvalues(problem, n_grid, seeds=matrix)

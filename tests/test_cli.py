@@ -973,14 +973,22 @@ _PROBE_KEYS = {"free-wave": {"v": 1, "R": 1},
                "composite": {"system_speeds": 2, "pointer_speeds": 2}}
 
 
-@pytest.mark.parametrize("scenario", list(_PROBE_KEYS))
-def test_in_domain_probe_passes_every_check(scenario, tmp_path):
+# In-domain configs that once failed their checks, each run as it stands: a box of
+# length 1 far from 0, where x[1] - x[0] was not the grid step.
+_PROBE_CASES = {
+    f"sturm-liouville-x0={x0:g}": ("sturm-liouville", f"x0 = {x0!r}\nx1 = {x0 + 1!r}\n")
+    for x0 in (1e7, 1e8, 1e10)}
+
+
+@pytest.mark.parametrize("case", list(_PROBE_KEYS) + list(_PROBE_CASES))
+def test_in_domain_probe_passes_every_check(case, tmp_path):
     rng = np.random.default_rng(2026)
+    scenario, *configs = _PROBE_CASES.get(case, (case,))
+    configs = configs or ["".join(
+        f"{key} = {','.join(map(repr, (10.0 ** rng.uniform(-1.0, 1.0, n)).tolist()))}\n"
+        for key, n in _PROBE_KEYS[case].items()) for _ in range(40)]
     failed = []
-    for i in range(40):
-        entries = "".join(
-            f"{key} = {','.join(map(repr, (10.0 ** rng.uniform(-1.0, 1.0, n)).tolist()))}\n"
-            for key, n in _PROBE_KEYS[scenario].items())
+    for i, entries in enumerate(configs):
         ini, out = tmp_path / f"{i}.ini", tmp_path / f"out{i}"
         ini.write_text(f"[{scenario}]\n{entries}")
         code = cli.main(["--scenario", scenario, "--config", str(ini), "--out", str(out),
@@ -1078,19 +1086,13 @@ def test_scenarios_import_only_what_they_run(scenario, tmp_path):
     assert "scipy" not in imported
     assert _pdwave_modules(loaded) == {"pdwave", "pdwave.core", "pdwave.cli"} | {
         f"pdwave.{name}" for name in SCENARIO_MODULES[scenario]}
-    # scipy.linalg brings numpy.ma, numpy.polynomial and concurrent.futures.
-    if scenario == "sturm-liouville":
-        assert "scipy.linalg" in loaded and "scipy.interpolate" not in loaded
-        # The eigensolve starts its one thread with no pool either.  concurrent.futures
-        # itself comes with scipy.linalg, through numpy.testing; a pool would add these.
-        assert not {"concurrent.futures.thread", "queue"} & loaded
-    else:
-        assert "scipy" not in loaded
-        assert "numpy.ma" not in loaded
-        # Only the Gauss-Legendre quadratures need numpy.polynomial.
-        assert ("numpy.polynomial" in loaded) == (scenario in ("free-wave", "contour"))
-        # The uncertainty runner starts its one thread with no pool.
-        assert not {"concurrent.futures", "queue"} & loaded
+    # sturm-liouville's LAPACK and BLAS come from the OpenBLAS numpy loaded.
+    assert [m for m in loaded if m.partition(".")[0] == "scipy"] == []
+    assert "numpy.ma" not in loaded
+    # Only the Gauss-Legendre quadratures need numpy.polynomial.
+    assert ("numpy.polynomial" in loaded) == (scenario in ("free-wave", "contour"))
+    # The uncertainty runner and the eigensolve start their one thread with no pool.
+    assert not {"concurrent.futures", "queue"} & loaded
 
 
 def test_eigh_tridiagonal_is_a_module_function_for_the_tracer():
@@ -1399,18 +1401,35 @@ def test_sturm_liouville_goldens_do_not_depend_on_the_blas_kernel(golden_name, c
     # SkylakeX's fuse multiply and add where Haswell's and Nehalem's did not here.  A
     # layout of the solve that rounds as the loop does holds the goldens under each.
     env = child_env(OPENBLAS_CORETYPE=coretype)
-    probe = subprocess.run(
-        [sys.executable, "-c", "import numpy as np; from scipy.linalg.blas import dtbsv; "
-         "dtbsv(1, np.ones((2, 2), order='F'), np.ones(2), lower=1)"],
+    probe = subprocess.run(  # one banded solve on the route the sweeps take
+        [sys.executable, "-c", "from pdwave import potential; "
+         "band, rhs, solve = potential._numerov_band(3); rhs[:] = 1.0; solve()"],
         env=env, capture_output=True, text=True)
     if probe.returncode != 0:
-        pytest.skip(f"scipy's BLAS does not run kernel {coretype}: {probe.stderr[-300:]}")
+        pytest.skip(f"the solve's BLAS does not run kernel {coretype}: {probe.stderr[-300:]}")
     script = "import sys; from pdwave import cli; sys.exit(cli.main(sys.argv[1:]))"
     proc = subprocess.run([sys.executable, "-c", script,
                            *golden_argv(golden_name, tmp_path / "out", tmp_path)],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert_matches_golden(tmp_path / "out", golden_name)
+
+
+@pytest.mark.parametrize("golden_name", [g for g in GOLDEN_RUNS if g.startswith("sturm-liouville")])
+def test_sturm_liouville_scipy_route_is_the_fast_route_bit_for_bit(golden_name, scipy_route,
+                                                                   tmp_path, monkeypatch):
+    potential = pdwave.potential
+    solve, solutions = potential.solve_sturm_liouville, []
+    monkeypatch.setattr(potential, "solve_sturm_liouville",
+                        lambda *args, **kwargs: solutions.append(solve(*args, **kwargs))
+                        or solutions[-1])
+    for i, route in enumerate([potential._lapack(), scipy_route]):
+        monkeypatch.setattr(potential, "_lapack", lambda: route)
+        assert run_golden(golden_name, tmp_path / f"out{i}", tmp_path) == 0
+        assert_matches_golden(tmp_path / f"out{i}", golden_name)
+    fast, scipys = solutions
+    assert fast.eigenvalues.tobytes() == scipys.eigenvalues.tobytes()
+    assert fast.matrix_eigenvalues.tobytes() == scipys.matrix_eigenvalues.tobytes()
 
 
 @pytest.mark.parametrize("fmt, kernel, tail", [

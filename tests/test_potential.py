@@ -1,4 +1,3 @@
-import ctypes
 import math
 import re
 import threading
@@ -352,6 +351,18 @@ class TestSturmLiouville:
         assert np.max(np.abs(sol.eigenvalues - exact) / exact) < 1e-6
         assert sol.eigenvalues[0] == pytest.approx(1.2337005501361697, rel=1e-6)
 
+    def test_levels_do_not_depend_on_where_the_box_lies(self):
+        # Translating the box leaves its levels alone.  At x0 = 1e7 on 1,001 points,
+        # x[1] - x[0] is 1.6e-7 off the step; (x[-1] - x[0])/1000 is the step.
+        def levels(x0):
+            problem = pot.SLProblem(x0=x0, x_end=x0 + 1.0, kx=np.zeros(64), V=np.zeros(64),
+                                    n_eigen=6)
+            solution = pot.solve_sturm_liouville(problem, n_grid=1001)
+            return np.r_[solution.eigenvalues, solution.matrix_eigenvalues,
+                         pot.matrix_eigen(problem, 1001)[0]]
+
+        np.testing.assert_allclose(levels(1e7), levels(0.0), rtol=1e-9, atol=0.0)
+
     def test_box_shooting_resolves_energy_below_the_rounding_of_w(self):
         # The three-term recurrence rounds w = 1 - h^2 f/12 and lands 1.8e-9 off.
         sol = pot.solve_sturm_liouville(self.box(), n_grid=2001)
@@ -688,23 +699,37 @@ class TestEighTridiagonal:
         with pytest.raises(ValueError, match=f"^{re.escape(str(scipys.value))}$"):
             pot.eigh_tridiagonal(d, e, 2)
 
+    @staticmethod
+    def lapack_error(route, info, monkeypatch) -> pytest.ExceptionInfo:
+        """What eigh_tridiagonal raises on ``route`` when dstebz returns ``info``."""
+        _, dtbsv, int_t = route
+
+        def dstebz(*args):
+            int_t.from_address(args[-1]).value = info  # the route's integer width
+
+        monkeypatch.setattr(pot, "_lapack", lambda: (dstebz, dtbsv, int_t))
+        with pytest.raises((ValueError, np.linalg.LinAlgError)) as raised:
+            pot.eigh_tridiagonal(np.ones(4), np.ones(3), 2)
+        return raised
+
     @pytest.mark.parametrize("info", [-3, 2])
     def test_lapack_info_raises_scipys_error(self, info, monkeypatch):
         from scipy.linalg import _decomp
-
-        def dstebz(*args):
-            ctypes.c_int.from_address(args[-1]).value = info
-
-        monkeypatch.setattr(pot, "_dstebz", lambda: dstebz)
+        raised = self.lapack_error(pot._lapack(), info, monkeypatch)
         with pytest.raises((ValueError, np.linalg.LinAlgError)) as scipys:
             _decomp._check_info(info, "stebz (eigh_tridiagonal)")
-        with pytest.raises(scipys.type, match=f"^{re.escape(str(scipys.value))}$"):
-            pot.eigh_tridiagonal(np.ones(4), np.ones(3), 2)
+        assert (raised.type, str(raised.value)) == (scipys.type, str(scipys.value))
+
+    @pytest.mark.parametrize("info", [-3, 2])
+    def test_scipy_route_raises_the_same_lapack_error(self, info, scipy_route, monkeypatch):
+        fast = self.lapack_error(pot._lapack(), info, monkeypatch)
+        scipys = self.lapack_error(scipy_route, info, monkeypatch)
+        assert (fast.type, str(fast.value)) == (scipys.type, str(scipys.value))
 
     @pytest.mark.parametrize("d, e", [(np.ones(4), np.ones(4)), (np.ones((2, 2)), np.ones(3))],
                              ids=["d0-e0-i", "d1-e1-i"])
     def test_what_lapack_cannot_take_is_refused_before_it(self, d, e, monkeypatch):
-        monkeypatch.setattr(pot, "_dstebz", None)
+        monkeypatch.setattr(pot, "_lapack", None)
         with pytest.raises(ValueError, match="^need 1-d d, e one shorter; got"):
             pot.eigh_tridiagonal(d, e, 2)
 
